@@ -17,7 +17,7 @@ from .estimators import (
 )
 from .forecast import (
     EvalReport, ScenarioConfig, ScenarioGrid,
-    mspe, predict_one_step, predict_range, render_table, reports_to_csv,
+    mspe, predict_range, render_table, reports_to_csv,
     run_grid, run_scenario,
 )
 from .ingest import (

@@ -15,12 +15,12 @@ row t, column (j-1)*eta + l  =  W(l)[i, :] . y(t - j).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DataError, NumericalError
+from .errors import ConvergenceError, DataError
 from .panel import DemandPanel, ModelOrder, SplitSpec
 from .weights import WeightStack
 
@@ -36,6 +36,26 @@ class DesignMatrix:
     y: np.ndarray          # T_used
     order: ModelOrder
     fit_range: tuple[int, int]
+
+
+def lag_regressors(
+    Y: np.ndarray,
+    p: int,
+    t_range: tuple[int, int],
+    matrices: Sequence[np.ndarray] | None = None,
+) -> np.ndarray:
+    """Lagged regressors for the target bins t in [start, end).
+
+    Returns a k x (end - start) x (eta * p) array whose entry
+    [i, t - start, (j - 1) * eta + l] is W(l)[i, :] . y(t - j), so slice
+    [i] is zone i's design rows. Without ``matrices`` the regressors are
+    the raw lags y_i(t - j) (eta = 1). Bin t reads only bins t - p .. t - 1,
+    so ``end`` may be one past the panel; needs start >= p.
+    """
+    start, end = t_range
+    bases = [Y] if matrices is None else [W @ Y for W in matrices]
+    return np.stack([b[:, start - j:end - j] for j in range(1, p + 1) for b in bases],
+                    axis=-1)
 
 
 def build_design(
@@ -57,27 +77,12 @@ def build_design(
         raise DataError("weight stack zone order does not match panel")
 
     Y = panel.values
-    k = panel.k
-    t_used = end - start - p
-    # lagged neighborhood averages: lagged[l][:, m] = W(l) . y(t_m - j) is
-    # assembled per (j, l) below
-    designs = []
-    # precompute W(l) Y for all needed columns
-    WY = [stack.matrices[l] @ Y for l in range(eta)]
-    for i in range(k):
-        Z = np.empty((t_used, eta * p))
-        for j in range(1, p + 1):
-            cols = slice(start + p - j, end - j)
-            for l in range(eta):
-                Z[:, (j - 1) * eta + l] = WY[l][i, cols]
-        designs.append(DesignMatrix(
-            zone_index=i,
-            Z=Z,
-            y=Y[i, start + p:end].copy(),
-            order=order,
-            fit_range=(start, end),
-        ))
-    return designs
+    Z = lag_regressors(Y, p, (start + p, end), stack.matrices[:eta])
+    return [
+        DesignMatrix(zone_index=i, Z=Z[i], y=Y[i, start + p:end].copy(),
+                     order=order, fit_range=(start, end))
+        for i in range(panel.k)
+    ]
 
 
 # -- models ------------------------------------------------------------
@@ -205,8 +210,9 @@ def fit_var_ols(panel: DemandPanel, p: int, fit_range: tuple[int, int]) -> VarMo
     t_used = end - start - p
     X = np.empty((t_used, k * p + 1))
     X[:, 0] = 1.0
-    for j in range(1, p + 1):
-        X[:, 1 + (j - 1) * k:1 + j * k] = Y[:, start + p - j:end - j].T
+    # lag-major columns: 1 + (j - 1) * k + z holds y_z(t - j)
+    lags = lag_regressors(Y, p, (start + p, end))          # k x t_used x p
+    X[:, 1:] = lags.transpose(1, 2, 0).reshape(t_used, k * p)
     resp = Y[:, start + p:end].T    # t_used x k
     B = np.linalg.lstsq(X, resp, rcond=None)[0]    # (kp+1) x k
     resid = resp - X @ B

@@ -10,9 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import time
-import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,10 +19,9 @@ import numpy as np
 from .errors import DataError, NumericalError
 from .panel import DemandPanel, ModelOrder, SplitSpec
 from .weights import WeightStack
-from . import estimators
 from .estimators import (
     LassoConfig, StarModel, VarModel,
-    build_design, fit_lasso_star, fit_star_ols, fit_var_ols, tune_lambda,
+    build_design, fit_lasso_star, fit_star_ols, fit_var_ols, lag_regressors, tune_lambda,
 )
 
 MODEL_VAR = "var"
@@ -31,43 +29,41 @@ MODEL_STAR = "star"
 MODEL_LASSO_STAR = "lasso_star"
 
 
-def predict_one_step(model, panel: DemandPanel, t: int,
-                     stack: WeightStack | None = None) -> np.ndarray:
-    """Predict the k-vector at bin t from true history at bins < t."""
-    if isinstance(model, StarModel):
-        if stack is None:
-            raise DataError("STAR prediction needs the weight stack")
-        p, eta = model.order.p, model.order.eta
-        if t < p or t > panel.T:
-            raise DataError(f"insufficient history for prediction at t={t}")
-        Y = panel.values
-        out = np.zeros(panel.k)
-        for j in range(1, p + 1):
-            y_lag = Y[:, t - j]
-            for l in range(eta):
-                wy = stack.matrices[l] @ y_lag
-                out += model.coefficients[:, (j - 1) * eta + l] * wy
-        return out
-    if isinstance(model, VarModel):
-        p = model.p
-        if t < p or t > panel.T:
-            raise DataError(f"insufficient history for prediction at t={t}")
-        out = model.intercept.copy()
-        for j in range(1, p + 1):
-            out += model.lag_matrices[j - 1] @ panel.values[:, t - j]
-        return out
-    raise DataError(f"unknown model type {type(model).__name__}")
-
-
 def predict_range(model, panel: DemandPanel, t_range: tuple[int, int],
                   stack: WeightStack | None = None) -> np.ndarray:
-    """Rolling one-step predictions for t in [t_range.start, t_range.end)."""
+    """Rolling one-step predictions for t in [t_range.start, t_range.end).
+
+    Column t - start is the prediction of bin t from the true history at
+    bins < t; the range may end one past the panel (bin T).
+    """
     start, end = t_range
     if end <= start:
         raise DataError(f"empty prediction range {t_range}")
-    return np.column_stack(
-        [predict_one_step(model, panel, t, stack=stack) for t in range(start, end)]
-    )
+    if isinstance(model, StarModel):
+        if stack is None:
+            raise DataError("STAR prediction needs the weight stack")
+        if model.order.eta > stack.eta_max:
+            raise DataError(f"eta={model.order.eta} exceeds stack depth {stack.eta_max}")
+        if stack.zone_ids != panel.zone_ids:
+            raise DataError("weight stack zone order does not match panel")
+        p = model.order.p
+    elif isinstance(model, VarModel):
+        p = model.p
+    else:
+        raise DataError(f"unknown model type {type(model).__name__}")
+    if start < p:
+        raise DataError(f"insufficient history for prediction at t={start}")
+    if end > panel.T + 1:
+        raise DataError(f"prediction range {t_range} runs past bin T={panel.T}")
+    Y = panel.values
+    if isinstance(model, VarModel):
+        out = np.repeat(model.intercept[:, None], end - start, axis=1)
+        for j, A in enumerate(model.lag_matrices, start=1):
+            out += A @ Y[:, start - j:end - j]
+        return out
+    # design rows times coefficients, zone by zone
+    Z = lag_regressors(Y, p, t_range, stack.matrices[:model.order.eta])
+    return np.matmul(Z, model.coefficients[:, :, None])[:, :, 0]
 
 
 def mspe(panel: DemandPanel, predicted: np.ndarray, t_range: tuple[int, int]) -> float:

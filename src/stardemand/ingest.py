@@ -8,7 +8,6 @@ order.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field

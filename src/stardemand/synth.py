@@ -10,7 +10,7 @@ noise realizations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -113,15 +113,13 @@ def spectral_radius(lag_matrices: Sequence[np.ndarray]) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(comp))))
 
 
-def _check_stable(spec: ProcessSpec, stack: WeightStack | None) -> None:
-    if not spec.require_stable:
-        return
-    rho = spectral_radius(implied_var_matrices(spec, stack))
-    if rho >= 1.0:
-        raise DataError(f"unstable process: companion spectral radius {rho:.4f} >= 1")
-
-
-def _iterate(spec: ProcessSpec, step) -> DemandPanel:
+def _iterate(spec: ProcessSpec, intercept: np.ndarray,
+             lag_matrices: Sequence[np.ndarray]) -> DemandPanel:
+    """Run y(t) = intercept + sum_j A_j y(t - j) + noise from the initial values."""
+    if spec.require_stable:
+        rho = spectral_radius(lag_matrices)
+        if rho >= 1.0:
+            raise DataError(f"unstable process: companion spectral radius {rho:.4f} >= 1")
     # the initial values are part of the output when burn_in = 0; a
     # positive burn_in discards them along with the first samples
     k, p = spec.k, spec.p
@@ -133,50 +131,33 @@ def _iterate(spec: ProcessSpec, step) -> DemandPanel:
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     for t in range(p, total):
         eps = spec.sigma * _gaussian_vector(rng, k) if spec.sigma > 0 else np.zeros(k)
-        Y[:, t] = step(Y, t) + eps
+        y = intercept.copy()
+        for j, A in enumerate(lag_matrices, start=1):
+            y += A @ Y[:, t - j]
+        Y[:, t] = y + eps
     out = Y[:, total - spec.length:]
     zone_ids = [f"z{i:02d}" for i in range(k)]
     return make_panel(zone_ids, out, kind=KIND_REAL)
 
 
 def gen_star_process(spec: ProcessSpec, stack: WeightStack) -> DemandPanel:
-    """Iterate the spatio-temporal regression forward with Gaussian noise."""
+    """Iterate the spatio-temporal regression forward with Gaussian noise,
+    through its VAR form (zero intercept)."""
     if spec.kind != KIND_STAR:
         raise DataError("spec kind is not star")
     if stack.eta_max < spec.order.eta:
         raise DataError("stack too shallow for spec eta")
     if stack.k != spec.k:
         raise DataError("stack size does not match spec")
-    _check_stable(spec, stack)
-    p, eta = spec.order.p, spec.order.eta
-    coef = spec.star_coefficients
-
-    def step(Y, t):
-        out = np.zeros(spec.k)
-        for j in range(1, p + 1):
-            y_lag = Y[:, t - j]
-            for l in range(eta):
-                out += coef[:, (j - 1) * eta + l] * (stack.matrices[l] @ y_lag)
-        return out
-
-    return _iterate(spec, step)
+    return _iterate(spec, np.zeros(spec.k), implied_var_matrices(spec, stack))
 
 
 def gen_var_process(spec: ProcessSpec) -> DemandPanel:
     """Iterate the vector autoregression forward with Gaussian noise."""
     if spec.kind != KIND_VAR:
         raise DataError("spec kind is not var")
-    _check_stable(spec, None)
-    v = np.asarray(spec.var_intercept, dtype=float)
-    mats = spec.var_lag_matrices
-
-    def step(Y, t):
-        out = v.copy()
-        for j in range(1, spec.p + 1):
-            out += mats[j - 1] @ Y[:, t - j]
-        return out
-
-    return _iterate(spec, step)
+    return _iterate(spec, np.asarray(spec.var_intercept, dtype=float),
+                    implied_var_matrices(spec, None))
 
 
 def random_sparse_star_spec(
@@ -203,31 +184,20 @@ def random_sparse_star_spec(
     # ensure at least one nonzero coefficient per zone (own first lag)
     empty = ~mask.any(axis=1)
     coef[empty, 0] = 0.3
+    # the spec holds ``coef`` itself, so scaling it in place rescales the spec
     spec = ProcessSpec(
         kind=KIND_STAR, k=k, length=length, sigma=sigma, seed=seed,
         initial=np.zeros((k, order.p)), order=order,
-        star_coefficients=coef, burn_in=burn_in,
+        star_coefficients=coef, burn_in=burn_in, require_stable=True,
     )
-    def with_coef(c):
-        return ProcessSpec(
-            kind=KIND_STAR, k=k, length=length, sigma=sigma, seed=seed,
-            initial=np.zeros((k, order.p)), order=order,
-            star_coefficients=c, burn_in=burn_in,
-        )
-
-    rho = spectral_radius(implied_var_matrices(with_coef(coef), stack))
+    rho = spectral_radius(implied_var_matrices(spec, stack))
     if rho > 0:
-        coef = coef * (target_radius / rho)
+        coef *= target_radius / rho
         # companion radius is not linear in the coefficients for p > 1;
         # shrink until the target is actually met
-        while spectral_radius(implied_var_matrices(with_coef(coef), stack)) > target_radius + 1e-9:
-            coef = coef * 0.9
-    out = with_coef(coef)
-    return ProcessSpec(
-        kind=KIND_STAR, k=k, length=length, sigma=sigma, seed=seed,
-        initial=np.zeros((k, order.p)), order=order,
-        star_coefficients=out.star_coefficients, burn_in=burn_in, require_stable=True,
-    )
+        while spectral_radius(implied_var_matrices(spec, stack)) > target_radius + 1e-9:
+            coef *= 0.9
+    return spec
 
 
 def synthetic_zone_ids(k: int) -> list[str]:
@@ -283,24 +253,18 @@ def recovery_star_spec(
     mask[:, 0] = True
     coef = coef * mask
 
-    def mk(c):
-        return ProcessSpec(
-            kind=KIND_STAR, k=k, length=length, sigma=sigma, seed=seed,
-            initial=np.zeros((k, p)), order=order, star_coefficients=c,
-            burn_in=50,
-        )
-
-    rho = spectral_radius(implied_var_matrices(mk(coef), stack))
-    if rho > target_radius:
-        coef = coef * (target_radius / rho)
-        while spectral_radius(implied_var_matrices(mk(coef), stack)) > target_radius + 1e-9:
-            coef = coef * 0.95
-    spec = mk(coef)
-    return ProcessSpec(
+    # the spec holds ``coef`` itself, so scaling it in place rescales the spec
+    spec = ProcessSpec(
         kind=KIND_STAR, k=k, length=length, sigma=sigma, seed=seed,
-        initial=np.zeros((k, p)), order=order,
-        star_coefficients=spec.star_coefficients, burn_in=50, require_stable=True,
+        initial=np.zeros((k, p)), order=order, star_coefficients=coef,
+        burn_in=50, require_stable=True,
     )
+    rho = spectral_radius(implied_var_matrices(spec, stack))
+    if rho > target_radius:
+        coef *= target_radius / rho
+        while spectral_radius(implied_var_matrices(spec, stack)) > target_radius + 1e-9:
+            coef *= 0.95
+    return spec
 
 
 def random_centroid_stack(k: int, eta_max: int, seed: int = 0) -> WeightStack:

@@ -189,6 +189,10 @@ def validate_stack(stack: WeightStack, k: int | None = None) -> list[dict]:
     if not shapes_ok:
         return report
 
+    nonfinite = [l for l, m in enumerate(stack.matrices) if not np.all(np.isfinite(m))]
+    add("finite", not nonfinite,
+        f"non-finite entries in lags {nonfinite}" if nonfinite else "")
+
     add("w0_identity", np.array_equal(stack.matrices[0], np.eye(k)),
         "W0 not identity" if not np.array_equal(stack.matrices[0], np.eye(k)) else "")
 
@@ -239,21 +243,32 @@ def write_stack(stack: WeightStack, directory) -> None:
 
 
 def read_stack(directory) -> WeightStack:
+    """Read a stack written by :func:`write_stack`; raises DataError when
+    the files are malformed or the stack fails :func:`validate_stack`."""
     directory = Path(directory)
     try:
         with open(directory / "manifest.json") as fh:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise DataError(f"cannot read stack manifest in {directory}: {e}") from None
-    mats = []
-    for name in manifest["files"]:
-        with open(directory / name, newline="") as fh:
-            mats.append(np.array([[float(x) for x in row] for row in csv.reader(fh)]))
-    return WeightStack(
-        matrices=tuple(_frozen(m) for m in mats),
-        scheme=manifest["scheme"],
-        zone_ids=tuple(manifest["zone_ids"]),
-    )
+    try:
+        mats = []
+        for name in manifest["files"]:
+            with open(directory / name, newline="") as fh:
+                mats.append(np.array([[float(x) for x in row] for row in csv.reader(fh)]))
+        stack = WeightStack(
+            matrices=tuple(_frozen(m) for m in mats),
+            scheme=manifest["scheme"],
+            zone_ids=tuple(manifest["zone_ids"]),
+        )
+    except (OSError, KeyError, TypeError, ValueError) as e:
+        raise DataError(f"malformed weight stack in {directory}: {e!r}") from None
+    if not mats:
+        raise DataError(f"weight stack in {directory} lists no matrices")
+    failed = [c for c in validate_stack(stack) if not c["ok"]]
+    if failed:
+        raise DataError(f"invalid weight stack in {directory}: {failed}")
+    return stack
 
 
 def read_adjacency_csv(path, zone_ids: Sequence[str]) -> AdjacencyGraph:

@@ -25,3 +25,10 @@ def random_panel(k, T, seed=0, kind="real"):
     rng = np.random.default_rng(seed)
     vals = rng.normal(0.0, 1.0, size=(k, T))
     return make_panel([f"z{i:02d}" for i in range(k)], vals, kind=kind)
+
+
+def replace_first_cell(path, cell):
+    """Overwrite the first cell of a CSV file with ``cell``."""
+    rows = path.read_text().splitlines()
+    rows[0] = ",".join([cell] + rows[0].split(",")[1:])
+    path.write_text("\n".join(rows) + "\n")

@@ -9,6 +9,8 @@ from stardemand.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from stardemand.estimators import read_model_json
 from stardemand.panel import read_panel_csv
 
+from conftest import replace_first_cell
+
 
 def write_yaml(path: Path, cfg: dict) -> Path:
     with open(path, "w") as fh:
@@ -217,6 +219,13 @@ class TestGrid:
         })
         # eta=5 exceeds the stack depth in every cell
         assert main(["grid", "-c", str(cfg)]) == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("cell", ["nan", "abc"])
+    def test_bad_stack_cell_is_data_error(self, tmp_path, synth_run, cell):
+        replace_first_cell(synth_run / "stack" / "w1.csv", cell)
+        cfg = self._config(tmp_path, synth_run, tmp_path / "grid", timings=False)
+        assert main(["grid", "-c", str(cfg)]) == EXIT_DATA
+        assert not (tmp_path / "grid").exists()
 
 
 class TestExitCodes:

@@ -8,7 +8,7 @@ from stardemand.estimators import (
 from stardemand.forecast import (
     MODEL_LASSO_STAR, MODEL_STAR, MODEL_VAR,
     EvalReport, ScenarioConfig, ScenarioGrid,
-    mspe, predict_one_step, predict_range, render_table, reports_to_csv,
+    mspe, predict_range, render_table, reports_to_csv,
     run_grid, run_scenario,
 )
 from stardemand.panel import ModelOrder, SplitSpec, make_panel
@@ -28,39 +28,64 @@ def _id_stack(k, zone_ids=None):
     return WeightStack(matrices=(np.eye(k),), scheme="centroid", zone_ids=ids)
 
 
+def _predict_bin(model, panel, t, stack=None):
+    """The prediction of bin t alone, from a one-bin range."""
+    return predict_range(model, panel, (t, t + 1), stack=stack)[:, 0]
+
+
+def naive_star(model, panel, stack, t):
+    p, eta = model.order.p, model.order.eta
+    k = panel.k
+    out = np.zeros(k)
+    for i in range(k):
+        for j in range(1, p + 1):
+            for l in range(eta):
+                wy = sum(stack.matrices[l][i, z] * panel.values[z, t - j] for z in range(k))
+                out[i] += model.coefficients[i, (j - 1) * eta + l] * wy
+    return out
+
+
+def naive_var(model, panel, t):
+    k = panel.k
+    out = model.intercept.copy()
+    for i in range(k):
+        for j in range(1, model.p + 1):
+            for z in range(k):
+                out[i] += model.lag_matrices[j - 1][i, z] * panel.values[z, t - j]
+    return out
+
+
+def _var_model(k, p, seed):
+    rng = np.random.default_rng(seed)
+    return VarModel(p=p, intercept=rng.normal(size=k),
+                    lag_matrices=tuple(rng.normal(size=(k, k)) for _ in range(p)),
+                    residual_cov=np.eye(k), fit_range=(0, 10))
+
+
 class TestPredictOneStep:
     def test_scalar_star(self):
         panel = make_panel(["z00"], [[0, 4, 0]], kind="real")
         model = _star_model([[0.5]], ModelOrder(p=1, eta=1))
-        pred = predict_one_step(model, panel, 2, stack=_id_stack(1))
+        pred = _predict_bin(model, panel, 2, stack=_id_stack(1))
         assert pred[0] == 2.0
 
     def test_zero_coefficients(self):
         panel = random_panel(2, 10, seed=40)
         star = _star_model(np.zeros((2, 1)), ModelOrder(p=1, eta=1))
-        assert np.all(predict_one_step(star, panel, 5, stack=_id_stack(2)) == 0)
+        assert np.all(_predict_bin(star, panel, 5, stack=_id_stack(2)) == 0)
         var = VarModel(p=1, intercept=np.array([3.0, -1.0]),
                        lag_matrices=(np.zeros((2, 2)),),
                        residual_cov=np.eye(2), fit_range=(0, 10))
-        assert np.allclose(predict_one_step(var, panel, 5), [3.0, -1.0])
+        assert np.allclose(_predict_bin(var, panel, 5), [3.0, -1.0])
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(41)
         panel = random_panel(2, 5, seed=41)
         stack = random_centroid_stack(2, 2, seed=41)
-        order = ModelOrder(p=2, eta=2)
-        coefs = rng.normal(size=(2, 4))
-        model = _star_model(coefs, order)
+        model = _star_model(rng.normal(size=(2, 4)), ModelOrder(p=2, eta=2))
         t = 3
-        pred = predict_one_step(model, panel, t, stack=stack)
-        for i in range(2):
-            acc = 0.0
-            for j in range(1, 3):
-                for l in range(2):
-                    wy = sum(stack.matrices[l][i, z] * panel.values[z, t - j]
-                             for z in range(2))
-                    acc += coefs[i, (j - 1) * 2 + l] * wy
-            assert abs(pred[i] - acc) < 1e-12
+        pred = _predict_bin(model, panel, t, stack=stack)
+        assert np.max(np.abs(pred - naive_star(model, panel, stack, t))) < 1e-12
 
     def test_causality(self):
         # permuting values at indices >= t must not change the prediction
@@ -69,18 +94,83 @@ class TestPredictOneStep:
         model = _star_model(np.random.default_rng(42).normal(size=(3, 4)),
                             ModelOrder(p=2, eta=2))
         t = 10
-        base = predict_one_step(model, panel, t, stack=stack)
+        base = _predict_bin(model, panel, t, stack=stack)
         vals = panel.values.copy()
         vals[:, t:] = vals[:, t:][:, ::-1] + 99.0
         mutated = panel.with_values(vals)
-        assert np.array_equal(predict_one_step(model, panel, t, stack=stack), base)
-        assert np.array_equal(predict_one_step(model, mutated, t, stack=stack), base)
+        assert np.array_equal(_predict_bin(model, panel, t, stack=stack), base)
+        assert np.array_equal(_predict_bin(model, mutated, t, stack=stack), base)
 
     def test_insufficient_history(self):
         panel = random_panel(1, 10, seed=43)
         model = _star_model([[0.5, 0.1]], ModelOrder(p=2, eta=1))
         with pytest.raises(DataError):
-            predict_one_step(model, panel, 1, stack=_id_stack(1))
+            _predict_bin(model, panel, 1, stack=_id_stack(1))
+        with pytest.raises(DataError):
+            predict_range(model, panel, (1, 5), stack=_id_stack(1))
+        with pytest.raises(DataError):
+            predict_range(model, panel, (5, 12), stack=_id_stack(1))
+
+
+class TestPredictRange:
+    def test_star_matches_naive_loop(self):
+        rng = np.random.default_rng(60)
+        panel = random_panel(5, 30, seed=60)
+        stack = random_centroid_stack(5, 3, seed=60)
+        for p, eta in [(1, 1), (2, 3), (4, 2)]:
+            model = _star_model(rng.normal(size=(5, p * eta)), ModelOrder(p=p, eta=eta))
+            pred = predict_range(model, panel, (p + 3, 30), stack=stack)
+            want = np.column_stack([naive_star(model, panel, stack, t)
+                                    for t in range(p + 3, 30)])
+            assert np.max(np.abs(pred - want)) < 1e-12
+
+    def test_var_matches_naive_loop(self):
+        panel = random_panel(4, 30, seed=61)
+        for p in (1, 3):
+            model = _var_model(4, p, seed=61 + p)
+            pred = predict_range(model, panel, (p, 30))
+            want = np.column_stack([naive_var(model, panel, t) for t in range(p, 30)])
+            assert np.max(np.abs(pred - want)) < 1e-12
+
+    def test_bins_match_one_step(self):
+        panel = random_panel(3, 25, seed=62)
+        stack = random_centroid_stack(3, 2, seed=62)
+        star = _star_model(np.random.default_rng(62).normal(size=(3, 4)),
+                           ModelOrder(p=2, eta=2))
+        var = _var_model(3, 2, seed=62)
+        for model, st in ((star, stack), (var, None)):
+            pred = predict_range(model, panel, (4, 25), stack=st)
+            for t in range(4, 25):
+                assert np.allclose(pred[:, t - 4], _predict_bin(model, panel, t, st),
+                                   rtol=0, atol=1e-12)
+
+    def test_bin_past_the_panel(self):
+        # bin T is predictable: it needs only the history at bins < T
+        panel = random_panel(3, 12, seed=63)
+        stack = random_centroid_stack(3, 2, seed=63)
+        star = _star_model(np.random.default_rng(63).normal(size=(3, 4)),
+                           ModelOrder(p=2, eta=2))
+        var = _var_model(3, 2, seed=63)
+        T = panel.T
+        got = predict_range(star, panel, (T - 3, T + 1), stack=stack)
+        assert got.shape == (3, 4)
+        assert np.max(np.abs(got[:, -1] - naive_star(star, panel, stack, T))) < 1e-12
+        got = predict_range(var, panel, (T, T + 1))
+        assert np.max(np.abs(got[:, 0] - naive_var(var, panel, T))) < 1e-12
+        with pytest.raises(DataError):
+            predict_range(var, panel, (T, T + 2))
+
+    def test_star_needs_a_matching_stack(self):
+        panel = random_panel(2, 10, seed=64)
+        model = _star_model(np.zeros((2, 2)), ModelOrder(p=1, eta=2))
+        stack = random_centroid_stack(2, 2, seed=64)
+        for bad in (None, _id_stack(2)):
+            with pytest.raises(DataError):
+                predict_range(model, panel, (2, 5), stack=bad)
+        shuffled = WeightStack(matrices=stack.matrices, scheme=stack.scheme,
+                               zone_ids=stack.zone_ids[::-1])
+        with pytest.raises(DataError):
+            predict_range(model, panel, (2, 5), stack=shuffled)
 
 
 class TestMspe:

@@ -8,6 +8,8 @@ from stardemand.weights import (
     read_adjacency_csv, read_stack, row_normalize, validate_stack, write_stack,
 )
 
+from conftest import replace_first_cell
+
 
 class TestCentroidRings:
     def test_line_rings(self, line_zones):
@@ -131,6 +133,14 @@ class TestValidateStack:
         report = {c["check"]: c["ok"] for c in validate_stack(bad)}
         assert not report["row_sum"]
 
+    def test_nan_weight(self, line_stack):
+        m1 = np.array(line_stack.matrices[1])
+        m1[0, 1] = np.nan
+        bad = WeightStack(matrices=(line_stack.matrices[0], m1) + line_stack.matrices[2:],
+                          scheme="centroid", zone_ids=line_stack.zone_ids)
+        report = {c["check"]: c["ok"] for c in validate_stack(bad)}
+        assert not report["finite"]
+
     def test_ring_partition_bound(self):
         rng = np.random.default_rng(10)
         zones = [make_zone(f"z{i}", centroid=tuple(rng.random(2))) for i in range(9)]
@@ -149,6 +159,23 @@ def test_stack_round_trip(tmp_path, line_stack):
     assert back.zone_ids == line_stack.zone_ids
     for a, b in zip(back.matrices, line_stack.matrices):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "abc", ""])
+def test_read_stack_rejects_bad_cells(tmp_path, line_stack, cell):
+    write_stack(line_stack, tmp_path / "stack")
+    replace_first_cell(tmp_path / "stack" / "w1.csv", cell)
+    with pytest.raises(DataError):
+        read_stack(tmp_path / "stack")
+
+
+@pytest.mark.parametrize("manifest", ["{}", '{"files": ["w9.csv"], "scheme": "c", '
+                                            '"zone_ids": ["A", "B", "C"]}', "[1]"])
+def test_read_stack_rejects_bad_manifest(tmp_path, line_stack, manifest):
+    write_stack(line_stack, tmp_path / "stack")
+    (tmp_path / "stack" / "manifest.json").write_text(manifest)
+    with pytest.raises(DataError):
+        read_stack(tmp_path / "stack")
 
 
 def test_adjacency_csv(tmp_path):
