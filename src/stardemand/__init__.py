@@ -12,8 +12,7 @@ from .weights import (
 )
 from .estimators import (
     DesignMatrix, LassoConfig, StarModel, VarModel,
-    build_design, fit_lasso_cd, fit_lasso_star, fit_star_ols, fit_var_ols,
-    lambda_max, soft_threshold, tune_lambda,
+    build_design, fit_lasso_star, fit_star_ols, fit_var_ols, lambda_max, tune_lambda,
 )
 from .forecast import (
     EvalReport, ScenarioConfig, ScenarioGrid,

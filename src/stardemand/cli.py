@@ -213,29 +213,36 @@ def _load_stacks(cfg: dict, cfg_path) -> dict[str, weights.WeightStack]:
             for name, p in stacks_cfg.items()}
 
 
-def _split_from_config(cfg: dict, n_bins: int, pn: panel_mod.DemandPanel) -> SplitSpec:
+def _split_from_config(cfg: dict, pn: panel_mod.DemandPanel) -> SplitSpec:
     scfg = cfg.get("split", {})
-    if "t2" in scfg:
+    try:
+        if "t2" not in scfg:
+            return panel_mod.split(pn, float(scfg.get("t2_fraction", 2 / 3)),
+                                   float(scfg.get("t1_fraction_of_t2", 0.5)))
         t2 = int(scfg["t2"])
-        t_end = int(scfg.get("t_end", n_bins))
+        t_end = int(scfg.get("t_end", pn.T))
         t1 = int(scfg.get("t1", (t2 + 1) // 2))
-        return SplitSpec(t1=t1, t2=t2, t_end=t_end)
-    t2_frac = float(scfg.get("t2_fraction", 2 / 3))
-    t1_frac = float(scfg.get("t1_fraction_of_t2", 0.5))
-    return panel_mod.split(pn, t2_frac, t1_frac)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"split: {e}") from None
+    if t_end > pn.T:
+        raise ConfigError(f"split.t_end={t_end} runs past the panel's {pn.T} bins")
+    return SplitSpec(t1=t1, t2=t2, t_end=t_end)
 
 
 def _lasso_from_config(cfg: dict) -> tuple[LassoConfig, bool]:
     lcfg = cfg.get("lasso", {})
     grid = lcfg.get("grid")
-    lasso = LassoConfig(
-        n_lambdas=int(lcfg.get("n_lambdas", 50)),
-        lambda_min_ratio=float(lcfg.get("lambda_min_ratio", 1e-4)),
-        include_zero=bool(lcfg.get("include_zero", True)),
-        tolerance=float(lcfg.get("tolerance", 1e-8)),
-        max_sweeps=int(lcfg.get("max_sweeps", 10_000)),
-        explicit_grid=tuple(float(g) for g in grid) if grid is not None else None,
-    )
+    try:
+        lasso = LassoConfig(
+            n_lambdas=int(lcfg.get("n_lambdas", 50)),
+            lambda_min_ratio=float(lcfg.get("lambda_min_ratio", 1e-4)),
+            include_zero=bool(lcfg.get("include_zero", True)),
+            tolerance=float(lcfg.get("tolerance", 1e-8)),
+            max_sweeps=int(lcfg.get("max_sweeps", 10_000)),
+            explicit_grid=tuple(float(g) for g in grid) if grid is not None else None,
+        )
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"lasso: {e}") from None
     return lasso, bool(lcfg.get("refit_after_tuning", True))
 
 
@@ -251,41 +258,35 @@ def cmd_fit(args) -> int:
     fcfg = _require(cfg, "fit", "")
     out_dir = args.out or _require(cfg, "output_dir", "")
     pn = _load_panel(cfg, args.config)
-    spl = _split_from_config(cfg, pn.T, pn)
+    spl = _split_from_config(cfg, pn)
     pn, _ = _maybe_standardize(cfg, pn, spl)
     kind = _require(fcfg, "model", "fit")
+    if kind not in (MODEL_VAR, MODEL_STAR, MODEL_LASSO_STAR):
+        raise ConfigError(f"unknown model kind {kind!r}")
     p = int(_require(fcfg, "p", "fit"))
     lasso, refit = _lasso_from_config(cfg)
-
-    effective = {"command": "fit", "fit": dict(fcfg),
-                 "split": {"t1": spl.t1, "t2": spl.t2, "t_end": spl.t_end},
-                 "standardize": bool(cfg.get("standardize", False))}
-    run = RunDir(out_dir, "fit", effective)
-
-    if kind == MODEL_VAR:
-        model = estimators.fit_var_ols(pn, p, (0, spl.t2))
-    else:
+    stack, eta = None, 1
+    if kind != MODEL_VAR:
         eta = int(_require(fcfg, "eta", "fit"))
         stacks = _load_stacks(cfg, args.config)
         stack_name = _require(fcfg, "stack", "fit")
         if stack_name not in stacks:
             raise ConfigError(f"fit.stack {stack_name!r} not in stacks")
         stack = stacks[stack_name]
-        order = ModelOrder(p=p, eta=eta)
-        if kind == MODEL_STAR:
-            designs = estimators.build_design(pn, stack, order, (0, spl.t2))
-            model = estimators.fit_star_ols(designs, scheme=stack.scheme)
-        elif kind == MODEL_LASSO_STAR:
-            lam, curve = estimators.tune_lambda(pn, stack, order, spl, lasso)
-            fit_end = spl.t2 if refit else spl.t1
-            designs = estimators.build_design(pn, stack, order, (0, fit_end))
-            model = estimators.fit_lasso_star(designs, lam, lasso, scheme=stack.scheme)
-            with open(run.file("lambda_curve.json"), "w") as fh:
-                json.dump({"lambda": lam,
-                           "curve": [[l, m] for l, m in curve]}, fh, indent=2)
-                fh.write("\n")
-        else:
-            raise ConfigError(f"unknown model kind {kind!r}")
+
+    effective = {"command": "fit", "fit": dict(fcfg),
+                 "split": {"t1": spl.t1, "t2": spl.t2, "t_end": spl.t_end},
+                 "standardize": bool(cfg.get("standardize", False))}
+    run = RunDir(out_dir, "fit", effective)
+
+    model, curve = forecast.fit_scenario_model(
+        pn, stack, kind, ModelOrder(p=p, eta=eta), spl,
+        ScenarioConfig(lasso=lasso, refit_after_tuning=refit))
+    if curve is not None:
+        with open(run.file("lambda_curve.json"), "w") as fh:
+            json.dump({"lambda": model.lambda_,
+                       "curve": [[l, m] for l, m in curve]}, fh, indent=2)
+            fh.write("\n")
     estimators.write_model_json(model, run.file("model.json"))
     run.finish()
     print(f"fitted {kind} (p={p}) -> {run.path / 'model.json'}")
@@ -297,7 +298,7 @@ def cmd_grid(args) -> int:
     gcfg = _require(cfg, "grid", "")
     out_dir = args.out or _require(cfg, "output_dir", "")
     pn = _load_panel(cfg, args.config)
-    spl = _split_from_config(cfg, pn.T, pn)
+    spl = _split_from_config(cfg, pn)
     pn, _ = _maybe_standardize(cfg, pn, spl)
     stacks = _load_stacks(cfg, args.config)
     lasso, refit = _lasso_from_config(cfg)

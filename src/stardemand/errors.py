@@ -20,11 +20,9 @@ class NumericalError(Exception):
 class ConvergenceError(NumericalError):
     """Iterative solver hit its sweep limit.
 
-    Carries the last iterate and the per-sweep objective trace so callers
-    can inspect how far the solve got.
+    Carries the last iterate so callers can inspect how far the solve got.
     """
 
-    def __init__(self, message, last_iterate=None, objective_trace=None):
+    def __init__(self, message, last_iterate=None):
         super().__init__(message)
         self.last_iterate = last_iterate
-        self.objective_trace = objective_trace

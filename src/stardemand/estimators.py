@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DataError
+from .errors import ConfigError, ConvergenceError, DataError
 from .panel import DemandPanel, ModelOrder, SplitSpec
 from .weights import WeightStack
 
@@ -147,11 +147,20 @@ class LassoConfig:
     explicit_grid: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise DataError("tolerance must be positive")
+        if self.n_lambdas < 1:
+            raise ConfigError(f"n_lambdas must be >= 1, got {self.n_lambdas}")
+        if not 0 < self.lambda_min_ratio < 1:
+            raise ConfigError(
+                f"lambda_min_ratio must lie in (0, 1), got {self.lambda_min_ratio}")
+        if not self.tolerance > 0:
+            raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
+        if self.max_sweeps < 1:
+            raise ConfigError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
         if self.explicit_grid is not None:
-            if any(g < 0 for g in self.explicit_grid):
-                raise DataError("grid values must be >= 0")
+            if not self.explicit_grid:
+                raise ConfigError("grid must not be empty")
+            if not all(g >= 0 for g in self.explicit_grid):
+                raise ConfigError("grid values must be >= 0")
 
     def grid(self, lam_max: float) -> list[float]:
         """Descending penalty grid, optionally ending in an explicit 0."""
@@ -168,9 +177,20 @@ class LassoConfig:
 
 # -- OLS fits ----------------------------------------------------------
 
-def _min_norm_lstsq(Z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    sol, *_ = np.linalg.lstsq(Z, y, rcond=None)
-    return sol
+def _star_model(designs: Sequence[DesignMatrix], coefs: np.ndarray, n_free: int,
+                scheme: str, lambda_: float | None = None) -> StarModel:
+    """Package per-zone coefficients (row i for zone i); sigma2 pools the
+    residuals of all zones over n_rows - n_free degrees of freedom."""
+    rss = 0.0
+    n_rows = 0
+    for d in designs:
+        resid = d.y - d.Z @ coefs[d.zone_index]
+        rss += float(resid @ resid)
+        n_rows += d.y.shape[0]
+    dof = n_rows - n_free
+    sigma2 = rss / dof if dof > 0 else rss / max(n_rows, 1)
+    return StarModel(order=designs[0].order, coefficients=coefs, sigma2=sigma2,
+                     scheme=scheme, fit_range=designs[0].fit_range, lambda_=lambda_)
 
 
 def fit_star_ols(designs: Sequence[DesignMatrix], scheme: str = "") -> StarModel:
@@ -180,18 +200,9 @@ def fit_star_ols(designs: Sequence[DesignMatrix], scheme: str = "") -> StarModel
         raise DataError("no designs")
     order = designs[0].order
     coefs = np.zeros((len(designs), order.eta * order.p))
-    rss = 0.0
-    n_rows = 0
     for d in designs:
-        phi = _min_norm_lstsq(d.Z, d.y)
-        coefs[d.zone_index] = phi
-        resid = d.y - d.Z @ phi
-        rss += float(resid @ resid)
-        n_rows += d.y.shape[0]
-    dof = n_rows - coefs.size
-    sigma2 = rss / dof if dof > 0 else rss / max(n_rows, 1)
-    return StarModel(order=order, coefficients=coefs, sigma2=sigma2,
-                     scheme=scheme, fit_range=designs[0].fit_range)
+        coefs[d.zone_index] = np.linalg.lstsq(d.Z, d.y, rcond=None)[0]
+    return _star_model(designs, coefs, coefs.size, scheme)
 
 
 def fit_var_ols(panel: DemandPanel, p: int, fit_range: tuple[int, int]) -> VarModel:
@@ -225,81 +236,22 @@ def fit_var_ols(panel: DemandPanel, p: int, fit_range: tuple[int, int]) -> VarMo
 
 # -- LASSO -------------------------------------------------------------
 
-def soft_threshold(z: float, gamma: float) -> float:
-    """sign(z) * max(|z| - gamma, 0)."""
-    if gamma < 0:
-        raise DataError("gamma must be >= 0")
-    if z > gamma:
-        return z - gamma
-    if z < -gamma:
-        return z + gamma
-    return 0.0
-
-
 def lambda_max(design: DesignMatrix) -> float:
     """Smallest penalty with an all-zero solution: ||Z' y||_inf."""
     g = design.Z.T @ design.y
     return float(np.max(np.abs(g))) if g.size else 0.0
 
 
-def lasso_objective(Z: np.ndarray, y: np.ndarray, phi: np.ndarray, lam: float) -> float:
-    r = y - Z @ phi
-    return 0.5 * float(r @ r) + lam * float(np.sum(np.abs(phi)))
+def _gram_stack(designs: Sequence[DesignMatrix]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-zone Z'Z (k x m x m), Z'y (k x m) and diag(Z'Z) (k x m).
 
-
-def fit_lasso_cd(
-    design: DesignMatrix,
-    lam: float,
-    config: LassoConfig = LassoConfig(),
-    warm_start: np.ndarray | None = None,
-    objective_trace: list | None = None,
-) -> np.ndarray:
-    """Cyclic coordinate descent on 0.5||y - Z phi||^2 + lam * ||phi||_1.
-
-    Converged when the largest coefficient change over a full sweep is
-    below config.tolerance relative to max(1, ||phi||_inf). Columns with
-    zero norm keep coefficient 0.
+    Z'y is computed per design exactly as in :func:`lambda_max`, so the
+    solver's all-zero screen agrees with it bit for bit.
     """
-    if lam < 0:
-        raise DataError("lambda must be >= 0")
-    Z, y = design.Z, design.y
-    m = Z.shape[1]
-    if lam > 0 and lam >= lambda_max(design):
-        # the zero vector satisfies the stationarity conditions exactly
-        if objective_trace is not None:
-            objective_trace.append(lasso_objective(Z, y, np.zeros(m), lam))
-        return np.zeros(m)
-    col_sq = np.einsum("ij,ij->j", Z, Z)
-    phi = np.zeros(m) if warm_start is None else np.array(warm_start, dtype=float)
-    r = y - Z @ phi
-    if objective_trace is not None:
-        objective_trace.append(lasso_objective(Z, y, phi, lam))
-    for _ in range(config.max_sweeps):
-        max_delta = 0.0
-        for j in range(m):
-            cj = col_sq[j]
-            if cj == 0.0:
-                continue
-            old = phi[j]
-            rho = float(Z[:, j] @ r) + cj * old
-            new = soft_threshold(rho, lam) / cj
-            if new != old:
-                r += Z[:, j] * (old - new)
-                phi[j] = new
-                delta = abs(new - old)
-                if delta > max_delta:
-                    max_delta = delta
-        if objective_trace is not None:
-            objective_trace.append(lasso_objective(Z, y, phi, lam))
-        scale = max(1.0, float(np.max(np.abs(phi))) if m else 1.0)
-        if max_delta < config.tolerance * scale:
-            return phi
-    raise ConvergenceError(
-        f"coordinate descent did not converge in {config.max_sweeps} sweeps "
-        f"(lambda={lam})",
-        last_iterate=phi,
-        objective_trace=objective_trace,
-    )
+    Zs = np.stack([d.Z for d in designs])          # k x n x m
+    gram = np.einsum("knm,knq->kmq", Zs, Zs)
+    zy = np.stack([d.Z.T @ d.y for d in designs])
+    return gram, zy, np.diagonal(gram, axis1=1, axis2=2).copy()
 
 
 def _cd_sweep_batch(
@@ -335,36 +287,31 @@ def solve_lasso_batch(
     lam: float,
     config: LassoConfig = LassoConfig(),
     warm_start: np.ndarray | None = None,
-    _state: dict | None = None,
+    gram: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """All-zone coordinate descent at one penalty via per-zone Gram
-    matrices; same updates as :func:`fit_lasso_cd`, vectorized over zones.
+    """Cyclic coordinate descent on 0.5||y - Z phi||^2 + lam * ||phi||_1
+    for every zone at once, through per-zone Gram matrices (the
+    covariance updates of Friedman, Hastie & Tibshirani 2010).
 
-    ``_state`` caches the Gram tensors across calls on the same designs
-    (used by the path driver).
+    Returns the k x m coefficient matrix, row i for ``designs[i]``. A
+    zone has converged when the largest coefficient change over a full
+    sweep is below config.tolerance relative to max(1, ||phi||_inf).
+    Zones with lam >= lambda_max solve to exactly zero, and columns with
+    zero norm keep coefficient 0. ``gram`` is the (Z'Z, Z'y, diag)
+    triple of ``designs``; :func:`fit_lasso_path` builds it once for
+    its whole grid, and it is built here when omitted.
     """
     if lam < 0:
         raise DataError("lambda must be >= 0")
-    k = len(designs)
-    m = designs[0].Z.shape[1]
-    if _state is None:
-        _state = {}
-    if "gram" not in _state:
-        Zs = np.stack([d.Z for d in designs])          # k x n x m
-        ys = np.stack([d.y for d in designs])          # k x n
-        _state["gram"] = np.einsum("knm,knq->kmq", Zs, Zs)
-        _state["zy"] = np.einsum("knm,kn->km", Zs, ys)
-        _state["diag"] = np.stack([np.diag(g) for g in _state["gram"]])
-    gram, zy, diag = _state["gram"], _state["zy"], _state["diag"]
+    gram, zy, diag = _gram_stack(designs) if gram is None else gram
+    k, m = zy.shape
     phis = np.zeros((k, m)) if warm_start is None else np.array(warm_start, dtype=float)
+    at_zero = np.zeros(k, dtype=bool)
     if lam > 0:
-        # zones with lam >= ||Z'y||_inf solve to exactly zero
         at_zero = lam >= np.max(np.abs(zy), axis=1, initial=0.0)
         phis[at_zero] = 0.0
     grad = zy - np.einsum("kmq,kq->km", gram, phis)
-    active = np.ones(k, dtype=bool)
-    if lam > 0:
-        active &= ~at_zero
+    active = ~at_zero
     for _ in range(config.max_sweeps):
         max_delta = _cd_sweep_batch(gram, grad, diag, phis, lam, active)
         scale = np.maximum(1.0, np.max(np.abs(phis), axis=1, initial=0.0))
@@ -389,11 +336,11 @@ def fit_lasso_path(
     """
     if not designs:
         raise DataError("no designs")
+    gram = _gram_stack(designs)
     out: dict[float, np.ndarray] = {}
-    state: dict = {}
     warm = None
     for lam in grid:
-        warm = solve_lasso_batch(designs, lam, config, warm_start=warm, _state=state)
+        warm = solve_lasso_batch(designs, lam, config, warm_start=warm, gram=gram)
         out[lam] = warm.copy()
     return out
 
@@ -405,21 +352,10 @@ def fit_lasso_star(
     scheme: str = "",
 ) -> StarModel:
     """Fit all zones at a single penalty and package as a StarModel."""
-    order = designs[0].order
-    coefs = np.zeros((len(designs), order.eta * order.p))
     solved = solve_lasso_batch(designs, lam, config)
-    rss = 0.0
-    n_rows = 0
-    for pos, d in enumerate(designs):
-        coefs[d.zone_index] = solved[pos]
-        resid = d.y - d.Z @ solved[pos]
-        rss += float(resid @ resid)
-        n_rows += d.y.shape[0]
-    nonzero = int(np.count_nonzero(coefs))
-    dof = n_rows - nonzero
-    sigma2 = rss / dof if dof > 0 else rss / max(n_rows, 1)
-    return StarModel(order=order, coefficients=coefs, sigma2=sigma2,
-                     scheme=scheme, fit_range=designs[0].fit_range, lambda_=lam)
+    coefs = np.zeros_like(solved)
+    coefs[[d.zone_index for d in designs]] = solved
+    return _star_model(designs, coefs, int(np.count_nonzero(coefs)), scheme, lam)
 
 
 def tune_lambda(
@@ -443,8 +379,6 @@ def tune_lambda(
     train = build_design(panel, stack, order, (0, split.t1))
     lam_max = max(lambda_max(d) for d in train)
     grid = config.grid(lam_max)
-    if not grid:
-        raise DataError("empty penalty grid")
     # validation rows t = t1 .. t2-1 share the Z-row formula with training
     val = build_design(panel, stack, order, (split.t1 - order.p, split.t2))
     path = fit_lasso_path(train, grid, config)

@@ -111,6 +111,54 @@ class ScenarioConfig:
     compute_validation: bool = True
 
 
+def _report(model_kind: str, order: ModelOrder, stack: WeightStack | None,
+            split: SplitSpec, **fields) -> EvalReport:
+    is_var = model_kind == MODEL_VAR
+    return EvalReport(model=model_kind, p=order.p, eta=None if is_var else order.eta,
+                      scheme=None if is_var or stack is None else stack.scheme,
+                      split=split, **fields)
+
+
+def _check_scenario(model_kind: str, stack: WeightStack | None) -> None:
+    if model_kind not in (MODEL_VAR, MODEL_STAR, MODEL_LASSO_STAR):
+        raise DataError(f"unknown model kind {model_kind!r}")
+    if model_kind != MODEL_VAR and stack is None:
+        name = model_kind.upper().replace("_", "-")
+        raise DataError(f"{name} scenario needs a weight stack")
+
+
+def _fit_ols(panel: DemandPanel, stack: WeightStack | None, model_kind: str,
+             order: ModelOrder, fit_end: int):
+    if model_kind == MODEL_VAR:
+        return fit_var_ols(panel, order.p, (0, fit_end))
+    return fit_star_ols(build_design(panel, stack, order, (0, fit_end)), scheme=stack.scheme)
+
+
+def fit_scenario_model(
+    panel: DemandPanel,
+    stack: WeightStack | None,
+    model_kind: str,
+    order: ModelOrder,
+    split: SplitSpec,
+    config: ScenarioConfig = ScenarioConfig(),
+):
+    """Fit the model that a scenario scores on its test span [t2, t_end).
+
+    VAR and STAR are least-squares fits on [0, t2). LASSO-STAR tunes the
+    penalty on the validation span (see :func:`tune_lambda`), then fits
+    at lambda* on [0, t2), or on [0, t1) with refit_after_tuning off.
+    Returns (model, curve); curve is the [(lambda, validation MSPE), ...]
+    list for LASSO-STAR and None otherwise.
+    """
+    _check_scenario(model_kind, stack)
+    if model_kind != MODEL_LASSO_STAR:
+        return _fit_ols(panel, stack, model_kind, order, split.t2), None
+    lam, curve = tune_lambda(panel, stack, order, split, config.lasso)
+    fit_end = split.t2 if config.refit_after_tuning else split.t1
+    designs = build_design(panel, stack, order, (0, fit_end))
+    return fit_lasso_star(designs, lam, config.lasso, scheme=stack.scheme), curve
+
+
 def run_scenario(
     panel: DemandPanel,
     stack: WeightStack | None,
@@ -121,54 +169,26 @@ def run_scenario(
 ) -> EvalReport:
     """Fit, tune (penalized models), refit and evaluate one scenario.
 
-    Validation MSPE comes from a fit on [0, t1) predicting [t1, t2); the
-    test fit uses [0, t2) (with lambda* for the penalized model when
-    refit_after_tuning is on) and is scored on [t2, t_end).
+    The test model comes from :func:`fit_scenario_model` and is scored on
+    [t2, t_end). Validation MSPE is the best point of the penalty curve
+    for LASSO-STAR; for VAR and STAR it comes from a fit on [0, t1)
+    predicting [t1, t2), skipped when compute_validation is off.
     """
     t0 = time.perf_counter()
-    p, eta = order.p, order.eta
-    scheme = stack.scheme if stack is not None else None
-    val_range = (split.t1, split.t2)
-    test_range = (split.t2, split.t_end)
-    lam = None
+    _check_scenario(model_kind, stack)
     val_mspe = None
-
-    if model_kind == MODEL_VAR:
-        if config.compute_validation:
-            m_val = fit_var_ols(panel, p, (0, split.t1))
-            val_mspe = mspe(panel, predict_range(m_val, panel, val_range), val_range)
-        model = fit_var_ols(panel, p, (0, split.t2))
-        preds = predict_range(model, panel, test_range)
-    elif model_kind == MODEL_STAR:
-        if stack is None:
-            raise DataError("STAR scenario needs a weight stack")
-        if config.compute_validation:
-            m_val = fit_star_ols(build_design(panel, stack, order, (0, split.t1)),
-                                 scheme=stack.scheme)
-            val_mspe = mspe(panel, predict_range(m_val, panel, val_range, stack), val_range)
-        model = fit_star_ols(build_design(panel, stack, order, (0, split.t2)),
-                             scheme=stack.scheme)
-        preds = predict_range(model, panel, test_range, stack)
-    elif model_kind == MODEL_LASSO_STAR:
-        if stack is None:
-            raise DataError("LASSO-STAR scenario needs a weight stack")
-        lam, curve = tune_lambda(panel, stack, order, split, config.lasso)
+    if model_kind != MODEL_LASSO_STAR and config.compute_validation:
+        val_range = (split.t1, split.t2)
+        m_val = _fit_ols(panel, stack, model_kind, order, split.t1)
+        val_mspe = mspe(panel, predict_range(m_val, panel, val_range, stack), val_range)
+    model, curve = fit_scenario_model(panel, stack, model_kind, order, split, config)
+    if curve is not None:
         val_mspe = min(m for _, m in curve)
-        fit_end = split.t2 if config.refit_after_tuning else split.t1
-        designs = build_design(panel, stack, order, (0, fit_end))
-        model = fit_lasso_star(designs, lam, config.lasso, scheme=stack.scheme)
-        preds = predict_range(model, panel, test_range, stack)
-    else:
-        raise DataError(f"unknown model kind {model_kind!r}")
-
-    test = mspe(panel, preds, test_range)
-    return EvalReport(
-        model=model_kind, p=p,
-        eta=None if model_kind == MODEL_VAR else eta,
-        scheme=None if model_kind == MODEL_VAR else scheme,
-        split=split, val_mspe=val_mspe, test_mspe=test, lambda_=lam,
-        seconds=time.perf_counter() - t0,
-    )
+    test_range = (split.t2, split.t_end)
+    test = mspe(panel, predict_range(model, panel, test_range, stack), test_range)
+    return _report(model_kind, order, stack, split, val_mspe=val_mspe, test_mspe=test,
+                   lambda_=None if curve is None else model.lambda_,
+                   seconds=time.perf_counter() - t0)
 
 
 @dataclass(frozen=True)
@@ -214,13 +234,8 @@ def run_grid(panel: DemandPanel, grid: ScenarioGrid, jobs: int = 1) -> list[Eval
         try:
             return run_scenario(panel, stack, kind, order, grid.split, grid.config)
         except (DataError, NumericalError) as e:
-            return EvalReport(
-                model=kind, p=order.p,
-                eta=None if kind == MODEL_VAR else order.eta,
-                scheme=None if (kind == MODEL_VAR or stack is None) else stack.scheme,
-                split=grid.split, val_mspe=None, test_mspe=None,
-                error=str(e),
-            )
+            return _report(kind, order, stack, grid.split, val_mspe=None, test_mspe=None,
+                           error=str(e))
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from stardemand.estimators import (
-    DesignMatrix, LassoConfig, build_design, fit_lasso_cd, fit_star_ols,
-    fit_var_ols, lambda_max, soft_threshold,
+    DesignMatrix, LassoConfig, build_design, fit_star_ols,
+    fit_var_ols, lambda_max, solve_lasso_batch,
 )
 from stardemand.forecast import (
     MODEL_LASSO_STAR, MODEL_STAR, MODEL_VAR,
@@ -27,6 +27,7 @@ from stardemand.synth import (
 )
 
 from conftest import random_panel
+from lasso_oracle import soft_threshold
 
 
 def _verdict(number, name, ok, detail=""):
@@ -131,6 +132,11 @@ def _design(Z, y):
                         order=ModelOrder(p=1, eta=m), fit_range=(0, n))
 
 
+def _solve(d, lam):
+    """The production solver on a one-design batch."""
+    return solve_lasso_batch([d], lam)[0]
+
+
 def test_criterion_3_lasso_correctness():
     t0 = time.perf_counter()
     rng = np.random.default_rng(103)
@@ -142,7 +148,7 @@ def test_criterion_3_lasso_correctness():
         y = rng.normal(size=60)
         d = _design(Z, y)
         ols = np.linalg.solve(Z.T @ Z, Z.T @ y)
-        worst_a = max(worst_a, float(np.max(np.abs(fit_lasso_cd(d, 0.0) - ols))))
+        worst_a = max(worst_a, float(np.max(np.abs(_solve(d, 0.0) - ols))))
 
     # (b) penalty at or above lambda_max gives the exact zero vector
     ok_b = True
@@ -151,7 +157,7 @@ def test_criterion_3_lasso_correctness():
         y = rng.normal(size=30)
         d = _design(Z, y)
         for lam in (lambda_max(d), 1.5 * lambda_max(d)):
-            ok_b &= bool(np.all(fit_lasso_cd(d, lam) == 0.0))
+            ok_b &= bool(np.all(_solve(d, lam) == 0.0))
 
     # (c) KKT stationarity certificate on 50 random instances
     worst_c = 0.0
@@ -162,7 +168,7 @@ def test_criterion_3_lasso_correctness():
         y = rng.normal(size=n)
         d = _design(Z, y)
         lam = float(rng.uniform(0.05, 0.8)) * lambda_max(d)
-        phi = fit_lasso_cd(d, lam)
+        phi = _solve(d, lam)
         worst_c = max(worst_c, _kkt_violation(Z, y, phi, lam))
 
     # (d) orthonormal design: solution is soft-thresholded OLS
@@ -173,7 +179,7 @@ def test_criterion_3_lasso_correctness():
         d = _design(Q, y)
         lam = float(rng.uniform(0.1, 1.0))
         want = np.array([soft_threshold(g, lam) for g in Q.T @ y])
-        worst_d = max(worst_d, float(np.max(np.abs(fit_lasso_cd(d, lam) - want))))
+        worst_d = max(worst_d, float(np.max(np.abs(_solve(d, lam) - want))))
 
     dt = time.perf_counter() - t0
     ok = worst_a < 1e-6 and ok_b and worst_c < 1e-6 and worst_d < 1e-8 and dt < 10.0

@@ -256,6 +256,53 @@ class TestExitCodes:
         assert main(["fit", "-c", str(cfg)]) == EXIT_DATA
 
 
+class TestConfigValidation:
+    """Bad lasso: and split: values exit 1 before any output is written."""
+
+    def _config(self, tmp_path, synth_run, **overrides):
+        cfg = {
+            "output_dir": str(tmp_path / "out"),
+            "panel": str(synth_run / "panel.csv"),
+            "stacks": {"rings": str(synth_run / "stack")},
+            "split": {"t1": 30, "t2": 60},
+            "lasso": {"n_lambdas": 5},
+            "grid": {"models": ["lasso_star"], "p": [1], "eta": [1],
+                     "include_var": False},
+            "fit": {"model": "lasso_star", "p": 1, "eta": 1, "stack": "rings"},
+        }
+        cfg.update(overrides)
+        return write_yaml(tmp_path / "c.yaml", cfg)
+
+    @pytest.mark.parametrize("command", ["grid", "fit"])
+    @pytest.mark.parametrize("lasso", [
+        {"lambda_min_ratio": 0},
+        {"n_lambdas": 0},
+        {"max_sweeps": 0},
+        {"tolerance": "tight"},
+        {"grid": ["a", 1.0]},
+        {"grid": []},
+    ], ids=["min_ratio_0", "n_lambdas_0", "max_sweeps_0", "tolerance_str",
+            "grid_str", "grid_empty"])
+    def test_bad_lasso_value(self, tmp_path, synth_run, command, lasso):
+        cfg = self._config(tmp_path, synth_run, lasso=lasso)
+        assert main([command, "-c", str(cfg)]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["grid", "fit"])
+    @pytest.mark.parametrize("split", [
+        {"t1": 30, "t2": 60, "t_end": 81},
+        {"t1": 30, "t2": "sixty"},
+    ], ids=["t_end_past_panel", "t2_str"])
+    def test_bad_split(self, tmp_path, synth_run, command, split):
+        cfg = self._config(tmp_path, synth_run, split=split)
+        assert main([command, "-c", str(cfg)]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    def test_split_to_last_bin_runs(self, tmp_path, synth_run):
+        cfg = self._config(tmp_path, synth_run, split={"t1": 30, "t2": 60, "t_end": 80})
+        assert main(["grid", "-c", str(cfg)]) == EXIT_OK
+
+
 def test_config_echo_reruns_identically(tmp_path):
     """The echoed config in a run dir drives an identical re-run."""
     out1 = tmp_path / "r1"

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from stardemand.errors import ConvergenceError, DataError
+from stardemand.errors import ConfigError, ConvergenceError, DataError
 from stardemand.estimators import (
     DesignMatrix, LassoConfig,
-    build_design, fit_lasso_cd, fit_lasso_path, fit_lasso_star, fit_star_ols,
-    fit_var_ols, lambda_max, lasso_objective, model_from_dict, model_to_dict,
-    read_model_json, soft_threshold, tune_lambda, write_model_json,
+    build_design, fit_lasso_path, fit_lasso_star, fit_star_ols,
+    fit_var_ols, lambda_max, model_from_dict, model_to_dict,
+    read_model_json, solve_lasso_batch, tune_lambda, write_model_json,
 )
 from stardemand.panel import ModelOrder, SplitSpec, make_panel
 from stardemand.synth import random_centroid_stack, random_sparse_star_spec, gen_star_process
 from stardemand.weights import WeightStack
 
 from conftest import random_panel
+from lasso_oracle import lasso_cd, lasso_objective, soft_threshold
 
 
 def naive_design(panel, stack, order, fit_range):
@@ -204,12 +205,17 @@ def _kkt_violation(Z, y, phi, lam):
     return worst
 
 
+def _solve(d, lam, config=LassoConfig()):
+    """The production solver on a one-design batch."""
+    return solve_lasso_batch([d], lam, config)[0]
+
+
 class TestLassoCd:
     def test_orthonormal_soft_threshold(self):
         # orthonormal columns: solution = soft-threshold of OLS coefs
         Z = np.array([[1.0, 0.0], [0.0, 1.0]])
         d = _design(Z, [3.0, 0.5], eta=2)
-        phi = fit_lasso_cd(d, 1.0)
+        phi = _solve(d, 1.0)
         assert np.allclose(phi, [2.0, 0.0], atol=1e-8)
 
     def test_lambda_zero_matches_ols(self):
@@ -217,7 +223,7 @@ class TestLassoCd:
         Z = rng.normal(size=(30, 4))
         y = rng.normal(size=30)
         d = _design(Z, y, eta=4)
-        phi = fit_lasso_cd(d, 0.0)
+        phi = _solve(d, 0.0)
         ols = np.linalg.solve(Z.T @ Z, Z.T @ y)
         assert np.max(np.abs(phi - ols)) < 1e-6
 
@@ -226,9 +232,10 @@ class TestLassoCd:
         Z = rng.normal(size=(20, 5))
         y = rng.normal(size=20)
         d = _design(Z, y, eta=5)
-        phi = fit_lasso_cd(d, lambda_max(d) * 1.0001)
-        assert np.all(phi == 0.0)
-        assert _kkt_violation(Z, y, phi, lambda_max(d) * 1.0001) <= 1e-10
+        for lam in (lambda_max(d), lambda_max(d) * 1.0001):
+            phi = _solve(d, lam)
+            assert np.all(phi == 0.0)
+            assert _kkt_violation(Z, y, phi, lam) <= 1e-10
 
     def test_kkt_certificate(self):
         rng = np.random.default_rng(23)
@@ -237,7 +244,7 @@ class TestLassoCd:
             y = rng.normal(size=25)
             d = _design(Z, y, eta=6)
             lam = 0.3 * lambda_max(d)
-            phi = fit_lasso_cd(d, lam)
+            phi = _solve(d, lam)
             assert _kkt_violation(Z, y, phi, lam) < 1e-6
 
     def test_objective_monotone(self):
@@ -245,15 +252,26 @@ class TestLassoCd:
         Z = rng.normal(size=(40, 8))
         y = rng.normal(size=40)
         d = _design(Z, y, eta=8)
+        lam = 0.5 * lambda_max(d)
         trace = []
-        fit_lasso_cd(d, 0.5 * lambda_max(d), objective_trace=trace)
-        diffs = np.diff(trace)
-        assert np.all(diffs <= 1e-10)
+        lasso_cd(d, lam, objective_trace=trace)
+        assert np.all(np.diff(trace) <= 1e-10)
+        # the production iterate after s sweeps is the last iterate of a
+        # solve capped at s sweeps; each sweep must not raise the objective
+        objs = [lasso_objective(Z, y, np.zeros(8), lam)]
+        for sweeps in range(1, len(trace)):
+            try:
+                phi = _solve(d, lam, LassoConfig(max_sweeps=sweeps))
+            except ConvergenceError as e:
+                phi = e.last_iterate[0]
+            objs.append(lasso_objective(Z, y, phi, lam))
+        assert np.all(np.diff(objs) <= 1e-10)
+        assert np.allclose(objs, trace[:len(objs)], rtol=1e-9)
 
     def test_zero_norm_column_stays_zero(self):
         Z = np.array([[1.0, 0.0], [2.0, 0.0]])
         d = _design(Z, [1.0, 2.0], eta=2)
-        phi = fit_lasso_cd(d, 0.1)
+        phi = _solve(d, 0.1)
         assert phi[1] == 0.0
 
     def test_sweep_limit_raises_with_trace(self):
@@ -262,18 +280,18 @@ class TestLassoCd:
         y = rng.normal(size=30)
         d = _design(Z, y, eta=5)
         with pytest.raises(ConvergenceError) as exc:
-            fit_lasso_cd(d, 0.01, LassoConfig(tolerance=1e-300, max_sweeps=3))
-        assert exc.value.last_iterate is not None
+            _solve(d, 0.01, LassoConfig(tolerance=1e-300, max_sweeps=3))
+        assert exc.value.last_iterate.shape == (1, 5)
+        assert "did not converge in 3 sweeps" in str(exc.value)
 
     def test_batch_matches_single_design_solver(self):
-        from stardemand.estimators import solve_lasso_batch
         panel = random_panel(4, 50, seed=60)
         stack = random_centroid_stack(4, 2, seed=60)
         designs = build_design(panel, stack, ModelOrder(p=2, eta=2), (0, 50))
         lam = 0.4 * max(lambda_max(d) for d in designs)
         batch = solve_lasso_batch(designs, lam)
         for pos, d in enumerate(designs):
-            single = fit_lasso_cd(d, lam)
+            single = lasso_cd(d, lam)
             assert np.max(np.abs(batch[pos] - single)) < 1e-7
 
     def test_monotone_sparsity_orthonormal_path(self):
@@ -284,6 +302,27 @@ class TestLassoCd:
         path = fit_lasso_path([d], grid)
         active = [int(np.count_nonzero(path[lam])) for lam in grid]  # descending lam
         assert all(a <= b for a, b in zip(active, active[1:]))
+
+
+class TestLassoConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"lambda_min_ratio": 0.0},
+        {"lambda_min_ratio": 1.0},
+        {"lambda_min_ratio": float("nan")},
+        {"n_lambdas": 0},
+        {"max_sweeps": 0},
+        {"tolerance": 0.0},
+        {"tolerance": float("nan")},
+        {"explicit_grid": ()},
+        {"explicit_grid": (1.0, -0.5)},
+        {"explicit_grid": (float("nan"),)},
+    ])
+    def test_rejects_out_of_range(self, kwargs):
+        with pytest.raises(ConfigError):
+            LassoConfig(**kwargs)
+
+    def test_smallest_legal_grid(self):
+        assert LassoConfig(n_lambdas=1, include_zero=False).grid(2.0) == [2.0]
 
 
 class TestTuneLambda:
