@@ -20,7 +20,7 @@ from .forecast import (
     run_grid, run_scenario,
 )
 from .ingest import (
-    IngestReport, TripFormat, TripRecord, ZoneGeometry,
+    IngestReport, TripFormat, Trips, ZoneGeometry,
     bin_counts, load_zones_centroid_csv, load_zones_geojson, make_zone,
     parse_trips,
 )

@@ -105,14 +105,12 @@ def _parse_dt(s: str) -> datetime:
 
 # -- subcommands --------------------------------------------------------
 
-def cmd_ingest(args) -> int:
-    cfg = load_config(args.config)
-    icfg = _require(cfg, "ingest", "")
-    out_dir = args.out or _require(cfg, "output_dir", "")
-    trips_path = _resolve_path(args.config, _require(icfg, "trips", "ingest"))
-    zones = _load_zones(icfg, args.config, "ingest")
-
+def _ingest_from_config(icfg: dict):
+    """Trip format, parse and assign policies, bin width and day range of an
+    ``ingest:`` mapping, checked before any trip is read."""
     cols = icfg.get("columns", {})
+    if not isinstance(cols, dict):
+        raise ConfigError("ingest.columns must be a mapping of time, lat and lon")
     fmt = ingest.TripFormat(
         time_column=cols.get("time", "Date/Time"),
         lat_column=cols.get("lat", "Lat"),
@@ -120,12 +118,39 @@ def cmd_ingest(args) -> int:
         timestamp_format=icfg.get("timestamp_format", ingest.DEFAULT_TS_FORMAT),
     )
     parse_policy = icfg.get("parse_policy", ingest.POLICY_SKIP)
+    if parse_policy not in ingest.PARSE_POLICIES:
+        raise ConfigError(f"ingest.parse_policy {parse_policy!r} must be one of "
+                          f"{', '.join(ingest.PARSE_POLICIES)}")
     assign_policy = icfg.get("assign_policy", ingest.POLICY_DROP)
-    bin_minutes = int(icfg.get("bin_minutes", 15))
+    if assign_policy not in ingest.ASSIGN_POLICIES:
+        raise ConfigError(f"ingest.assign_policy {assign_policy!r} must be one of "
+                          f"{', '.join(ingest.ASSIGN_POLICIES)}")
+    try:
+        bin_minutes = int(icfg.get("bin_minutes", 15))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"ingest.bin_minutes: {e}") from None
     day_range = None
     if "day_range" in icfg:
-        lo, hi = icfg["day_range"]
-        day_range = (_parse_dt(str(lo)), _parse_dt(str(hi)))
+        bounds = icfg["day_range"]
+        if not isinstance(bounds, list) or len(bounds) != 2:
+            raise ConfigError(f"ingest.day_range must be a [start, end] pair, got {bounds!r}")
+        day_range = (_parse_dt(str(bounds[0])), _parse_dt(str(bounds[1])))
+    try:
+        ingest.check_bin_minutes(bin_minutes)
+        if day_range is not None:
+            ingest.count_bins(*day_range, bin_minutes)
+    except DataError as e:
+        raise ConfigError(f"ingest: {e}") from None
+    return fmt, parse_policy, assign_policy, bin_minutes, day_range
+
+
+def cmd_ingest(args) -> int:
+    cfg = load_config(args.config)
+    icfg = _require(cfg, "ingest", "")
+    out_dir = args.out or _require(cfg, "output_dir", "")
+    trips_path = _resolve_path(args.config, _require(icfg, "trips", "ingest"))
+    fmt, parse_policy, assign_policy, bin_minutes, day_range = _ingest_from_config(icfg)
+    zones = _load_zones(icfg, args.config, "ingest")
 
     effective = {
         "command": "ingest",
@@ -222,11 +247,19 @@ def _split_from_config(cfg: dict, pn: panel_mod.DemandPanel) -> SplitSpec:
         t2 = int(scfg["t2"])
         t_end = int(scfg.get("t_end", pn.T))
         t1 = int(scfg.get("t1", (t2 + 1) // 2))
-    except (TypeError, ValueError) as e:
+        if t_end > pn.T:
+            raise ConfigError(f"split.t_end={t_end} runs past the panel's {pn.T} bins")
+        return SplitSpec(t1=t1, t2=t2, t_end=t_end)
+    except (TypeError, ValueError, DataError) as e:
         raise ConfigError(f"split: {e}") from None
-    if t_end > pn.T:
-        raise ConfigError(f"split.t_end={t_end} runs past the panel's {pn.T} bins")
-    return SplitSpec(t1=t1, t2=t2, t_end=t_end)
+
+
+def _flag(cfg: dict, key: str, default: bool, where: str) -> bool:
+    """A boolean config value; quoted strings such as "no" are rejected."""
+    value = cfg.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}.{key} must be true or false, got {value!r}")
+    return value
 
 
 def _lasso_from_config(cfg: dict) -> tuple[LassoConfig, bool]:
@@ -236,14 +269,23 @@ def _lasso_from_config(cfg: dict) -> tuple[LassoConfig, bool]:
         lasso = LassoConfig(
             n_lambdas=int(lcfg.get("n_lambdas", 50)),
             lambda_min_ratio=float(lcfg.get("lambda_min_ratio", 1e-4)),
-            include_zero=bool(lcfg.get("include_zero", True)),
+            include_zero=_flag(lcfg, "include_zero", True, "lasso"),
             tolerance=float(lcfg.get("tolerance", 1e-8)),
             max_sweeps=int(lcfg.get("max_sweeps", 10_000)),
             explicit_grid=tuple(float(g) for g in grid) if grid is not None else None,
         )
     except (TypeError, ValueError) as e:
         raise ConfigError(f"lasso: {e}") from None
-    return lasso, bool(lcfg.get("refit_after_tuning", True))
+    return lasso, _flag(lcfg, "refit_after_tuning", True, "lasso")
+
+
+def _lasso_echo(lasso: LassoConfig, refit: bool) -> dict:
+    """The resolved ``lasso:`` mapping, in the keys ``_lasso_from_config`` reads."""
+    grid = lasso.explicit_grid
+    return {"n_lambdas": lasso.n_lambdas, "lambda_min_ratio": lasso.lambda_min_ratio,
+            "include_zero": lasso.include_zero, "tolerance": lasso.tolerance,
+            "max_sweeps": lasso.max_sweeps, "grid": list(grid) if grid is not None else None,
+            "refit_after_tuning": refit}
 
 
 def _maybe_standardize(cfg, pn, spl):
@@ -276,6 +318,7 @@ def cmd_fit(args) -> int:
 
     effective = {"command": "fit", "fit": dict(fcfg),
                  "split": {"t1": spl.t1, "t2": spl.t2, "t_end": spl.t_end},
+                 "lasso": _lasso_echo(lasso, refit),
                  "standardize": bool(cfg.get("standardize", False))}
     run = RunDir(out_dir, "fit", effective)
 
@@ -331,6 +374,7 @@ def cmd_grid(args) -> int:
         "timings": timings,
         "grid": {"models": list(models), "p": list(p_values),
                  "eta": list(eta_values), "include_var": include_var},
+        "lasso": _lasso_echo(lasso, refit),
     }
     run = RunDir(out_dir, "grid", effective)
 

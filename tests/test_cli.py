@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
+from stardemand import ingest as ingest_mod
 from stardemand.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from stardemand.estimators import read_model_json
 from stardemand.panel import read_panel_csv
@@ -135,6 +136,33 @@ class TestIngest:
         # the report is still written before the failure surfaces
         assert (tmp_path / "out" / "ingest_report.json").exists()
 
+    @pytest.mark.parametrize("setting", [
+        {"bin_minutes": "ten"},
+        {"bin_minutes": 7},
+        {"bin_minutes": 0},
+        {"day_range": ["2014-04-01"]},
+        {"day_range": ["2014-04-02", "2014-04-01"]},
+        {"day_range": ["2014-04-01", "2014-04-01 00:07"]},
+        {"day_range": "2014-04-01"},
+        {"parse_policy": "lenient"},
+        {"assign_policy": "closest"},
+        {"columns": ["Date/Time", "Lat", "Lon"]},
+    ], ids=["bin_str", "bin_7", "bin_0", "range_one", "range_reversed", "range_part_bin",
+            "range_str", "parse_lenient", "assign_closest", "columns_list"])
+    def test_bad_setting_is_config_error(self, tmp_path, monkeypatch, setting):
+        trips, zones = self._trips(tmp_path)
+        cfg = write_yaml(tmp_path / "i.yaml", {
+            "output_dir": str(tmp_path / "out"),
+            "ingest": {"trips": str(trips), "zones_csv": str(zones), **setting},
+        })
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("trips read before the config was checked")
+
+        monkeypatch.setattr(ingest_mod, "parse_trips", no_read)
+        assert main(["ingest", "-c", str(cfg)]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
 
 class TestFit:
     def test_lasso_star_outputs(self, tmp_path, synth_run):
@@ -150,6 +178,8 @@ class TestFit:
         assert main(["fit", "-c", str(cfg)]) == EXIT_OK
         model = read_model_json(out / "model.json")
         assert model.coefficients.shape == (6, 2)
+        echoed = yaml.safe_load((out / "config.yaml").read_text())["lasso"]
+        assert echoed["n_lambdas"] == 10 and echoed["refit_after_tuning"] is True
         curve = json.loads((out / "lambda_curve.json").read_text())
         assert curve["lambda"] >= 0 and len(curve["curve"]) >= 10
 
@@ -220,6 +250,27 @@ class TestGrid:
         # eta=5 exceeds the stack depth in every cell
         assert main(["grid", "-c", str(cfg)]) == EXIT_NUMERICAL
 
+    def test_echoed_config_reruns_identically(self, tmp_path, synth_run):
+        lasso = {"grid": [1.0, 0.1, 0.01], "include_zero": False, "tolerance": 1e-9,
+                 "max_sweeps": 5000, "refit_after_tuning": False}
+        cfg = write_yaml(tmp_path / "g.yaml", {
+            "output_dir": str(tmp_path / "r1"),
+            "panel": str(synth_run / "panel.csv"),
+            "stacks": {"rings": str(synth_run / "stack")},
+            "split": {"t1": 30, "t2": 60},
+            "timings": False,
+            "lasso": lasso,
+            "grid": {"models": ["lasso_star"], "p": [1, 2], "eta": [1, 2],
+                     "include_var": False},
+        })
+        assert main(["grid", "-c", str(cfg)]) == EXIT_OK
+        echoed = tmp_path / "r1" / "config.yaml"
+        assert yaml.safe_load(echoed.read_text())["lasso"] == {
+            **lasso, "n_lambdas": 50, "lambda_min_ratio": 1e-4}
+        assert main(["grid", "-c", str(echoed), "--out", str(tmp_path / "r2")]) == EXIT_OK
+        assert ((tmp_path / "r1" / "reports.csv").read_bytes()
+                == (tmp_path / "r2" / "reports.csv").read_bytes())
+
     @pytest.mark.parametrize("cell", ["nan", "abc"])
     def test_bad_stack_cell_is_data_error(self, tmp_path, synth_run, cell):
         replace_first_cell(synth_run / "stack" / "w1.csv", cell)
@@ -281,8 +332,10 @@ class TestConfigValidation:
         {"tolerance": "tight"},
         {"grid": ["a", 1.0]},
         {"grid": []},
+        {"include_zero": "no"},
+        {"refit_after_tuning": "false"},
     ], ids=["min_ratio_0", "n_lambdas_0", "max_sweeps_0", "tolerance_str",
-            "grid_str", "grid_empty"])
+            "grid_str", "grid_empty", "include_zero_str", "refit_str"])
     def test_bad_lasso_value(self, tmp_path, synth_run, command, lasso):
         cfg = self._config(tmp_path, synth_run, lasso=lasso)
         assert main([command, "-c", str(cfg)]) == EXIT_CONFIG
@@ -292,7 +345,12 @@ class TestConfigValidation:
     @pytest.mark.parametrize("split", [
         {"t1": 30, "t2": 60, "t_end": 81},
         {"t1": 30, "t2": "sixty"},
-    ], ids=["t_end_past_panel", "t2_str"])
+        {"t1": 60, "t2": 30},
+        {"t1": 0, "t2": 30},
+        {"t1": 30, "t2": 60, "t_end": 60},
+        {"t2_fraction": 1.5},
+    ], ids=["t_end_past_panel", "t2_str", "t1_after_t2", "t1_zero", "t_end_at_t2",
+            "fraction_above_1"])
     def test_bad_split(self, tmp_path, synth_run, command, split):
         cfg = self._config(tmp_path, synth_run, split=split)
         assert main([command, "-c", str(cfg)]) == EXIT_CONFIG

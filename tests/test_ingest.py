@@ -1,19 +1,32 @@
 import io
-from datetime import datetime
+import math
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
+import ingest_oracle
 from stardemand.errors import DataError
 from stardemand.ingest import (
-    IngestReport, TripFormat, TripRecord,
-    assign_zone, bin_counts, make_zone, parse_trips,
+    IngestReport, TripFormat, Trips,
+    assign_zone, bin_counts, make_zone, parse_trips, point_in_ring,
     load_zones_centroid_csv, load_zones_geojson,
 )
 
 
 def _csv(rows):
     return io.StringIO("Date/Time,Lat,Lon\n" + "\n".join(rows) + "\n")
+
+
+def _records(trips):
+    """(time, lat, lon) tuples of columnar trips, in order."""
+    return list(zip(trips.time.tolist(), trips.lat.tolist(), trips.lon.tolist()))
+
+
+def _trips(records):
+    """Columnar trips from (time, lat, lon) tuples."""
+    return Trips(time=[r[0] for r in records], lat=[r[1] for r in records],
+                 lon=[r[2] for r in records])
 
 
 def square(x0, y0, size=1.0):
@@ -23,18 +36,18 @@ def square(x0, y0, size=1.0):
 class TestParseTrips:
     def test_direct_parse(self):
         trips = parse_trips(_csv(['"4/16/2014 0:03:00",40.75,-73.99']))
-        assert trips == [TripRecord(datetime(2014, 4, 16, 0, 3), 40.75, -73.99)]
+        assert _records(trips) == [(datetime(2014, 4, 16, 0, 3), 40.75, -73.99)]
 
     def test_lat_out_of_range(self):
         report = IngestReport()
         trips = parse_trips(_csv(['"4/16/2014 0:03:00",95.0,-73.99']), report=report)
-        assert trips == []
+        assert _records(trips) == []
         assert report.row_errors[0].message == "lat out of range: 95.0"
         assert report.row_errors[0].line == 2
 
     def test_empty_file(self):
         report = IngestReport()
-        assert parse_trips(io.StringIO(""), report=report) == []
+        assert _records(parse_trips(io.StringIO(""), report=report)) == []
         assert report.row_errors == []
 
     def test_strict_aborts(self):
@@ -47,7 +60,12 @@ class TestParseTrips:
             "bad,1,2",
             '"4/16/2014 0:01:00",40.8,-73.9',
         ]))
-        assert [t.pickup_time.minute for t in trips] == [5, 1]
+        assert [t.minute for t, _, _ in _records(trips)] == [5, 1]
+
+    def test_utc_offset_keeps_wall_clock(self):
+        stream = io.StringIO("ts,Lat,Lon\n2014-04-16 00:03:00-0400,40.75,-73.99\n")
+        fmt = TripFormat(time_column="ts", timestamp_format="%Y-%m-%d %H:%M:%S%z")
+        assert _records(parse_trips(stream, fmt)) == [(datetime(2014, 4, 16, 0, 3), 40.75, -73.99)]
 
     def test_custom_columns(self):
         stream = io.StringIO("ts,latitude,longitude\n2014-04-16 00:03:00,40.75,-73.99\n")
@@ -82,43 +100,42 @@ class TestAssignZone:
 
 
 def _trip(h, m, lat=0.5, lon=0.5):
-    return TripRecord(datetime(2014, 4, 16, h, m), lat, lon)
+    return (datetime(2014, 4, 16, h, m), lat, lon)
 
 
 class TestBinCounts:
     zones = [make_zone("A", polygon=square(0, 0))]
 
     def test_floor_convention(self):
-        panel = bin_counts([_trip(0, 3), _trip(0, 14), _trip(0, 16)], self.zones)
+        panel = bin_counts(_trips([_trip(0, 3), _trip(0, 14), _trip(0, 16)]), self.zones)
         assert panel.values[0, 0] == 2
         assert panel.values[0, 1] == 1
 
     def test_boundary_goes_to_next_bin(self):
-        panel = bin_counts([TripRecord(datetime(2014, 4, 16, 0, 15, 0), 0.5, 0.5)],
+        panel = bin_counts(_trips([(datetime(2014, 4, 16, 0, 15, 0), 0.5, 0.5)]),
                            self.zones)
         assert panel.values[0, 1] == 1
         assert panel.values[0, 0] == 0
 
     def test_one_day_96_bins(self):
-        panel = bin_counts([_trip(12, 0)], self.zones)
+        panel = bin_counts(_trips([_trip(12, 0)]), self.zones)
         assert panel.T == 96
 
     def test_27_zones_full_day(self):
         zones = [make_zone(f"tad{i:02d}", polygon=square(i, 0)) for i in range(27)]
         rng = np.random.default_rng(3)
-        trips = [TripRecord(datetime(2014, 4, 16, int(h), int(m)),
-                            0.5, float(z) + 0.5)
+        trips = [(datetime(2014, 4, 16, int(h), int(m)), 0.5, float(z) + 0.5)
                  for h, m, z in zip(rng.integers(0, 24, 200),
                                     rng.integers(0, 60, 200),
                                     rng.integers(0, 27, 200))]
-        panel = bin_counts(trips, zones)
+        panel = bin_counts(_trips(trips), zones)
         assert (panel.k, panel.T) == (27, 96)
         assert panel.values.sum() == 200
 
     def test_conservation_and_drops(self):
         report = IngestReport()
         trips = [_trip(0, 3), _trip(0, 4, lat=9.0, lon=9.0)]
-        panel = bin_counts(trips, self.zones, report=report)
+        panel = bin_counts(_trips(trips), self.zones, report=report)
         assert panel.values.sum() == report.assigned == 1
         assert report.dropped_unassigned == 1
 
@@ -126,21 +143,21 @@ class TestBinCounts:
         rng = np.random.default_rng(4)
         trips = [_trip(int(h), int(m)) for h, m in
                  zip(rng.integers(0, 24, 50), rng.integers(0, 60, 50))]
-        a = bin_counts(trips, self.zones)
+        a = bin_counts(_trips(trips), self.zones)
         shuffled = list(trips)
         rng.shuffle(shuffled)
-        b = bin_counts(shuffled, self.zones)
+        b = bin_counts(_trips(shuffled), self.zones)
         assert np.array_equal(a.values, b.values)
 
     def test_range_abort(self):
         day = (datetime(2014, 4, 16), datetime(2014, 4, 17))
-        late = TripRecord(datetime(2014, 4, 18, 1, 0), 0.5, 0.5)
+        late = (datetime(2014, 4, 18, 1, 0), 0.5, 0.5)
         with pytest.raises(DataError, match="outside range"):
-            bin_counts([late], self.zones, day_range=day, range_policy="abort")
+            bin_counts(_trips([late]), self.zones, day_range=day, range_policy="abort")
 
     def test_bad_bin_minutes(self):
         with pytest.raises(DataError):
-            bin_counts([_trip(0, 1)], self.zones, bin_minutes=7)
+            bin_counts(_trips([_trip(0, 1)]), self.zones, bin_minutes=7)
 
 
 class TestZoneLoaders:
@@ -173,3 +190,218 @@ class TestZoneLoaders:
         path.write_text('{"type": "FeatureCollection", "features": [{"properties": {}}]}')
         with pytest.raises(DataError, match="zone_id"):
             load_zones_geojson(path)
+
+
+class TestTrips:
+    def test_columns_are_read_only(self):
+        trips = _trips([_trip(0, 3)])
+        with pytest.raises(ValueError):
+            trips.lat[0] = 1.0
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(DataError, match="equal length"):
+            Trips(time=[datetime(2014, 4, 16)], lat=[0.5, 0.6], lon=[0.5])
+
+
+class TestZoneValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"polygon": [(0, 0), (1, 0), (float("nan"), 1), (0, 0)]},
+        {"polygon": [(0, 0), (float("inf"), 0), (1, 1), (0, 0)]},
+        {"centroid": (float("nan"), 1.0)},
+    ], ids=["nan_vertex", "inf_vertex", "nan_centroid"])
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(DataError, match="finite"):
+            make_zone("A", **kwargs)
+
+
+# -- columnar ingest against the scalar oracle ---------------------------
+
+def _oracle_zones(rng):
+    """Zones covering every assignment case, in a scrambled order.
+
+    A 3 x 2 block of unit squares (shared edges and vertices, horizontal
+    edges), a triangle overlapping three of them, a jittered quad beside
+    the block, and centroid-only zones placed so that some points are
+    equidistant from two centroids.
+    """
+    zones = [make_zone(f"s{r}{c}", polygon=square(c, r)) for r in range(2) for c in range(3)]
+    zones.append(make_zone("m_tri", polygon=[(0.5, 0.5), (2.5, 0.25), (1.5, 1.75), (0.5, 0.5)]))
+    q = [(4 + rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)),
+         (5 + rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)),
+         (5 + rng.uniform(-0.2, 0.2), 1 + rng.uniform(-0.2, 0.2)),
+         (4 + rng.uniform(-0.2, 0.2), 1 + rng.uniform(-0.2, 0.2))]
+    zones.append(make_zone("j", polygon=q + q[:1]))
+    zones += [make_zone("c_lo", centroid=(8.0, 0.0)), make_zone("c_hi", centroid=(8.0, 2.0)),
+              make_zone("b_left", centroid=(6.0, 1.0)), make_zone("d_right", centroid=(10.0, 1.0))]
+    return [zones[i] for i in rng.permutation(len(zones))]
+
+
+def _oracle_points(rng, zones, n):
+    """(lon, lat) points: random ones in and around the zones, vertices,
+    edge points (horizontal edges included), points within 1e-13 of an
+    edge on either side, and centroid-equidistant points."""
+    pts = list(zip(rng.uniform(-1.0, 11.0, n), rng.uniform(-1.0, 3.0, n)))
+    for z in zones:
+        if z.polygon is None:
+            continue
+        ring = z.polygon
+        for (x0, y0), (x1, y1) in zip(ring[:-1], ring[1:]):
+            for f in (0.0, 0.25, 0.5, rng.uniform()):
+                x, y = x0 + f * (x1 - x0), y0 + f * (y1 - y0)
+                pts += [(x, y), (x, y + 1e-13), (x, y - 1e-13), (x + 1e-13, y), (x - 3e-12, y)]
+    pts += [(8.0, 1.0), (9.0, 1.0), (7.0, 1.0)] + _rounding_ties(zones, rng)
+    return [(float(x), float(y)) for x, y in pts]
+
+
+def _rounding_ties(zones, rng, n=200_000):
+    """Points near the bisector of centroids b_left and c_lo whose nearest
+    centroid depends on how the squared distances are rounded: Python's
+    ``**`` and a plain product disagree on which is closer."""
+    lat0 = sum(z.centroid[1] for z in zones) / len(zones)
+    scale = math.cos(math.radians(lat0))
+    (ax, ay), (bx, by) = (6.0 * scale, 1.0), (8.0 * scale, 0.0)
+    t = rng.uniform(-0.3, 0.3, n)
+    lon = ((ax + bx) / 2 - t * (by - ay)) / scale
+    lat = (ay + by) / 2 + t * (bx - ax)
+
+    def closer_to_a(square):
+        px = lon * scale
+        return (square(ax - px) + square(ay - lat)) < (square(bx - px) + square(by - lat))
+
+    flips = closer_to_a(lambda v: np.float_power(v, 2.0)) != closer_to_a(np.square)
+    return list(zip(lon[flips], lat[flips]))
+
+
+def _oracle_csv(rng, points, start):
+    """A trips CSV over ``points`` with bad rows of every kind mixed in;
+    returns the text and the number of good rows."""
+    good = []
+    for i, (lon, lat) in enumerate(points):
+        t = start + timedelta(minutes=int(rng.integers(-90, 2 * 1440 + 90)),
+                              seconds=int(rng.integers(0, 60)))
+        if i % 97 == 0:
+            t = start
+        elif i % 97 == 1:
+            t = start + timedelta(days=2)
+        good.append(f'"{t.month}/{t.day}/{t.year} {t.hour}:{t.minute:02d}:{t.second:02d}",'
+                    f'{lat!r},{lon!r},B0')
+    bad = [
+        '"2014-04-16 08:15:00",40.75,-73.99,B1',     # wrong timestamp format
+        '"4/16/2014 9:05:00",40.76',                 # short row
+        '"4/16/2014 9:05:00"',                       # shorter row
+        '"4/16/2014 9:06:00",nan,-73.98,B2',         # nan latitude
+        '"4/16/2014 9:07:00",40.76,east,B3',         # non-numeric longitude
+        '"4/16/2014 9:08:00",140.76,-73.97,B4',      # latitude out of range
+        '"4/16/2014 9:09:00",40.76,-190.0,B4',       # longitude out of range
+        '"4/16/2014\n9:10:00",40.76,-73.97,B5',      # multi-line timestamp (parses)
+        '"4/16/2014 9:12:00","40.7\n6",-73.97,B5',   # multi-line latitude
+        ' ',                                         # whitespace-only line
+        '',                                          # blank line
+        '\n',                                        # two blank lines
+        '\n"4/16/2014 9:11:00",,-73.97,B6',          # bad row after a blank line
+    ]
+    rows = good + bad * 3
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    # a good row whose last field spans lines shifts every later line number
+    rows.insert(len(rows) // 2, '"4/16/2014 12:00:00",0.5,0.5,"multi\nline\nbase"')
+    # blank lines straight after the header, then a bad row
+    rows = ["", "", bad[0]] + rows
+    return "Date/Time,Lat,Lon,Base\n" + "\n".join(rows) + "\n\n", len(good) + 1
+
+
+class TestOracleEquivalence:
+    """Columnar parse, assignment and binning give the scalar oracle's
+    values, reports and errors exactly."""
+
+    start = datetime(2014, 4, 16)
+
+    def _inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        zones = _oracle_zones(rng)
+        text, n_good = _oracle_csv(rng, _oracle_points(rng, zones, 1500), self.start)
+        return zones, text, n_good
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_parse_matches_oracle(self, seed):
+        _, text, n_good = self._inputs(seed)
+        report, want_report = IngestReport(), IngestReport()
+        trips = parse_trips(io.StringIO(text), report=report)
+        want = ingest_oracle.parse_trips(io.StringIO(text), report=want_report)
+        assert _records(trips) == [tuple(r) for r in want]
+        assert report.to_dict() == want_report.to_dict()
+        assert len(trips) == n_good + 3 and report.dropped_parse == 3 * 10 + 1
+
+    def test_repeated_column_reads_the_last(self):
+        text = 'Date/Time,Lat,Lon,Lat\n"4/16/2014 0:03:00",1.0,2.0,3.0\n"4/16/2014 0:04:00",1.0,2.0\n'
+        report, want_report = IngestReport(), IngestReport()
+        trips = parse_trips(io.StringIO(text), report=report)
+        want = ingest_oracle.parse_trips(io.StringIO(text), report=want_report)
+        assert _records(trips) == [tuple(r) for r in want] == [(datetime(2014, 4, 16, 0, 3), 3.0, 2.0)]
+        assert report.to_dict() == want_report.to_dict()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_strict_aborts_at_the_same_line(self, seed):
+        _, text, _ = self._inputs(seed)
+        report, want_report = IngestReport(), IngestReport()
+        with pytest.raises(DataError) as got:
+            parse_trips(io.StringIO(text), policy="strict", report=report)
+        with pytest.raises(DataError) as want:
+            ingest_oracle.parse_trips(io.StringIO(text), policy="strict", report=want_report)
+        assert str(got.value) == str(want.value)
+        assert report.to_dict() == want_report.to_dict()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("assign_policy", ["drop", "nearest"])
+    @pytest.mark.parametrize("explicit_range", [True, False], ids=["range", "default_range"])
+    def test_panel_matches_oracle(self, seed, assign_policy, explicit_range):
+        zones, text, _ = self._inputs(seed)
+        trips = parse_trips(io.StringIO(text))
+        records = ingest_oracle.parse_trips(io.StringIO(text))
+        day_range = (self.start, self.start + timedelta(days=2)) if explicit_range else None
+        report, want_report = IngestReport(), IngestReport()
+        panel = bin_counts(trips, zones, day_range=day_range, assign_policy=assign_policy,
+                           report=report)
+        want = ingest_oracle.bin_counts(records, zones, day_range=day_range,
+                                        assign_policy=assign_policy, report=want_report)
+        assert panel.zone_ids == want.zone_ids and panel.origin == want.origin
+        assert np.array_equal(panel.values, want.values)
+        assert report.to_dict() == want_report.to_dict()
+        assert report.assigned > 0
+        assert (report.dropped_outside_range > 0) == explicit_range
+        assert (report.dropped_unassigned > 0) == (assign_policy == "drop")
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_assignment_matches_oracle_point_by_point(self, seed):
+        rng = np.random.default_rng(seed)
+        zones = _oracle_zones(rng)
+        points = _oracle_points(rng, zones, 300)
+        for policy in ("drop", "nearest"):
+            for pt in points:
+                assert assign_zone(pt, zones, policy) == \
+                    ingest_oracle.assign_zone(pt, zones, policy), (pt, policy)
+        for z in zones:
+            if z.polygon is not None:
+                for px, py in points:
+                    assert point_in_ring(px, py, z.polygon) == \
+                        ingest_oracle.point_in_ring(px, py, z.polygon)
+
+    def test_edge_cases_are_present(self):
+        zones = _oracle_zones(np.random.default_rng(0))
+        pts = _oracle_points(np.random.default_rng(0), zones, 0)
+        hits = [[z.zone_id for z in zones if z.polygon is not None
+                 and ingest_oracle.point_in_ring(x, y, z.polygon)] for x, y in pts]
+        assert any(len(h) >= 2 for h in hits)             # shared edges and overlaps
+        assert any(len(h) == 0 for h in hits)             # outside every polygon
+        # equidistant from c_lo and c_hi: the lower id wins
+        assert ingest_oracle.assign_zone((8.0, 1.0), zones, "nearest") == "c_hi"
+
+    def test_range_abort_message_matches_oracle(self):
+        zones, text, _ = self._inputs(0)
+        day_range = (self.start, self.start + timedelta(days=2))
+        with pytest.raises(DataError) as got:
+            bin_counts(parse_trips(io.StringIO(text)), zones, day_range=day_range,
+                       range_policy="abort")
+        with pytest.raises(DataError) as want:
+            ingest_oracle.bin_counts(ingest_oracle.parse_trips(io.StringIO(text)), zones,
+                                     day_range=day_range, range_policy="abort")
+        assert str(got.value) == str(want.value)
