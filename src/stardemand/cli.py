@@ -125,10 +125,7 @@ def _ingest_from_config(icfg: dict):
     if assign_policy not in ingest.ASSIGN_POLICIES:
         raise ConfigError(f"ingest.assign_policy {assign_policy!r} must be one of "
                           f"{', '.join(ingest.ASSIGN_POLICIES)}")
-    try:
-        bin_minutes = int(icfg.get("bin_minutes", 15))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"ingest.bin_minutes: {e}") from None
+    bin_minutes = _number(icfg.get("bin_minutes", 15), "ingest.bin_minutes")
     day_range = None
     if "day_range" in icfg:
         bounds = icfg["day_range"]
@@ -166,10 +163,9 @@ def cmd_ingest(args) -> int:
             "day_range": [str(d) for d in day_range] if day_range else None,
         },
     }
-    run = RunDir(out_dir, "ingest", effective)
-
     report = ingest.IngestReport()
     trips = ingest.parse_trips(trips_path, fmt, policy=parse_policy, report=report)
+    run = RunDir(out_dir, "ingest", effective)
     if not trips:
         report.write_json(run.file("ingest_report.json"))
         run.finish()
@@ -192,7 +188,7 @@ def cmd_weights(args) -> int:
     wcfg = _require(cfg, "weights", "")
     out_dir = args.out or _require(cfg, "output_dir", "")
     scheme = _require(wcfg, "scheme", "weights")
-    eta_max = int(_require(wcfg, "eta_max", "weights"))
+    eta_max = _number(_require(wcfg, "eta_max", "weights"), "weights.eta_max", minimum=1)
 
     if scheme == weights.SCHEME_CENTROID:
         zones = _load_zones(wcfg, args.config, "weights")
@@ -227,9 +223,14 @@ def cmd_weights(args) -> int:
     return EXIT_OK
 
 
-def _load_panel(cfg: dict, cfg_path):
-    path = _resolve_path(cfg_path, _require(cfg, "panel", ""))
-    return panel_mod.read_panel_csv(path)
+def _load_panel(cfg: dict, cfg_path) -> tuple[panel_mod.DemandPanel, SplitSpec]:
+    """The configured panel and its split; with ``standardize: true`` the
+    panel is standardized by its statistics over the training bins [0, t1)."""
+    pn = panel_mod.read_panel_csv(_resolve_path(cfg_path, _require(cfg, "panel", "")))
+    spl = _split_from_config(cfg, pn)
+    if _flag(cfg, "standardize", False, ""):
+        pn, _ = panel_mod.standardize(pn, (0, spl.t1))
+    return pn, spl
 
 
 def _load_stacks(cfg: dict, cfg_path) -> dict[str, weights.WeightStack]:
@@ -242,15 +243,16 @@ def _split_from_config(cfg: dict, pn: panel_mod.DemandPanel) -> SplitSpec:
     scfg = cfg.get("split", {})
     try:
         if "t2" not in scfg:
-            return panel_mod.split(pn, float(scfg.get("t2_fraction", 2 / 3)),
-                                   float(scfg.get("t1_fraction_of_t2", 0.5)))
-        t2 = int(scfg["t2"])
-        t_end = int(scfg.get("t_end", pn.T))
-        t1 = int(scfg.get("t1", (t2 + 1) // 2))
+            return panel_mod.split(
+                pn, _number(scfg.get("t2_fraction", 2 / 3), "split.t2_fraction", float),
+                _number(scfg.get("t1_fraction_of_t2", 0.5), "split.t1_fraction_of_t2", float))
+        t2 = _number(scfg["t2"], "split.t2")
+        t_end = _number(scfg.get("t_end", pn.T), "split.t_end")
+        t1 = _number(scfg.get("t1", (t2 + 1) // 2), "split.t1")
         if t_end > pn.T:
             raise ConfigError(f"split.t_end={t_end} runs past the panel's {pn.T} bins")
         return SplitSpec(t1=t1, t2=t2, t_end=t_end)
-    except (TypeError, ValueError, DataError) as e:
+    except DataError as e:
         raise ConfigError(f"split: {e}") from None
 
 
@@ -258,24 +260,45 @@ def _flag(cfg: dict, key: str, default: bool, where: str) -> bool:
     """A boolean config value; quoted strings such as "no" are rejected."""
     value = cfg.get(key, default)
     if not isinstance(value, bool):
-        raise ConfigError(f"{where}.{key} must be true or false, got {value!r}")
+        name = f"{where}.{key}" if where else key
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
     return value
+
+
+def _number(value, name: str, kind=int, minimum=None):
+    """A numeric config value read by ``kind`` (int or float); a boolean,
+    a value ``kind`` cannot read and one below ``minimum`` are rejected."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        number = kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}") from None
+    if minimum is not None and not number >= minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
+    return number
+
+
+def _numbers(values, name: str, kind=int, minimum=None) -> tuple:
+    """A non-empty config list of numbers, each read by :func:`_number`."""
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{name} must be a non-empty list, got {values!r}")
+    return tuple(_number(v, name, kind, minimum) for v in values)
 
 
 def _lasso_from_config(cfg: dict) -> tuple[LassoConfig, bool]:
     lcfg = cfg.get("lasso", {})
     grid = lcfg.get("grid")
-    try:
-        lasso = LassoConfig(
-            n_lambdas=int(lcfg.get("n_lambdas", 50)),
-            lambda_min_ratio=float(lcfg.get("lambda_min_ratio", 1e-4)),
-            include_zero=_flag(lcfg, "include_zero", True, "lasso"),
-            tolerance=float(lcfg.get("tolerance", 1e-8)),
-            max_sweeps=int(lcfg.get("max_sweeps", 10_000)),
-            explicit_grid=tuple(float(g) for g in grid) if grid is not None else None,
-        )
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"lasso: {e}") from None
+    lasso = LassoConfig(
+        n_lambdas=_number(lcfg.get("n_lambdas", 50), "lasso.n_lambdas"),
+        lambda_min_ratio=_number(lcfg.get("lambda_min_ratio", 1e-4), "lasso.lambda_min_ratio",
+                                 float),
+        include_zero=_flag(lcfg, "include_zero", True, "lasso"),
+        tolerance=_number(lcfg.get("tolerance", 1e-8), "lasso.tolerance", float),
+        max_sweeps=_number(lcfg.get("max_sweeps", 10_000), "lasso.max_sweeps"),
+        explicit_grid=None if grid is None else _numbers(grid, "lasso.grid", float),
+    )
     return lasso, _flag(lcfg, "refit_after_tuning", True, "lasso")
 
 
@@ -288,28 +311,19 @@ def _lasso_echo(lasso: LassoConfig, refit: bool) -> dict:
             "refit_after_tuning": refit}
 
 
-def _maybe_standardize(cfg, pn, spl):
-    if not cfg.get("standardize", False):
-        return pn, None
-    std_panel, std = panel_mod.standardize(pn, (0, spl.t1))
-    return std_panel, std
-
-
 def cmd_fit(args) -> int:
     cfg = load_config(args.config)
     fcfg = _require(cfg, "fit", "")
     out_dir = args.out or _require(cfg, "output_dir", "")
-    pn = _load_panel(cfg, args.config)
-    spl = _split_from_config(cfg, pn)
-    pn, _ = _maybe_standardize(cfg, pn, spl)
+    pn, spl = _load_panel(cfg, args.config)
     kind = _require(fcfg, "model", "fit")
     if kind not in (MODEL_VAR, MODEL_STAR, MODEL_LASSO_STAR):
         raise ConfigError(f"unknown model kind {kind!r}")
-    p = int(_require(fcfg, "p", "fit"))
+    p = _number(_require(fcfg, "p", "fit"), "fit.p", minimum=1)
     lasso, refit = _lasso_from_config(cfg)
     stack, eta = None, 1
     if kind != MODEL_VAR:
-        eta = int(_require(fcfg, "eta", "fit"))
+        eta = _number(_require(fcfg, "eta", "fit"), "fit.eta", minimum=1)
         stacks = _load_stacks(cfg, args.config)
         stack_name = _require(fcfg, "stack", "fit")
         if stack_name not in stacks:
@@ -319,7 +333,7 @@ def cmd_fit(args) -> int:
     effective = {"command": "fit", "fit": dict(fcfg),
                  "split": {"t1": spl.t1, "t2": spl.t2, "t_end": spl.t_end},
                  "lasso": _lasso_echo(lasso, refit),
-                 "standardize": bool(cfg.get("standardize", False))}
+                 "standardize": cfg.get("standardize", False)}
     run = RunDir(out_dir, "fit", effective)
 
     model, curve = forecast.fit_scenario_model(
@@ -340,9 +354,7 @@ def cmd_grid(args) -> int:
     cfg = load_config(args.config)
     gcfg = _require(cfg, "grid", "")
     out_dir = args.out or _require(cfg, "output_dir", "")
-    pn = _load_panel(cfg, args.config)
-    spl = _split_from_config(cfg, pn)
-    pn, _ = _maybe_standardize(cfg, pn, spl)
+    pn, spl = _load_panel(cfg, args.config)
     stacks = _load_stacks(cfg, args.config)
     lasso, refit = _lasso_from_config(cfg)
 
@@ -350,10 +362,10 @@ def cmd_grid(args) -> int:
     for m in models:
         if m not in (MODEL_STAR, MODEL_LASSO_STAR):
             raise ConfigError(f"grid.models entry {m!r} must be star or lasso_star")
-    p_values = tuple(int(v) for v in gcfg.get("p", [1, 2, 3, 4]))
-    eta_values = tuple(int(v) for v in gcfg.get("eta", [1, 2, 3, 4, 5, 6]))
-    include_var = bool(gcfg.get("include_var", True))
-    timings = bool(cfg.get("timings", True))
+    p_values = _numbers(gcfg.get("p", [1, 2, 3, 4]), "grid.p", minimum=1)
+    eta_values = _numbers(gcfg.get("eta", [1, 2, 3, 4, 5, 6]), "grid.eta", minimum=1)
+    include_var = _flag(gcfg, "include_var", True, "grid")
+    timings = _flag(cfg, "timings", True, "")
 
     grid = ScenarioGrid(
         p_values=p_values,
@@ -370,7 +382,7 @@ def cmd_grid(args) -> int:
         "panel": str(_resolve_path(args.config, cfg["panel"])),
         "stacks": {n: str(_resolve_path(args.config, p)) for n, p in cfg["stacks"].items()},
         "split": {"t1": spl.t1, "t2": spl.t2, "t_end": spl.t_end},
-        "standardize": bool(cfg.get("standardize", False)),
+        "standardize": cfg.get("standardize", False),
         "timings": timings,
         "grid": {"models": list(models), "p": list(p_values),
                  "eta": list(eta_values), "include_var": include_var},
@@ -401,46 +413,41 @@ def cmd_synth(args) -> int:
     cfg = load_config(args.config)
     scfg = _require(cfg, "synth", "")
     out_dir = args.out or _require(cfg, "output_dir", "")
-    seed = int(cfg.get("seed", scfg.get("seed", 0)))
+    seed = _number(cfg.get("seed", scfg.get("seed", 0)), "seed")
     kind = _require(scfg, "kind", "synth")
-    k = int(_require(scfg, "k", "synth"))
-    length = int(_require(scfg, "length", "synth"))
-    sigma = float(scfg.get("sigma", 1.0))
-    burn_in = int(scfg.get("burn_in", 50))
-
-    effective = {"command": "synth", "seed": seed, "synth": dict(scfg)}
-    run = RunDir(out_dir, "synth", effective)
+    k = _number(_require(scfg, "k", "synth"), "synth.k", minimum=1)
+    length = _number(_require(scfg, "length", "synth"), "synth.length", minimum=1)
+    sigma = _number(scfg.get("sigma", 1.0), "synth.sigma", float)
+    burn_in = _number(scfg.get("burn_in", 50), "synth.burn_in", minimum=0)
+    require_stable = _flag(scfg, "require_stable", False, "synth")
 
     if kind == synth.KIND_STAR:
-        p = int(_require(scfg, "p", "synth"))
-        eta = int(_require(scfg, "eta", "synth"))
+        p = _number(_require(scfg, "p", "synth"), "synth.p", minimum=1)
+        eta = _number(_require(scfg, "eta", "synth"), "synth.eta", minimum=1)
         order = ModelOrder(p=p, eta=eta)
         if "stack" in scfg and scfg["stack"] != "random":
             stack = weights.read_stack(_resolve_path(args.config, scfg["stack"]))
         else:
-            stack = synth.random_centroid_stack(k, int(scfg.get("eta_max", eta)), seed)
+            eta_max = _number(scfg.get("eta_max", eta), "synth.eta_max", minimum=1)
+            stack = synth.random_centroid_stack(k, eta_max, seed)
         if "coefficients" in scfg:
             spec = synth.ProcessSpec(
                 kind=synth.KIND_STAR, k=k, length=length, sigma=sigma, seed=seed,
                 initial=np.zeros((k, p)), order=order,
                 star_coefficients=np.array(scfg["coefficients"], dtype=float),
-                burn_in=burn_in, require_stable=bool(scfg.get("require_stable", False)),
+                burn_in=burn_in, require_stable=require_stable,
             )
         else:
             spec = synth.random_sparse_star_spec(
                 k, order, stack, sigma=sigma, length=length, seed=seed,
-                density=float(scfg.get("density", 0.5)),
-                target_radius=float(scfg.get("target_radius", 0.7)),
+                density=_number(scfg.get("density", 0.5), "synth.density", float),
+                target_radius=_number(scfg.get("target_radius", 0.7), "synth.target_radius",
+                                      float),
                 burn_in=burn_in,
             )
         out_panel = synth.gen_star_process(spec, stack)
-        stack_dir = run.path / "stack"
-        weights.write_stack(stack, stack_dir)
-        run.outputs.append("stack")
-        with open(run.file("truth.json"), "w") as fh:
-            json.dump({"kind": "star", "p": p, "eta": eta, "sigma": sigma,
-                       "coefficients": spec.star_coefficients.tolist()}, fh, indent=2)
-            fh.write("\n")
+        truth = {"kind": "star", "p": p, "eta": eta, "sigma": sigma,
+                 "coefficients": spec.star_coefficients.tolist()}
     elif kind == synth.KIND_VAR:
         intercept = np.array(scfg.get("intercept", [0.0] * k), dtype=float)
         mats = tuple(np.array(m, dtype=float)
@@ -449,17 +456,22 @@ def cmd_synth(args) -> int:
             kind=synth.KIND_VAR, k=k, length=length, sigma=sigma, seed=seed,
             initial=np.zeros((k, len(mats))),
             var_intercept=intercept, var_lag_matrices=mats,
-            burn_in=burn_in, require_stable=bool(scfg.get("require_stable", False)),
+            burn_in=burn_in, require_stable=require_stable,
         )
         out_panel = synth.gen_var_process(spec)
-        with open(run.file("truth.json"), "w") as fh:
-            json.dump({"kind": "var", "p": len(mats), "sigma": sigma,
-                       "intercept": intercept.tolist(),
-                       "lag_matrices": [m.tolist() for m in mats]}, fh, indent=2)
-            fh.write("\n")
+        truth = {"kind": "var", "p": len(mats), "sigma": sigma,
+                 "intercept": intercept.tolist(),
+                 "lag_matrices": [m.tolist() for m in mats]}
     else:
         raise ConfigError(f"unknown synth kind {kind!r}")
 
+    run = RunDir(out_dir, "synth", {"command": "synth", "seed": seed, "synth": dict(scfg)})
+    if kind == synth.KIND_STAR:
+        weights.write_stack(stack, run.path / "stack")
+        run.outputs.append("stack")
+    with open(run.file("truth.json"), "w") as fh:
+        json.dump(truth, fh, indent=2)
+        fh.write("\n")
     panel_mod.write_panel_csv(out_panel, run.file("panel.csv"))
     run.finish()
     print(f"synthetic panel: {out_panel.k} zones x {out_panel.T} bins -> "

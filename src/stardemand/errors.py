@@ -26,3 +26,12 @@ class ConvergenceError(NumericalError):
     def __init__(self, message, last_iterate=None):
         super().__init__(message)
         self.last_iterate = last_iterate
+
+
+def open_input(path, what: str, **kwargs):
+    """``open(path, **kwargs)`` for reading an input file; a file that
+    cannot be opened is a DataError naming ``what`` it was to hold."""
+    try:
+        return open(path, **kwargs)
+    except OSError as e:
+        raise DataError(f"cannot read {what}: {e}") from None

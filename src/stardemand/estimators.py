@@ -7,9 +7,16 @@ Time ranges are half-open index ranges (start, end) over panel columns.
 For a fit range and time-lag order p, usable regression rows are
 t = start + p .. end - 1, so T_used = end - start - p.
 
-The design matrix for zone i has column (j - 1) * eta + l equal to the
-l-th neighborhood average of the panel at lag j:
+One :class:`DesignMatrix` holds every zone's regression system: ``Z`` is
+k x T_used x (eta * p) and ``Z[i]`` holds zone i's rows, with column
+(j - 1) * eta + l equal to the l-th neighborhood average of the panel at
+lag j:
 row t, column (j-1)*eta + l  =  W(l)[i, :] . y(t - j).
+
+:func:`fitted` (design rows times per-zone coefficients) is the one
+prediction kernel: OLS residuals, the validation MSPE of the penalty
+curve and the test predictions of ``forecast.predict_range`` all use it,
+and both MSPEs come from :func:`mspe`.
 """
 
 from __future__ import annotations
@@ -29,11 +36,10 @@ from .weights import WeightStack
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Per-zone regression system Y_i ~ Z_i."""
+    """All zones' regression systems: zone i regresses y[i] on Z[i]."""
 
-    zone_index: int
-    Z: np.ndarray          # T_used x (eta * p)
-    y: np.ndarray          # T_used
+    Z: np.ndarray          # k x T_used x (eta * p)
+    y: np.ndarray          # k x T_used
     order: ModelOrder
     fit_range: tuple[int, int]
 
@@ -63,8 +69,8 @@ def build_design(
     stack: WeightStack,
     order: ModelOrder,
     fit_range: tuple[int, int],
-) -> list[DesignMatrix]:
-    """Build one regression system per zone over the given fit range."""
+) -> DesignMatrix:
+    """Build every zone's regression system over the given fit range."""
     start, end = fit_range
     p, eta = order.p, order.eta
     if not (0 <= start < end <= panel.T):
@@ -77,12 +83,28 @@ def build_design(
         raise DataError("weight stack zone order does not match panel")
 
     Y = panel.values
-    Z = lag_regressors(Y, p, (start + p, end), stack.matrices[:eta])
-    return [
-        DesignMatrix(zone_index=i, Z=Z[i], y=Y[i, start + p:end].copy(),
-                     order=order, fit_range=(start, end))
-        for i in range(panel.k)
-    ]
+    return DesignMatrix(Z=lag_regressors(Y, p, (start + p, end), stack.matrices[:eta]),
+                        y=Y[:, start + p:end].copy(), order=order, fit_range=(start, end))
+
+
+def fitted(Z: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """Design rows times per-zone coefficients: entry [i, t] is Z[i, t] . coefs[i]."""
+    return np.matmul(Z, coefs[:, :, None])[:, :, 0]
+
+
+def mspe(panel: DemandPanel, predicted: np.ndarray, t_range: tuple[int, int]) -> float:
+    """Mean squared prediction error over zones and bins in the range."""
+    start, end = t_range
+    if end <= start:
+        raise DataError(f"empty evaluation range {t_range}")
+    actual = panel.values[:, start:end]
+    predicted = np.asarray(predicted, dtype=float)
+    if predicted.shape != actual.shape:
+        raise DataError(
+            f"prediction shape {predicted.shape} does not match actual {actual.shape}"
+        )
+    diff = actual - predicted
+    return float(np.sum(diff * diff)) / (panel.k * (end - start))
 
 
 # -- models ------------------------------------------------------------
@@ -177,32 +199,25 @@ class LassoConfig:
 
 # -- OLS fits ----------------------------------------------------------
 
-def _star_model(designs: Sequence[DesignMatrix], coefs: np.ndarray, n_free: int,
+def _star_model(design: DesignMatrix, coefs: np.ndarray, n_free: int,
                 scheme: str, lambda_: float | None = None) -> StarModel:
     """Package per-zone coefficients (row i for zone i); sigma2 pools the
     residuals of all zones over n_rows - n_free degrees of freedom."""
-    rss = 0.0
-    n_rows = 0
-    for d in designs:
-        resid = d.y - d.Z @ coefs[d.zone_index]
-        rss += float(resid @ resid)
-        n_rows += d.y.shape[0]
+    resid = design.y - fitted(design.Z, coefs)
+    rss = float(np.sum(resid * resid))
+    n_rows = resid.size
     dof = n_rows - n_free
     sigma2 = rss / dof if dof > 0 else rss / max(n_rows, 1)
-    return StarModel(order=designs[0].order, coefficients=coefs, sigma2=sigma2,
-                     scheme=scheme, fit_range=designs[0].fit_range, lambda_=lambda_)
+    return StarModel(order=design.order, coefficients=coefs, sigma2=sigma2,
+                     scheme=scheme, fit_range=design.fit_range, lambda_=lambda_)
 
 
-def fit_star_ols(designs: Sequence[DesignMatrix], scheme: str = "") -> StarModel:
+def fit_star_ols(design: DesignMatrix, scheme: str = "") -> StarModel:
     """Per-zone least squares; rank-deficient systems get the
     minimum-norm solution. sigma2 pools residuals across zones."""
-    if not designs:
-        raise DataError("no designs")
-    order = designs[0].order
-    coefs = np.zeros((len(designs), order.eta * order.p))
-    for d in designs:
-        coefs[d.zone_index] = np.linalg.lstsq(d.Z, d.y, rcond=None)[0]
-    return _star_model(designs, coefs, coefs.size, scheme)
+    coefs = np.array([np.linalg.lstsq(Z, y, rcond=None)[0]
+                      for Z, y in zip(design.Z, design.y)])
+    return _star_model(design, coefs, coefs.size, scheme)
 
 
 def fit_var_ols(panel: DemandPanel, p: int, fit_range: tuple[int, int]) -> VarModel:
@@ -236,22 +251,22 @@ def fit_var_ols(panel: DemandPanel, p: int, fit_range: tuple[int, int]) -> VarMo
 
 # -- LASSO -------------------------------------------------------------
 
+def _zy(design: DesignMatrix) -> np.ndarray:
+    """Per-zone Z'y (k x m), the one expression behind :func:`lambda_max`
+    and the solver's all-zero screen, so the two agree bit for bit."""
+    return np.matmul(design.Z.transpose(0, 2, 1), design.y[..., None])[..., 0]
+
+
 def lambda_max(design: DesignMatrix) -> float:
-    """Smallest penalty with an all-zero solution: ||Z' y||_inf."""
-    g = design.Z.T @ design.y
-    return float(np.max(np.abs(g))) if g.size else 0.0
+    """Smallest penalty with an all-zero solution in every zone: the
+    largest ||Z_i' y_i||_inf over zones i."""
+    return float(np.max(np.abs(_zy(design)), initial=0.0))
 
 
-def _gram_stack(designs: Sequence[DesignMatrix]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-zone Z'Z (k x m x m), Z'y (k x m) and diag(Z'Z) (k x m).
-
-    Z'y is computed per design exactly as in :func:`lambda_max`, so the
-    solver's all-zero screen agrees with it bit for bit.
-    """
-    Zs = np.stack([d.Z for d in designs])          # k x n x m
-    gram = np.einsum("knm,knq->kmq", Zs, Zs)
-    zy = np.stack([d.Z.T @ d.y for d in designs])
-    return gram, zy, np.diagonal(gram, axis1=1, axis2=2).copy()
+def _gram_stack(design: DesignMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-zone Z'Z (k x m x m), Z'y (k x m) and diag(Z'Z) (k x m)."""
+    gram = np.einsum("knm,knq->kmq", design.Z, design.Z)
+    return gram, _zy(design), np.diagonal(gram, axis1=1, axis2=2).copy()
 
 
 def _cd_sweep_batch(
@@ -283,7 +298,7 @@ def _cd_sweep_batch(
 
 
 def solve_lasso_batch(
-    designs: Sequence[DesignMatrix],
+    design: DesignMatrix,
     lam: float,
     config: LassoConfig = LassoConfig(),
     warm_start: np.ndarray | None = None,
@@ -293,17 +308,17 @@ def solve_lasso_batch(
     for every zone at once, through per-zone Gram matrices (the
     covariance updates of Friedman, Hastie & Tibshirani 2010).
 
-    Returns the k x m coefficient matrix, row i for ``designs[i]``. A
+    Returns the k x m coefficient matrix, row i for zone i. A
     zone has converged when the largest coefficient change over a full
     sweep is below config.tolerance relative to max(1, ||phi||_inf).
     Zones with lam >= lambda_max solve to exactly zero, and columns with
     zero norm keep coefficient 0. ``gram`` is the (Z'Z, Z'y, diag)
-    triple of ``designs``; :func:`fit_lasso_path` builds it once for
+    triple of ``design``; :func:`fit_lasso_path` builds it once for
     its whole grid, and it is built here when omitted.
     """
     if lam < 0:
         raise DataError("lambda must be >= 0")
-    gram, zy, diag = _gram_stack(designs) if gram is None else gram
+    gram, zy, diag = _gram_stack(design) if gram is None else gram
     k, m = zy.shape
     phis = np.zeros((k, m)) if warm_start is None else np.array(warm_start, dtype=float)
     at_zero = np.zeros(k, dtype=bool)
@@ -326,7 +341,7 @@ def solve_lasso_batch(
 
 
 def fit_lasso_path(
-    designs: Sequence[DesignMatrix],
+    design: DesignMatrix,
     grid: Sequence[float],
     config: LassoConfig = LassoConfig(),
 ) -> dict[float, np.ndarray]:
@@ -334,28 +349,24 @@ def fit_lasso_path(
 
     Returns {lambda: k x (eta*p) coefficient matrix}.
     """
-    if not designs:
-        raise DataError("no designs")
-    gram = _gram_stack(designs)
+    gram = _gram_stack(design)
     out: dict[float, np.ndarray] = {}
     warm = None
     for lam in grid:
-        warm = solve_lasso_batch(designs, lam, config, warm_start=warm, gram=gram)
+        warm = solve_lasso_batch(design, lam, config, warm_start=warm, gram=gram)
         out[lam] = warm.copy()
     return out
 
 
 def fit_lasso_star(
-    designs: Sequence[DesignMatrix],
+    design: DesignMatrix,
     lam: float,
     config: LassoConfig = LassoConfig(),
     scheme: str = "",
 ) -> StarModel:
     """Fit all zones at a single penalty and package as a StarModel."""
-    solved = solve_lasso_batch(designs, lam, config)
-    coefs = np.zeros_like(solved)
-    coefs[[d.zone_index for d in designs]] = solved
-    return _star_model(designs, coefs, int(np.count_nonzero(coefs)), scheme, lam)
+    coefs = solve_lasso_batch(design, lam, config)
+    return _star_model(design, coefs, int(np.count_nonzero(coefs)), scheme, lam)
 
 
 def tune_lambda(
@@ -368,36 +379,24 @@ def tune_lambda(
     """Select the penalty minimizing one-step validation MSPE.
 
     Coefficients are fit on bins [0, t1); one-step predictions over
-    [t1, t2) use true rolling history without refitting. Ties break
-    toward the largest penalty. Returns (lambda*, [(lambda, mspe), ...])
-    with the curve in descending lambda order.
+    [t1, t2) use true rolling history without refitting, and each
+    penalty is scored by :func:`mspe`. Ties break toward the largest
+    penalty. Returns (lambda*, [(lambda, mspe), ...]) with the curve in
+    descending lambda order.
     """
     if split.t1 <= order.p:
         raise DataError(f"t1={split.t1} leaves no training rows for p={order.p}")
     if split.t2 - split.t1 < 1:
         raise DataError("degenerate validation range")
     train = build_design(panel, stack, order, (0, split.t1))
-    lam_max = max(lambda_max(d) for d in train)
-    grid = config.grid(lam_max)
+    grid = config.grid(lambda_max(train))
     # validation rows t = t1 .. t2-1 share the Z-row formula with training
-    val = build_design(panel, stack, order, (split.t1 - order.p, split.t2))
+    val_Z = build_design(panel, stack, order, (split.t1 - order.p, split.t2)).Z
     path = fit_lasso_path(train, grid, config)
-
-    curve = []
-    best_lam, best_mspe = None, None
-    n_val = split.t2 - split.t1
-    for lam in grid:   # descending: first minimum is the largest lambda
-        coefs = path[lam]
-        se = 0.0
-        for d in val:
-            pred = d.Z @ coefs[d.zone_index]
-            err = d.y - pred
-            se += float(err @ err)
-        m = se / (panel.k * n_val)
-        curve.append((lam, m))
-        if best_mspe is None or m < best_mspe:
-            best_lam, best_mspe = lam, m
-    return best_lam, curve
+    val_range = (split.t1, split.t2)
+    curve = [(lam, mspe(panel, fitted(val_Z, path[lam]), val_range)) for lam in grid]
+    # descending grid: min keeps the first minimum, the largest lambda
+    return min(curve, key=lambda c: c[1])[0], curve
 
 
 # -- serialization ------------------------------------------------------

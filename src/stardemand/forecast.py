@@ -21,7 +21,8 @@ from .panel import DemandPanel, ModelOrder, SplitSpec
 from .weights import WeightStack
 from .estimators import (
     LassoConfig, StarModel, VarModel,
-    build_design, fit_lasso_star, fit_star_ols, fit_var_ols, lag_regressors, tune_lambda,
+    build_design, fit_lasso_star, fit_star_ols, fit_var_ols, fitted, lag_regressors, mspe,
+    tune_lambda,
 )
 
 MODEL_VAR = "var"
@@ -61,24 +62,8 @@ def predict_range(model, panel: DemandPanel, t_range: tuple[int, int],
         for j, A in enumerate(model.lag_matrices, start=1):
             out += A @ Y[:, start - j:end - j]
         return out
-    # design rows times coefficients, zone by zone
-    Z = lag_regressors(Y, p, t_range, stack.matrices[:model.order.eta])
-    return np.matmul(Z, model.coefficients[:, :, None])[:, :, 0]
-
-
-def mspe(panel: DemandPanel, predicted: np.ndarray, t_range: tuple[int, int]) -> float:
-    """Mean squared prediction error over zones and bins in the range."""
-    start, end = t_range
-    if end <= start:
-        raise DataError(f"empty evaluation range {t_range}")
-    actual = panel.values[:, start:end]
-    predicted = np.asarray(predicted, dtype=float)
-    if predicted.shape != actual.shape:
-        raise DataError(
-            f"prediction shape {predicted.shape} does not match actual {actual.shape}"
-        )
-    diff = actual - predicted
-    return float(np.sum(diff * diff)) / (panel.k * (end - start))
+    return fitted(lag_regressors(Y, p, t_range, stack.matrices[:model.order.eta]),
+                  model.coefficients)
 
 
 @dataclass(frozen=True)
@@ -108,7 +93,6 @@ class ScenarioConfig:
 
     lasso: LassoConfig = LassoConfig()
     refit_after_tuning: bool = True
-    compute_validation: bool = True
 
 
 def _report(model_kind: str, order: ModelOrder, stack: WeightStack | None,
@@ -155,8 +139,8 @@ def fit_scenario_model(
         return _fit_ols(panel, stack, model_kind, order, split.t2), None
     lam, curve = tune_lambda(panel, stack, order, split, config.lasso)
     fit_end = split.t2 if config.refit_after_tuning else split.t1
-    designs = build_design(panel, stack, order, (0, fit_end))
-    return fit_lasso_star(designs, lam, config.lasso, scheme=stack.scheme), curve
+    design = build_design(panel, stack, order, (0, fit_end))
+    return fit_lasso_star(design, lam, config.lasso, scheme=stack.scheme), curve
 
 
 def run_scenario(
@@ -172,12 +156,12 @@ def run_scenario(
     The test model comes from :func:`fit_scenario_model` and is scored on
     [t2, t_end). Validation MSPE is the best point of the penalty curve
     for LASSO-STAR; for VAR and STAR it comes from a fit on [0, t1)
-    predicting [t1, t2), skipped when compute_validation is off.
+    predicting [t1, t2).
     """
     t0 = time.perf_counter()
     _check_scenario(model_kind, stack)
     val_mspe = None
-    if model_kind != MODEL_LASSO_STAR and config.compute_validation:
+    if model_kind != MODEL_LASSO_STAR:
         val_range = (split.t1, split.t2)
         m_val = _fit_ols(panel, stack, model_kind, order, split.t1)
         val_mspe = mspe(panel, predict_range(m_val, panel, val_range, stack), val_range)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, open_input
 from .panel import DemandPanel, make_panel
 
 POLICY_STRICT = "strict"
@@ -81,8 +81,8 @@ class ZoneGeometry:
     """A zone with an optional polygon boundary and a centroid.
 
     ``polygon`` is an ordered ring of (lon, lat) vertices, closed (first
-    vertex repeated last). The centroid is computed from the polygon when
-    not supplied.
+    vertex repeated last); :func:`make_zone` drops consecutive repeats of
+    a vertex. The centroid is computed from the polygon when not supplied.
     """
 
     zone_id: str
@@ -93,7 +93,9 @@ class ZoneGeometry:
 def make_zone(zone_id, polygon=None, centroid=None) -> ZoneGeometry:
     if polygon is not None:
         polygon = tuple((float(x), float(y)) for x, y in polygon)
-        if len(polygon) < 4:
+        # a repeated vertex is a zero-length edge, on which every point lies
+        polygon = polygon[:1] + tuple(b for a, b in zip(polygon, polygon[1:]) if b != a)
+        if len(set(polygon)) < 3:
             raise DataError(f"zone {zone_id}: polygon ring needs >= 3 distinct vertices")
         if polygon[0] != polygon[-1]:
             raise DataError(f"zone {zone_id}: polygon ring is not closed")
@@ -189,7 +191,7 @@ def parse_trips(
     times, lats, lons = array("q"), array("d"), array("d")
     close = False
     if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
-        stream = open(stream, newline="")
+        stream = open_input(stream, "trips", newline="")
         close = True
     try:
         reader = csv.reader(stream)
@@ -432,7 +434,7 @@ def load_zones_geojson(path) -> list[ZoneGeometry]:
     Only the outer ring of each polygon is used; MultiPolygons take the
     first polygon.
     """
-    with open(path) as fh:
+    with open_input(path, "zones") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
@@ -461,7 +463,7 @@ def load_zones_geojson(path) -> list[ZoneGeometry]:
 def load_zones_centroid_csv(path) -> list[ZoneGeometry]:
     """CSV `zone_id,lon,lat` (centroids only, no polygons)."""
     zones = []
-    with open(path, newline="") as fh:
+    with open_input(path, "zone centroids", newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"zone_id", "lon", "lat"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, open_input
 
 # How the values of a panel are to be interpreted.
 KIND_RAW = "raw"                  # non-negative integer counts
@@ -52,9 +52,6 @@ class DemandPanel:
     @property
     def T(self) -> int:
         return self.values.shape[1]
-
-    def zone_index(self, zone_id: str) -> int:
-        return self.zone_ids.index(zone_id)
 
     def with_values(self, values: np.ndarray, kind: str | None = None) -> "DemandPanel":
         """Copy of this panel with replaced values (shape must match)."""
@@ -190,10 +187,6 @@ class Standardization:
         vals = panel.values * self.sd[:, None] + self.mean[:, None]
         return panel.with_values(vals, kind=kind)
 
-    def invert_values(self, values: np.ndarray) -> np.ndarray:
-        """Undo standardization on a k x n array of (predicted) values."""
-        return values * self.sd[:, None] + self.mean[:, None]
-
 
 def standardize(
     panel: DemandPanel, fit_range: tuple[int, int]
@@ -242,7 +235,7 @@ def read_panel_csv(path, bin_minutes: int = 15, origin: datetime | None = None,
     ``kind`` defaults to raw when all values are non-negative integers,
     real otherwise.
     """
-    with open(path, newline="") as fh:
+    with open_input(path, "panel", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or not rows[0] or rows[0][0] != "zone_id":
         raise DataError(f"{path}: not a panel CSV (missing zone_id header)")

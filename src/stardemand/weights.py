@@ -19,18 +19,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, open_input
+from .panel import _frozen
 
 SCHEME_CENTROID = "centroid"
 SCHEME_ADJACENCY = "adjacency"
 
 ROW_SUM_TOL = 1e-12
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -175,10 +170,9 @@ def adjacency_rings(graph: AdjacencyGraph, eta_max: int) -> WeightStack:
     return _stack_from_rings(rings_per_zone, zone_ids, eta_max, SCHEME_ADJACENCY)
 
 
-def validate_stack(stack: WeightStack, k: int | None = None) -> list[dict]:
+def validate_stack(stack: WeightStack) -> list[dict]:
     """Check every stack invariant; returns one diagnostic dict per check."""
-    if k is None:
-        k = stack.k
+    k = stack.k
     report = []
 
     def add(check, ok, detail=""):
@@ -274,7 +268,7 @@ def read_stack(directory) -> WeightStack:
 def read_adjacency_csv(path, zone_ids: Sequence[str]) -> AdjacencyGraph:
     """Edge list CSV `zone_a,zone_b` (header optional)."""
     edges = []
-    with open(path, newline="") as fh:
+    with open_input(path, "adjacency", newline="") as fh:
         for row in csv.reader(fh):
             if not row or row[0].strip() == "zone_a":
                 continue

@@ -10,7 +10,7 @@ covariance updates of the production solver.
 import numpy as np
 
 from stardemand.errors import ConvergenceError, DataError
-from stardemand.estimators import LassoConfig, lambda_max
+from stardemand.estimators import LassoConfig
 
 
 def soft_threshold(z: float, gamma: float) -> float:
@@ -29,19 +29,19 @@ def lasso_objective(Z: np.ndarray, y: np.ndarray, phi: np.ndarray, lam: float) -
     return 0.5 * float(r @ r) + lam * float(np.sum(np.abs(phi)))
 
 
-def lasso_cd(design, lam: float, config: LassoConfig = LassoConfig(),
+def lasso_cd(Z: np.ndarray, y: np.ndarray, lam: float, config: LassoConfig = LassoConfig(),
              objective_trace: list | None = None) -> np.ndarray:
     """Cyclic coordinate descent on 0.5||y - Z phi||^2 + lam * ||phi||_1
-    from phi = 0, with the production solver's stopping rule.
+    for one zone's n x m design ``Z`` and response ``y``, from phi = 0,
+    with the production solver's stopping rule.
 
     ``objective_trace``, when given, receives the objective before the
     first sweep and after each sweep.
     """
     if lam < 0:
         raise DataError("lambda must be >= 0")
-    Z, y = design.Z, design.y
     m = Z.shape[1]
-    if lam > 0 and lam >= lambda_max(design):
+    if lam > 0 and lam >= np.max(np.abs(Z.T @ y)):
         return np.zeros(m)
     col_sq = np.einsum("ij,ij->j", Z, Z)
     phi = np.zeros(m)

@@ -90,12 +90,11 @@ def test_criterion_2_ols_oracle():
         panel = random_panel(k, T, seed=1000 + trial)
         stack = random_centroid_stack(k, eta, seed=trial)
         order = ModelOrder(p=p, eta=eta)
-        designs = build_design(panel, stack, order, (0, T))
-        model = fit_star_ols(designs)
-        for d in designs:
-            phi = np.linalg.solve(d.Z.T @ d.Z, d.Z.T @ d.y)
-            worst = max(worst, float(np.max(np.abs(
-                model.coefficients[d.zone_index] - phi))))
+        design = build_design(panel, stack, order, (0, T))
+        model = fit_star_ols(design)
+        for i, (Z, y) in enumerate(zip(design.Z, design.y)):
+            phi = np.linalg.solve(Z.T @ Z, Z.T @ y)
+            worst = max(worst, float(np.max(np.abs(model.coefficients[i] - phi))))
 
         var = fit_var_ols(panel, p, (0, T))
         Y = panel.values
@@ -126,15 +125,16 @@ def _kkt_violation(Z, y, phi, lam):
 
 
 def _design(Z, y):
+    """A one-zone design."""
     n, m = Z.shape
-    return DesignMatrix(zone_index=0, Z=np.asarray(Z, dtype=float),
-                        y=np.asarray(y, dtype=float),
+    return DesignMatrix(Z=np.asarray(Z, dtype=float)[None],
+                        y=np.asarray(y, dtype=float)[None],
                         order=ModelOrder(p=1, eta=m), fit_range=(0, n))
 
 
 def _solve(d, lam):
-    """The production solver on a one-design batch."""
-    return solve_lasso_batch([d], lam)[0]
+    """The production solver on a one-zone design."""
+    return solve_lasso_batch(d, lam)[0]
 
 
 def test_criterion_3_lasso_correctness():
@@ -203,8 +203,7 @@ def _run_recovery():
         panel = gen_star_process(spec, stack)
         full = fit_star_ols(build_design(panel, stack, RECOVERY_ORDER, (0, 500)))
         rms = float(np.sqrt(np.mean((full.coefficients - spec.star_coefficients) ** 2)))
-        rep = run_scenario(panel, stack, MODEL_STAR, RECOVERY_ORDER,
-                           RECOVERY_SPLIT, ScenarioConfig(compute_validation=False))
+        rep = run_scenario(panel, stack, MODEL_STAR, RECOVERY_ORDER, RECOVERY_SPLIT)
         reports.append(rep)
         if rms < 0.05 and abs(rep.test_mspe - 0.01) <= 0.15 * 0.01:
             hits += 1

@@ -306,9 +306,35 @@ class TestExitCodes:
         })
         assert main(["fit", "-c", str(cfg)]) == EXIT_DATA
 
+    @pytest.mark.parametrize("command,section,key", [
+        ("fit", None, "panel"),
+        ("weights", "weights", "zones"),
+        ("weights", "weights", "zones_csv"),
+        ("weights", "weights", "adjacency"),
+        ("ingest", "ingest", "trips"),
+    ], ids=["panel", "zones", "zones_csv", "adjacency", "trips"])
+    def test_unreadable_input_is_data_error(self, tmp_path, capsys, command, section, key):
+        zones = tmp_path / "zones.csv"
+        zones.write_text("zone_id,lon,lat\nA,0,0\nB,1,0\n")
+        (tmp_path / "adj.csv").write_text("A,B\n")
+        (tmp_path / "trips.csv").write_text("Date/Time,Lat,Lon\n4/1/2014 0:05:00,0,0\n")
+        (tmp_path / "panel.csv").write_text("zone_id,bin_0,bin_1,bin_2\nA,1,2,3\n")
+        cfg = {
+            "output_dir": str(tmp_path / "out"),
+            "panel": str(tmp_path / "panel.csv"), "split": {"t1": 1, "t2": 2},
+            "fit": {"model": "var", "p": 1},
+            "weights": {"scheme": "adjacency", "eta_max": 2, "zones_csv": str(zones),
+                        "adjacency": str(tmp_path / "adj.csv")},
+            "ingest": {"trips": str(tmp_path / "trips.csv"), "zones_csv": str(zones)},
+        }
+        (cfg[section] if section else cfg)[key] = str(tmp_path / "missing" / key)
+        assert main([command, "-c", str(write_yaml(tmp_path / "c.yaml", cfg))]) == EXIT_DATA
+        assert "data error: cannot read" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigValidation:
-    """Bad lasso: and split: values exit 1 before any output is written."""
+    """Bad config values exit 1 before any output is written."""
 
     def _config(self, tmp_path, synth_run, **overrides):
         cfg = {
@@ -354,6 +380,51 @@ class TestConfigValidation:
     def test_bad_split(self, tmp_path, synth_run, command, split):
         cfg = self._config(tmp_path, synth_run, split=split)
         assert main([command, "-c", str(cfg)]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("grid", "timings", "no"),
+        ("grid", "grid.include_var", "no"),
+        ("grid", "standardize", "no"),
+        ("fit", "standardize", "no"),
+        ("grid", "grid.p", ["a"]),
+        ("grid", "grid.eta", ["a"]),
+        ("grid", "grid.p", [0]),
+        ("grid", "grid.p", 2),
+        ("fit", "fit.p", "a"),
+        ("fit", "fit.eta", "a"),
+    ], ids=["timings_str", "include_var_str", "standardize_str-grid", "standardize_str-fit",
+            "grid_p_str", "grid_eta_str", "grid_p_0", "grid_p_scalar", "fit_p_str",
+            "fit_eta_str"])
+    def test_bad_value(self, tmp_path, synth_run, command, key, value):
+        cfg = yaml.safe_load(self._config(tmp_path, synth_run).read_text())
+        *sections, name = key.split(".")
+        node = cfg
+        for section in sections:
+            node = node[section]
+        node[name] = value
+        assert main([command, "-c", str(write_yaml(tmp_path / "c.yaml", cfg))]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("k", "a"), ("length", "a"), ("p", "a"), ("eta", "a"), ("require_stable", "no"),
+    ], ids=["k_str", "length_str", "p_str", "eta_str", "require_stable_str"])
+    def test_bad_synth_value(self, tmp_path, key, value):
+        cfg = write_yaml(tmp_path / "s.yaml", {
+            "output_dir": str(tmp_path / "out"),
+            "synth": {"kind": "star", "k": 4, "length": 40, "p": 1, "eta": 1, key: value},
+        })
+        assert main(["synth", "-c", str(cfg)]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_weights_eta_max(self, tmp_path):
+        zones = tmp_path / "zones.csv"
+        zones.write_text("zone_id,lon,lat\nA,0,0\nB,1,0\n")
+        cfg = write_yaml(tmp_path / "w.yaml", {
+            "output_dir": str(tmp_path / "out"),
+            "weights": {"scheme": "centroid", "eta_max": "two", "zones_csv": str(zones)},
+        })
+        assert main(["weights", "-c", str(cfg)]) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
     def test_split_to_last_bin_runs(self, tmp_path, synth_run):

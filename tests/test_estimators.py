@@ -45,27 +45,27 @@ class TestBuildDesign:
         w1 = np.array([[0.0, 1.0], [1.0, 0.0]])
         stack = WeightStack(matrices=(np.eye(2), w1), scheme="centroid",
                             zone_ids=("a", "b"))
-        designs = build_design(panel, stack, ModelOrder(p=1, eta=2), (0, 2))
-        assert np.allclose(designs[0].Z[0], [4.0, 6.0])
-        assert designs[0].y[0] == 1.0
+        design = build_design(panel, stack, ModelOrder(p=1, eta=2), (0, 2))
+        assert np.allclose(design.Z[0, 0], [4.0, 6.0])
+        assert design.y[0, 0] == 1.0
 
     def test_eta_one_own_lags(self):
         panel = random_panel(3, 20, seed=11)
         stack = random_centroid_stack(3, 1, seed=11)
-        designs = build_design(panel, stack, ModelOrder(p=2, eta=1), (0, 20))
-        for d in designs:
-            i = d.zone_index
-            assert np.allclose(d.Z[:, 0], panel.values[i, 1:19])
-            assert np.allclose(d.Z[:, 1], panel.values[i, 0:18])
+        design = build_design(panel, stack, ModelOrder(p=2, eta=1), (0, 20))
+        for i, Z in enumerate(design.Z):
+            assert np.allclose(Z[:, 0], panel.values[i, 1:19])
+            assert np.allclose(Z[:, 1], panel.values[i, 0:18])
 
     def test_matches_naive_loop(self):
         panel = random_panel(3, 15, seed=12)
         stack = random_centroid_stack(3, 3, seed=12)
         order = ModelOrder(p=2, eta=3)
-        designs = build_design(panel, stack, order, (2, 14))
-        for d, (Z, y) in zip(designs, naive_design(panel, stack, order, (2, 14))):
-            assert np.allclose(d.Z, Z, atol=1e-12)
-            assert np.allclose(d.y, y, atol=1e-12)
+        design = build_design(panel, stack, order, (2, 14))
+        naive = naive_design(panel, stack, order, (2, 14))
+        for Z_i, y_i, (Z, y) in zip(design.Z, design.y, naive, strict=True):
+            assert np.allclose(Z_i, Z, atol=1e-12)
+            assert np.allclose(y_i, y, atol=1e-12)
 
     def test_insufficient_rows(self):
         panel = random_panel(2, 10, seed=13)
@@ -79,8 +79,8 @@ class TestStarOls:
         y = [0.8 ** t for t in range(20)]
         panel = make_panel(["a"], [y], kind="real")
         stack = WeightStack(matrices=(np.eye(1),), scheme="centroid", zone_ids=("a",))
-        designs = build_design(panel, stack, ModelOrder(p=1, eta=1), (0, 20))
-        model = fit_star_ols(designs)
+        design = build_design(panel, stack, ModelOrder(p=1, eta=1), (0, 20))
+        model = fit_star_ols(design)
         assert abs(model.coefficients[0, 0] - 0.8) < 1e-10
 
     def test_all_zero_panel_min_norm(self):
@@ -95,11 +95,11 @@ class TestStarOls:
         panel = random_panel(3, 60, seed=15)
         stack = random_centroid_stack(3, 2, seed=15)
         order = ModelOrder(p=2, eta=2)
-        designs = build_design(panel, stack, order, (0, 60))
-        model = fit_star_ols(designs)
-        for d in designs:
-            expected = np.linalg.solve(d.Z.T @ d.Z, d.Z.T @ d.y)
-            assert np.max(np.abs(model.coefficients[d.zone_index] - expected)) < 1e-8
+        design = build_design(panel, stack, order, (0, 60))
+        model = fit_star_ols(design)
+        for i, (Z, y) in enumerate(zip(design.Z, design.y)):
+            expected = np.linalg.solve(Z.T @ Z, Z.T @ y)
+            assert np.max(np.abs(model.coefficients[i] - expected)) < 1e-8
 
     def test_parameter_count(self):
         panel = random_panel(4, 50, seed=16)
@@ -162,22 +162,23 @@ class TestSoftThreshold:
 
 
 def _design(Z, y, p=1, eta=None):
+    """A one-zone design."""
     Z = np.asarray(Z, dtype=float)
     if eta is None:
         eta = Z.shape[1]
-    return DesignMatrix(zone_index=0, Z=Z, y=np.asarray(y, dtype=float),
+    return DesignMatrix(Z=Z[None], y=np.asarray(y, dtype=float)[None],
                         order=ModelOrder(p=p, eta=eta), fit_range=(0, len(y)))
 
 
 class TestLambdaMax:
     def test_single_column(self):
-        d = _design([[1.0], [1.0]], [1.0, 1.0], eta=1)
-        assert lambda_max(d) == 2.0
+        Z, y = np.array([[1.0], [1.0]]), np.array([1.0, 1.0])
+        assert lambda_max(_design(Z, y, eta=1)) == 2.0
         # 1-D grid-search oracle: penalized objective minimized at phi=0
         # exactly when lam >= 2
         for lam, want_zero in [(1.9, False), (2.0, True), (2.5, True)]:
             grid = np.linspace(-2, 2, 40001)
-            objs = [lasso_objective(d.Z, d.y, np.array([g]), lam) for g in grid]
+            objs = [lasso_objective(Z, y, np.array([g]), lam) for g in grid]
             best = grid[int(np.argmin(objs))]
             assert (abs(best) < 1e-9) == want_zero
 
@@ -206,8 +207,8 @@ def _kkt_violation(Z, y, phi, lam):
 
 
 def _solve(d, lam, config=LassoConfig()):
-    """The production solver on a one-design batch."""
-    return solve_lasso_batch([d], lam, config)[0]
+    """The production solver on a one-zone design."""
+    return solve_lasso_batch(d, lam, config)[0]
 
 
 class TestLassoCd:
@@ -254,7 +255,7 @@ class TestLassoCd:
         d = _design(Z, y, eta=8)
         lam = 0.5 * lambda_max(d)
         trace = []
-        lasso_cd(d, lam, objective_trace=trace)
+        lasso_cd(Z, y, lam, objective_trace=trace)
         assert np.all(np.diff(trace) <= 1e-10)
         # the production iterate after s sweeps is the last iterate of a
         # solve capped at s sweeps; each sweep must not raise the objective
@@ -287,19 +288,19 @@ class TestLassoCd:
     def test_batch_matches_single_design_solver(self):
         panel = random_panel(4, 50, seed=60)
         stack = random_centroid_stack(4, 2, seed=60)
-        designs = build_design(panel, stack, ModelOrder(p=2, eta=2), (0, 50))
-        lam = 0.4 * max(lambda_max(d) for d in designs)
-        batch = solve_lasso_batch(designs, lam)
-        for pos, d in enumerate(designs):
-            single = lasso_cd(d, lam)
-            assert np.max(np.abs(batch[pos] - single)) < 1e-7
+        design = build_design(panel, stack, ModelOrder(p=2, eta=2), (0, 50))
+        lam = 0.4 * lambda_max(design)
+        batch = solve_lasso_batch(design, lam)
+        for i, (Z, y) in enumerate(zip(design.Z, design.y)):
+            single = lasso_cd(Z, y, lam)
+            assert np.max(np.abs(batch[i] - single)) < 1e-7
 
     def test_monotone_sparsity_orthonormal_path(self):
         q, _ = np.linalg.qr(np.random.default_rng(26).normal(size=(12, 6)))
         y = np.random.default_rng(27).normal(size=12)
         d = _design(q, y, eta=6)
         grid = LassoConfig().grid(lambda_max(d))
-        path = fit_lasso_path([d], grid)
+        path = fit_lasso_path(d, grid)
         active = [int(np.count_nonzero(path[lam])) for lam in grid]  # descending lam
         assert all(a <= b for a, b in zip(active, active[1:]))
 

@@ -213,6 +213,18 @@ class TestZoneValidation:
         with pytest.raises(DataError, match="finite"):
             make_zone("A", **kwargs)
 
+    def test_repeated_vertex_dropped(self):
+        # a kept zero-length edge would put every point on a's boundary
+        a = make_zone("a", polygon=[(0, 0), (1, 0), (1, 0), (1, 1), (0, 1), (0, 0)])
+        assert a.polygon == tuple(square(0, 0))
+        assert a.centroid == (0.5, 0.5)
+        assert not point_in_ring(50, 50, a.polygon)
+        assert assign_zone((10.5, 10.5), [a, make_zone("b", polygon=square(10, 10))]) == "b"
+
+    def test_too_few_distinct_vertices_rejected(self):
+        with pytest.raises(DataError, match="distinct"):
+            make_zone("A", polygon=[(0, 0), (1, 0), (1, 0), (0, 0)])
+
 
 # -- columnar ingest against the scalar oracle ---------------------------
 
