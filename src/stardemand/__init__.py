@@ -30,6 +30,6 @@ from .synth import (
     random_centroid_stack, random_sparse_star_spec, recovery_star_spec,
     spectral_radius,
 )
-from .errors import ConfigError, ConvergenceError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 
 __version__ = "0.1.0"

@@ -52,6 +52,36 @@ def _resolve_path(cfg_path, value) -> Path:
     return p
 
 
+# the keys each config section may hold
+SECTION_KEYS = {
+    "ingest": ("trips", "zones", "zones_csv", "columns", "timestamp_format", "bin_minutes",
+               "parse_policy", "assign_policy", "day_range"),
+    "ingest.columns": ("time", "lat", "lon"),
+    "weights": ("scheme", "eta_max", "zones", "zones_csv", "adjacency"),
+    "split": ("t1", "t2", "t_end", "t2_fraction", "t1_fraction_of_t2"),
+    "lasso": ("n_lambdas", "lambda_min_ratio", "include_zero", "grid", "refit_after_tuning"),
+    "fit": ("model", "p", "eta", "stack"),
+    "grid": ("models", "p", "eta", "include_var"),
+    "synth": ("kind", "k", "length", "sigma", "burn_in", "require_stable", "seed", "p", "eta",
+              "stack", "eta_max", "coefficients", "density", "target_radius", "intercept",
+              "lag_matrices"),
+}
+
+
+def _section(cfg: dict, name: str, required: bool = False) -> dict:
+    """The mapping at the dotted ``name`` below ``cfg``, ``{}`` if absent and
+    not required; a non-mapping or a key outside SECTION_KEYS[name] is a
+    config error."""
+    where, _, key = name.rpartition(".")
+    section = _require(cfg, key, where) if required else cfg.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a mapping, got {section!r}")
+    unknown = sorted(str(k) for k in section if k not in SECTION_KEYS[name])
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {name}: {', '.join(unknown)}")
+    return section
+
+
 def _require(cfg: dict, key: str, where: str):
     if key not in cfg:
         raise ConfigError(f"missing config key {where}.{key}" if where else
@@ -108,9 +138,7 @@ def _parse_dt(s: str) -> datetime:
 def _ingest_from_config(icfg: dict):
     """Trip format, parse and assign policies, bin width and day range of an
     ``ingest:`` mapping, checked before any trip is read."""
-    cols = icfg.get("columns", {})
-    if not isinstance(cols, dict):
-        raise ConfigError("ingest.columns must be a mapping of time, lat and lon")
+    cols = _section(icfg, "ingest.columns")
     fmt = ingest.TripFormat(
         time_column=cols.get("time", "Date/Time"),
         lat_column=cols.get("lat", "Lat"),
@@ -143,7 +171,7 @@ def _ingest_from_config(icfg: dict):
 
 def cmd_ingest(args) -> int:
     cfg = load_config(args.config)
-    icfg = _require(cfg, "ingest", "")
+    icfg = _section(cfg, "ingest", required=True)
     out_dir = args.out or _require(cfg, "output_dir", "")
     trips_path = _resolve_path(args.config, _require(icfg, "trips", "ingest"))
     fmt, parse_policy, assign_policy, bin_minutes, day_range = _ingest_from_config(icfg)
@@ -185,7 +213,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_weights(args) -> int:
     cfg = load_config(args.config)
-    wcfg = _require(cfg, "weights", "")
+    wcfg = _section(cfg, "weights", required=True)
     out_dir = args.out or _require(cfg, "output_dir", "")
     scheme = _require(wcfg, "scheme", "weights")
     eta_max = _number(_require(wcfg, "eta_max", "weights"), "weights.eta_max", minimum=1)
@@ -240,7 +268,7 @@ def _load_stacks(cfg: dict, cfg_path) -> dict[str, weights.WeightStack]:
 
 
 def _split_from_config(cfg: dict, pn: panel_mod.DemandPanel) -> SplitSpec:
-    scfg = cfg.get("split", {})
+    scfg = _section(cfg, "split")
     try:
         if "t2" not in scfg:
             return panel_mod.split(
@@ -287,16 +315,25 @@ def _numbers(values, name: str, kind=int, minimum=None) -> tuple:
     return tuple(_number(v, name, kind, minimum) for v in values)
 
 
+def _array(value, name: str, ndim: int) -> np.ndarray:
+    """A config value of ``ndim`` levels of nested lists of numbers, as floats."""
+    try:
+        array = np.array(value, dtype=float)
+        if array.ndim == ndim:
+            return array
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{name} must be {ndim} levels of nested lists of numbers, got {value!r}")
+
+
 def _lasso_from_config(cfg: dict) -> tuple[LassoConfig, bool]:
-    lcfg = cfg.get("lasso", {})
+    lcfg = _section(cfg, "lasso")
     grid = lcfg.get("grid")
     lasso = LassoConfig(
         n_lambdas=_number(lcfg.get("n_lambdas", 50), "lasso.n_lambdas"),
         lambda_min_ratio=_number(lcfg.get("lambda_min_ratio", 1e-4), "lasso.lambda_min_ratio",
                                  float),
         include_zero=_flag(lcfg, "include_zero", True, "lasso"),
-        tolerance=_number(lcfg.get("tolerance", 1e-8), "lasso.tolerance", float),
-        max_sweeps=_number(lcfg.get("max_sweeps", 10_000), "lasso.max_sweeps"),
         explicit_grid=None if grid is None else _numbers(grid, "lasso.grid", float),
     )
     return lasso, _flag(lcfg, "refit_after_tuning", True, "lasso")
@@ -306,14 +343,13 @@ def _lasso_echo(lasso: LassoConfig, refit: bool) -> dict:
     """The resolved ``lasso:`` mapping, in the keys ``_lasso_from_config`` reads."""
     grid = lasso.explicit_grid
     return {"n_lambdas": lasso.n_lambdas, "lambda_min_ratio": lasso.lambda_min_ratio,
-            "include_zero": lasso.include_zero, "tolerance": lasso.tolerance,
-            "max_sweeps": lasso.max_sweeps, "grid": list(grid) if grid is not None else None,
+            "include_zero": lasso.include_zero, "grid": list(grid) if grid is not None else None,
             "refit_after_tuning": refit}
 
 
 def cmd_fit(args) -> int:
     cfg = load_config(args.config)
-    fcfg = _require(cfg, "fit", "")
+    fcfg = _section(cfg, "fit", required=True)
     out_dir = args.out or _require(cfg, "output_dir", "")
     pn, spl = _load_panel(cfg, args.config)
     kind = _require(fcfg, "model", "fit")
@@ -352,7 +388,7 @@ def cmd_fit(args) -> int:
 
 def cmd_grid(args) -> int:
     cfg = load_config(args.config)
-    gcfg = _require(cfg, "grid", "")
+    gcfg = _section(cfg, "grid", required=True)
     out_dir = args.out or _require(cfg, "output_dir", "")
     pn, spl = _load_panel(cfg, args.config)
     stacks = _load_stacks(cfg, args.config)
@@ -411,7 +447,7 @@ def cmd_grid(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
-    scfg = _require(cfg, "synth", "")
+    scfg = _section(cfg, "synth", required=True)
     out_dir = args.out or _require(cfg, "output_dir", "")
     seed = _number(cfg.get("seed", scfg.get("seed", 0)), "seed")
     kind = _require(scfg, "kind", "synth")
@@ -434,7 +470,7 @@ def cmd_synth(args) -> int:
             spec = synth.ProcessSpec(
                 kind=synth.KIND_STAR, k=k, length=length, sigma=sigma, seed=seed,
                 initial=np.zeros((k, p)), order=order,
-                star_coefficients=np.array(scfg["coefficients"], dtype=float),
+                star_coefficients=_array(scfg["coefficients"], "synth.coefficients", 2),
                 burn_in=burn_in, require_stable=require_stable,
             )
         else:
@@ -449,9 +485,8 @@ def cmd_synth(args) -> int:
         truth = {"kind": "star", "p": p, "eta": eta, "sigma": sigma,
                  "coefficients": spec.star_coefficients.tolist()}
     elif kind == synth.KIND_VAR:
-        intercept = np.array(scfg.get("intercept", [0.0] * k), dtype=float)
-        mats = tuple(np.array(m, dtype=float)
-                     for m in _require(scfg, "lag_matrices", "synth"))
+        intercept = _array(scfg.get("intercept", [0.0] * k), "synth.intercept", 1)
+        mats = tuple(_array(_require(scfg, "lag_matrices", "synth"), "synth.lag_matrices", 3))
         spec = synth.ProcessSpec(
             kind=synth.KIND_VAR, k=k, length=length, sigma=sigma, seed=seed,
             initial=np.zeros((k, len(mats))),

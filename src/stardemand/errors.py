@@ -17,17 +17,6 @@ class NumericalError(Exception):
     """A numerical routine failed to produce a usable result."""
 
 
-class ConvergenceError(NumericalError):
-    """Iterative solver hit its sweep limit.
-
-    Carries the last iterate so callers can inspect how far the solve got.
-    """
-
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-
-
 def open_input(path, what: str, **kwargs):
     """``open(path, **kwargs)`` for reading an input file; a file that
     cannot be opened is a DataError naming ``what`` it was to hold."""

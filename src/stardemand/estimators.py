@@ -1,5 +1,6 @@
-"""Model fitting: VAR by OLS, STAR by OLS, and L1-penalized STAR by
-cyclic coordinate descent, plus penalty tuning on a validation window.
+"""Model fitting: VAR by OLS, STAR by OLS, and L1-penalized STAR along
+its exact piecewise-linear LASSO path, plus penalty tuning on a
+validation window.
 
 Conventions
 -----------
@@ -27,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .panel import DemandPanel, ModelOrder, SplitSpec
 from .weights import WeightStack
 
@@ -159,13 +160,11 @@ class VarModel:
 
 @dataclass(frozen=True)
 class LassoConfig:
-    """Penalty grid and coordinate-descent controls."""
+    """Penalty grid of the LASSO path."""
 
     n_lambdas: int = 50
     lambda_min_ratio: float = 1e-4
     include_zero: bool = True
-    tolerance: float = 1e-8
-    max_sweeps: int = 10_000
     explicit_grid: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -174,10 +173,6 @@ class LassoConfig:
         if not 0 < self.lambda_min_ratio < 1:
             raise ConfigError(
                 f"lambda_min_ratio must lie in (0, 1), got {self.lambda_min_ratio}")
-        if not self.tolerance > 0:
-            raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_sweeps < 1:
-            raise ConfigError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
         if self.explicit_grid is not None:
             if not self.explicit_grid:
                 raise ConfigError("grid must not be empty")
@@ -253,7 +248,7 @@ def fit_var_ols(panel: DemandPanel, p: int, fit_range: tuple[int, int]) -> VarMo
 
 def _zy(design: DesignMatrix) -> np.ndarray:
     """Per-zone Z'y (k x m), the one expression behind :func:`lambda_max`
-    and the solver's all-zero screen, so the two agree bit for bit."""
+    and the path's starting penalty, so the two agree bit for bit."""
     return np.matmul(design.Z.transpose(0, 2, 1), design.y[..., None])[..., 0]
 
 
@@ -263,109 +258,88 @@ def lambda_max(design: DesignMatrix) -> float:
     return float(np.max(np.abs(_zy(design)), initial=0.0))
 
 
-def _gram_stack(design: DesignMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-zone Z'Z (k x m x m), Z'y (k x m) and diag(Z'Z) (k x m)."""
-    gram = np.einsum("knm,knq->kmq", design.Z, design.Z)
-    return gram, _zy(design), np.diagonal(gram, axis1=1, axis2=2).copy()
+def _zone_path(G: np.ndarray, c: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Exact LASSO path of one zone (G = Z'Z, c = Z'y) at the descending
+    penalties ``lams``; returns a len(lams) x m array.
 
-
-def _cd_sweep_batch(
-    gram: np.ndarray,      # k x m x m
-    grad: np.ndarray,      # k x m, maintained as Z'(y - Z phi)
-    diag: np.ndarray,      # k x m
-    phis: np.ndarray,      # k x m, updated in place
-    lam: float,
-    active: np.ndarray,    # k bools
-) -> np.ndarray:
-    """One cyclic sweep over all zones at once; returns max change per zone."""
-    k, m = phis.shape
-    max_delta = np.zeros(k)
-    pos = diag > 0.0
-    safe = np.where(pos, diag, 1.0)
-    for j in range(m):
-        ok = active & pos[:, j]
-        if not ok.any():
-            continue
-        rho = grad[:, j] + diag[:, j] * phis[:, j]
-        new = np.sign(rho) * np.maximum(np.abs(rho) - lam, 0.0) / safe[:, j]
-        delta = np.where(ok, new - phis[:, j], 0.0)
-        ad = np.abs(delta)
-        if ad.max() > 0.0:
-            grad -= gram[:, :, j] * delta[:, None]
-            phis[:, j] += delta
-            np.maximum(max_delta, ad, out=max_delta)
-    return max_delta
-
-
-def solve_lasso_batch(
-    design: DesignMatrix,
-    lam: float,
-    config: LassoConfig = LassoConfig(),
-    warm_start: np.ndarray | None = None,
-    gram: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Cyclic coordinate descent on 0.5||y - Z phi||^2 + lam * ||phi||_1
-    for every zone at once, through per-zone Gram matrices (the
-    covariance updates of Friedman, Hastie & Tibshirani 2010).
-
-    Returns the k x m coefficient matrix, row i for zone i. A
-    zone has converged when the largest coefficient change over a full
-    sweep is below config.tolerance relative to max(1, ||phi||_inf).
-    Zones with lam >= lambda_max solve to exactly zero, and columns with
-    zero norm keep coefficient 0. ``gram`` is the (Z'Z, Z'y, diag)
-    triple of ``design``; :func:`fit_lasso_path` builds it once for
-    its whole grid, and it is built here when omitted.
+    Covariance-form homotopy (Osborne, Presnell & Turlach 2000; the LASSO
+    variant of LARS, Efron et al. 2004): between kinks the active set A and
+    its signs s are fixed, phi_A = u - lam * w with G_AA [u, w] = [c_A, s_A],
+    and the correlations c - G phi are b + lam * a. Going down from
+    lambda_max, a column joins when its correlation reaches +-lam and leaves
+    when its coefficient reaches 0. Zero-norm columns never join, nor does
+    a column within 1e-12 * lambda_max of lam = 0, where a design with
+    fewer rows than columns already interpolates.
     """
-    if lam < 0:
+    m = c.size
+    out = np.zeros((lams.size, m))
+    lam = float(np.max(np.abs(c), initial=0.0))
+    i = int(np.count_nonzero(lams >= lam))
+    if i == lams.size:
+        return out
+    floor, joinable = 1e-12 * lam, np.diagonal(G) > 0.0
+    signs = np.zeros(m)         # +-1 on the active set, 0 off it
+    j = int(np.argmax(np.abs(c)))
+    signs[j] = np.sign(c[j])
+    # a path has finitely many kinks; the bound only stops zero-length
+    # steps that rounding could make cycle
+    for _ in range(100 * m):
+        A = np.flatnonzero(signs)
+        try:
+            uw = np.linalg.solve(G[np.ix_(A, A)], np.column_stack([c[A], signs[A]]))
+        except np.linalg.LinAlgError:
+            uw = np.full((A.size, 2), np.nan)
+        if not np.all(np.isfinite(uw)):
+            raise NumericalError(f"singular active-set Gram matrix at lambda={lam}")
+        ba = G[:, A] @ uw
+        b, a = c - ba[:, 0], ba[:, 1]
+        u, w = np.zeros(m), np.zeros(m)
+        u[A], w[A] = uw.T
+        free = joinable & (signs == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # +lam is reached where lam * (1 - a) = b and -lam where
+            # lam * (1 + a) = -b, each only if the gap shrinks as lam falls
+            events = np.array([np.where(free & (a < 1.0), b / (1.0 - a), -np.inf),
+                               np.where(free & (a > -1.0), -b / (1.0 + a), -np.inf),
+                               np.where(signs * w < 0.0, u / w, -np.inf)])
+        events[:2][events[:2] < floor] = -np.inf
+        kind, j = np.unravel_index(int(np.argmax(events)), events.shape)
+        lam = max(min(float(events[kind, j]), lam), 0.0)
+        n = int(np.count_nonzero(lams >= lam))
+        phi = u[A] - lams[i:n, None] * w[A]
+        # a coefficient at its leaving kink may sit a rounding error past zero
+        out[i:n, A] = np.where(phi * signs[A] > 0.0, phi, 0.0)
+        if n == lams.size:
+            return out
+        i, signs[j] = n, (1.0, -1.0, 0.0)[kind]
+    raise NumericalError(f"LASSO path did not reach lambda={lams[-1]}")
+
+
+def fit_lasso_path(design: DesignMatrix, grid: Sequence[float]) -> dict[float, np.ndarray]:
+    """Exact LASSO solutions of 0.5||y_i - Z_i phi||^2 + lam * ||phi||_1
+    for every zone i at every penalty of ``grid`` (see :func:`_zone_path`).
+
+    Returns {lambda: k x (eta*p) coefficient matrix}, row i for zone i.
+    Penalties at or above a zone's ||Z_i' y_i||_inf give its exact zero
+    vector.
+    """
+    lams = np.array(sorted(map(float, grid), reverse=True))
+    if np.any(lams < 0):
         raise DataError("lambda must be >= 0")
-    gram, zy, diag = _gram_stack(design) if gram is None else gram
-    k, m = zy.shape
-    phis = np.zeros((k, m)) if warm_start is None else np.array(warm_start, dtype=float)
-    at_zero = np.zeros(k, dtype=bool)
-    if lam > 0:
-        at_zero = lam >= np.max(np.abs(zy), axis=1, initial=0.0)
-        phis[at_zero] = 0.0
-    grad = zy - np.einsum("kmq,kq->km", gram, phis)
-    active = ~at_zero
-    for _ in range(config.max_sweeps):
-        max_delta = _cd_sweep_batch(gram, grad, diag, phis, lam, active)
-        scale = np.maximum(1.0, np.max(np.abs(phis), axis=1, initial=0.0))
-        active &= max_delta >= config.tolerance * scale
-        if not active.any():
-            return phis
-    raise ConvergenceError(
-        f"coordinate descent did not converge in {config.max_sweeps} sweeps "
-        f"(lambda={lam}, zones {np.flatnonzero(active).tolist()})",
-        last_iterate=phis,
-    )
+    gram = np.einsum("knm,knq->kmq", design.Z, design.Z)
+    coefs = np.stack([_zone_path(G, c, lams) for G, c in zip(gram, _zy(design))], axis=1)
+    return {float(lam): coefs[n] for n, lam in enumerate(lams)}
 
 
-def fit_lasso_path(
-    design: DesignMatrix,
-    grid: Sequence[float],
-    config: LassoConfig = LassoConfig(),
-) -> dict[float, np.ndarray]:
-    """Solve all zones along a descending penalty grid with warm starts.
-
-    Returns {lambda: k x (eta*p) coefficient matrix}.
-    """
-    gram = _gram_stack(design)
-    out: dict[float, np.ndarray] = {}
-    warm = None
-    for lam in grid:
-        warm = solve_lasso_batch(design, lam, config, warm_start=warm, gram=gram)
-        out[lam] = warm.copy()
-    return out
+def solve_lasso_batch(design: DesignMatrix, lam: float) -> np.ndarray:
+    """Every zone's LASSO solution at one penalty: the path walked down to
+    ``lam``. Returns the k x m coefficient matrix, row i for zone i."""
+    return fit_lasso_path(design, [lam])[float(lam)]
 
 
-def fit_lasso_star(
-    design: DesignMatrix,
-    lam: float,
-    config: LassoConfig = LassoConfig(),
-    scheme: str = "",
-) -> StarModel:
+def fit_lasso_star(design: DesignMatrix, lam: float, scheme: str = "") -> StarModel:
     """Fit all zones at a single penalty and package as a StarModel."""
-    coefs = solve_lasso_batch(design, lam, config)
+    coefs = solve_lasso_batch(design, lam)
     return _star_model(design, coefs, int(np.count_nonzero(coefs)), scheme, lam)
 
 
@@ -392,7 +366,7 @@ def tune_lambda(
     grid = config.grid(lambda_max(train))
     # validation rows t = t1 .. t2-1 share the Z-row formula with training
     val_Z = build_design(panel, stack, order, (split.t1 - order.p, split.t2)).Z
-    path = fit_lasso_path(train, grid, config)
+    path = fit_lasso_path(train, grid)
     val_range = (split.t1, split.t2)
     curve = [(lam, mspe(panel, fitted(val_Z, path[lam]), val_range)) for lam in grid]
     # descending grid: min keeps the first minimum, the largest lambda

@@ -140,7 +140,7 @@ def fit_scenario_model(
     lam, curve = tune_lambda(panel, stack, order, split, config.lasso)
     fit_end = split.t2 if config.refit_after_tuning else split.t1
     design = build_design(panel, stack, order, (0, fit_end))
-    return fit_lasso_star(design, lam, config.lasso, scheme=stack.scheme), curve
+    return fit_lasso_star(design, lam, scheme=stack.scheme), curve
 
 
 def run_scenario(

@@ -251,8 +251,8 @@ class TestGrid:
         assert main(["grid", "-c", str(cfg)]) == EXIT_NUMERICAL
 
     def test_echoed_config_reruns_identically(self, tmp_path, synth_run):
-        lasso = {"grid": [1.0, 0.1, 0.01], "include_zero": False, "tolerance": 1e-9,
-                 "max_sweeps": 5000, "refit_after_tuning": False}
+        lasso = {"grid": [1.0, 0.1, 0.01], "include_zero": False,
+                 "refit_after_tuning": False}
         cfg = write_yaml(tmp_path / "g.yaml", {
             "output_dir": str(tmp_path / "r1"),
             "panel": str(synth_run / "panel.csv"),
@@ -354,14 +354,12 @@ class TestConfigValidation:
     @pytest.mark.parametrize("lasso", [
         {"lambda_min_ratio": 0},
         {"n_lambdas": 0},
-        {"max_sweeps": 0},
-        {"tolerance": "tight"},
         {"grid": ["a", 1.0]},
         {"grid": []},
         {"include_zero": "no"},
         {"refit_after_tuning": "false"},
-    ], ids=["min_ratio_0", "n_lambdas_0", "max_sweeps_0", "tolerance_str",
-            "grid_str", "grid_empty", "include_zero_str", "refit_str"])
+    ], ids=["min_ratio_0", "n_lambdas_0", "grid_str", "grid_empty", "include_zero_str",
+            "refit_str"])
     def test_bad_lasso_value(self, tmp_path, synth_run, command, lasso):
         cfg = self._config(tmp_path, synth_run, lasso=lasso)
         assert main([command, "-c", str(cfg)]) == EXIT_CONFIG
@@ -375,8 +373,9 @@ class TestConfigValidation:
         {"t1": 0, "t2": 30},
         {"t1": 30, "t2": 60, "t_end": 60},
         {"t2_fraction": 1.5},
+        5,
     ], ids=["t_end_past_panel", "t2_str", "t1_after_t2", "t1_zero", "t_end_at_t2",
-            "fraction_above_1"])
+            "fraction_above_1", "not_mapping"])
     def test_bad_split(self, tmp_path, synth_run, command, split):
         cfg = self._config(tmp_path, synth_run, split=split)
         assert main([command, "-c", str(cfg)]) == EXIT_CONFIG
@@ -415,6 +414,52 @@ class TestConfigValidation:
             "synth": {"kind": "star", "k": 4, "length": 40, "p": 1, "eta": 1, key: value},
         })
         assert main(["synth", "-c", str(cfg)]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind,key,value", [
+        ("star", "coefficients", [[0.1], ["x"], [0.1], [0.1]]),
+        ("var", "intercept", [0.0, "x"]),
+        ("var", "lag_matrices", [[[0.5, "x"], [0.1, 0.4]]]),
+        ("var", "lag_matrices", [[[0.5], [0.1, 0.4]]]),
+        ("var", "lag_matrices", 0.5),
+    ], ids=["coefficients_str", "intercept_str", "lag_matrices_str", "lag_matrices_ragged",
+            "lag_matrices_scalar"])
+    def test_bad_synth_array(self, tmp_path, capsys, kind, key, value):
+        synth = ({"kind": "star", "k": 4, "length": 40, "p": 1, "eta": 1} if kind == "star" else
+                 {"kind": "var", "k": 2, "length": 40, "lag_matrices": [[[0.5, 0.0], [0.1, 0.4]]]})
+        cfg = write_yaml(tmp_path / "s.yaml", {"output_dir": str(tmp_path / "out"),
+                                               "synth": {**synth, key: value}})
+        assert main(["synth", "-c", str(cfg)]) == EXIT_CONFIG
+        assert f"config error: synth.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("grid", "lasso", "n_lambda", 5),
+        ("fit", "split", "t3", 70),
+        ("grid", "grid", "etas", [1]),
+        ("fit", "fit", "order", 1),
+        ("synth", "synth", "sigma2", 1.0),
+        ("ingest", "ingest", "bin_minute", 15),
+        ("ingest", "ingest.columns", "time_zone", "UTC"),
+        ("weights", "weights", "schema", "centroid"),
+        ("grid", "lasso", "tolerance", 1e-8),
+        ("fit", "lasso", "tolerance", 1e-8),
+        ("grid", "lasso", "max_sweeps", 10_000),
+        ("fit", "lasso", "max_sweeps", 10_000),
+    ], ids=["lasso", "split", "grid", "fit", "synth", "ingest", "ingest_columns", "weights",
+            "tolerance-grid", "tolerance-fit", "max_sweeps-grid", "max_sweeps-fit"])
+    def test_unknown_key(self, tmp_path, synth_run, capsys, command, section, key, value):
+        # the retired solver keys tolerance and max_sweeps are unknown keys too
+        cfg = yaml.safe_load(self._config(tmp_path, synth_run).read_text())
+        cfg["synth"] = {"kind": "star", "k": 4, "length": 40, "p": 1, "eta": 1}
+        cfg["ingest"] = {"trips": "trips.csv", "zones_csv": "zones.csv", "columns": {}}
+        cfg["weights"] = {"scheme": "centroid", "eta_max": 2, "zones_csv": "zones.csv"}
+        node = cfg
+        for part in section.split("."):
+            node = node[part]
+        node[key] = value
+        assert main([command, "-c", str(write_yaml(tmp_path / "c.yaml", cfg))]) == EXIT_CONFIG
+        assert f"unknown key(s) in {section}: {key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_bad_weights_eta_max(self, tmp_path):

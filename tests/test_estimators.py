@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
 
-from stardemand.errors import ConfigError, ConvergenceError, DataError
+from stardemand.errors import ConfigError, DataError, NumericalError
 from stardemand.estimators import (
     DesignMatrix, LassoConfig,
     build_design, fit_lasso_path, fit_lasso_star, fit_star_ols,
     fit_var_ols, lambda_max, model_from_dict, model_to_dict,
-    read_model_json, solve_lasso_batch, tune_lambda, write_model_json,
+    read_model_json, solve_lasso_batch, tune_lambda, write_model_json, _zone_path,
 )
+from stardemand.forecast import MODEL_LASSO_STAR, run_scenario
 from stardemand.panel import ModelOrder, SplitSpec, make_panel
 from stardemand.synth import random_centroid_stack, random_sparse_star_spec, gen_star_process
 from stardemand.weights import WeightStack
 
 from conftest import random_panel
-from lasso_oracle import lasso_cd, lasso_objective, soft_threshold
+from lasso_oracle import OracleConvergenceError, lasso_cd, lasso_objective, soft_threshold
 
 
 def naive_design(panel, stack, order, fit_range):
@@ -206,9 +207,9 @@ def _kkt_violation(Z, y, phi, lam):
     return worst
 
 
-def _solve(d, lam, config=LassoConfig()):
+def _solve(d, lam):
     """The production solver on a one-zone design."""
-    return solve_lasso_batch(d, lam, config)[0]
+    return solve_lasso_batch(d, lam)[0]
 
 
 class TestLassoCd:
@@ -257,17 +258,19 @@ class TestLassoCd:
         trace = []
         lasso_cd(Z, y, lam, objective_trace=trace)
         assert np.all(np.diff(trace) <= 1e-10)
-        # the production iterate after s sweeps is the last iterate of a
-        # solve capped at s sweeps; each sweep must not raise the objective
+        # the oracle iterate after s sweeps is the last iterate of a solve
+        # capped at s sweeps; each sweep must not raise the objective
         objs = [lasso_objective(Z, y, np.zeros(8), lam)]
         for sweeps in range(1, len(trace)):
             try:
-                phi = _solve(d, lam, LassoConfig(max_sweeps=sweeps))
-            except ConvergenceError as e:
-                phi = e.last_iterate[0]
+                phi = lasso_cd(Z, y, lam, max_sweeps=sweeps)
+            except OracleConvergenceError as e:
+                phi = e.last_iterate
             objs.append(lasso_objective(Z, y, phi, lam))
         assert np.all(np.diff(objs) <= 1e-10)
         assert np.allclose(objs, trace[:len(objs)], rtol=1e-9)
+        # the exact path is at least as low as where the descent stopped
+        assert lasso_objective(Z, y, _solve(d, lam), lam) <= trace[-1] + 1e-10
 
     def test_zero_norm_column_stays_zero(self):
         Z = np.array([[1.0, 0.0], [2.0, 0.0]])
@@ -279,10 +282,9 @@ class TestLassoCd:
         rng = np.random.default_rng(25)
         Z = rng.normal(size=(30, 5))
         y = rng.normal(size=30)
-        d = _design(Z, y, eta=5)
-        with pytest.raises(ConvergenceError) as exc:
-            _solve(d, 0.01, LassoConfig(tolerance=1e-300, max_sweeps=3))
-        assert exc.value.last_iterate.shape == (1, 5)
+        with pytest.raises(OracleConvergenceError) as exc:
+            lasso_cd(Z, y, 0.01, tolerance=1e-300, max_sweeps=3)
+        assert exc.value.last_iterate.shape == (5,)
         assert "did not converge in 3 sweeps" in str(exc.value)
 
     def test_batch_matches_single_design_solver(self):
@@ -305,15 +307,50 @@ class TestLassoCd:
         assert all(a <= b for a, b in zip(active, active[1:]))
 
 
+class TestLassoPathCertificate:
+    """KKT certificates of the production path itself, every zone and penalty."""
+
+    @staticmethod
+    def _worst_kkt(design, path):
+        return max(_kkt_violation(Z, y, coefs[i], lam)
+                   for lam, coefs in path.items()
+                   for i, (Z, y) in enumerate(zip(design.Z, design.y)))
+
+    def test_kkt_every_zone_and_lambda(self):
+        panel = random_panel(6, 90, seed=61)
+        stack = random_centroid_stack(6, 3, seed=61)
+        design = build_design(panel, stack, ModelOrder(p=3, eta=3), (0, 90))
+        path = fit_lasso_path(design, LassoConfig().grid(lambda_max(design)))
+        assert len(path) == 51
+        assert self._worst_kkt(design, path) <= 1e-10
+
+    def test_fewer_rows_than_columns(self):
+        # the acceptance grid panel at p=5, eta=6: 27 training rows, 30 columns
+        stack = random_centroid_stack(27, 6, seed=0)
+        spec = random_sparse_star_spec(27, ModelOrder(p=1, eta=2), stack, sigma=1.0,
+                                       length=96, seed=0, density=0.4)
+        panel = gen_star_process(spec, stack)
+        order = ModelOrder(p=5, eta=6)
+        design = build_design(panel, stack, order, (0, 32))
+        assert design.Z.shape == (27, 27, 30)
+        path = fit_lasso_path(design, LassoConfig().grid(lambda_max(design)))
+        assert self._worst_kkt(design, path) <= 1e-10
+        report = run_scenario(panel, stack, MODEL_LASSO_STAR, order, SplitSpec(32, 64, 96))
+        assert report.error is None and report.test_mspe > 0
+
+    def test_singular_active_set_raises(self):
+        # column 2 reaches -lambda at 0.25 and would join an identical column 1
+        G = np.ones((2, 2))
+        with pytest.raises(NumericalError, match="singular active-set Gram"):
+            _zone_path(G, np.array([1.0, 0.5]), np.array([0.5, 0.1]))
+
+
 class TestLassoConfig:
     @pytest.mark.parametrize("kwargs", [
         {"lambda_min_ratio": 0.0},
         {"lambda_min_ratio": 1.0},
         {"lambda_min_ratio": float("nan")},
         {"n_lambdas": 0},
-        {"max_sweeps": 0},
-        {"tolerance": 0.0},
-        {"tolerance": float("nan")},
         {"explicit_grid": ()},
         {"explicit_grid": (1.0, -0.5)},
         {"explicit_grid": (float("nan"),)},

@@ -1,9 +1,8 @@
 """A small scenario grid whose ``reports.csv`` (timings off) is pinned.
 
-``pinned/grid_k8_T80.csv`` was recorded before the estimators moved to
-one all-zone design array; a refactor that keeps the numbers keeps this
-test passing. Labels, lambda* and errors must match exactly, the two
-MSPE columns to rtol 1e-12.
+``pinned/grid_k8_T80.csv`` was recorded with the exact LASSO path; a
+refactor that keeps the numbers keeps this test passing. Labels, lambda* and
+errors must match exactly, the two MSPE columns to rtol 1e-12.
 """
 
 import csv
