@@ -351,6 +351,9 @@ class TestLassoConfig:
         {"lambda_min_ratio": 1.0},
         {"lambda_min_ratio": float("nan")},
         {"n_lambdas": 0},
+        {"n_lambdas": -1},
+        {"lambda_min_ratio": -0.5},
+        {"lambda_min_ratio": float("inf")},
         {"explicit_grid": ()},
         {"explicit_grid": (1.0, -0.5)},
         {"explicit_grid": (float("nan"),)},
