@@ -15,7 +15,7 @@ from .estimators import (
     build_design, fit_lasso_star, fit_star_ols, fit_var_ols, lambda_max, tune_lambda,
 )
 from .forecast import (
-    EvalReport, ScenarioConfig, ScenarioGrid,
+    EvalReport, ScenarioGrid,
     mspe, predict_range, render_table, reports_to_csv,
     run_grid, run_scenario,
 )
@@ -26,8 +26,7 @@ from .ingest import (
 )
 from .synth import (
     ProcessSpec,
-    gen_star_process, gen_var_process, paired_adjacency_stack,
-    random_centroid_stack, random_sparse_star_spec, recovery_star_spec,
+    gen_star_process, gen_var_process, random_centroid_stack, random_sparse_star_spec,
     spectral_radius,
 )
 from .errors import ConfigError, DataError, NumericalError

@@ -23,7 +23,7 @@ import yaml
 from . import estimators, forecast, ingest, panel as panel_mod, synth, weights
 from .errors import ConfigError, DataError, NumericalError
 from .estimators import LassoConfig
-from .forecast import MODEL_LASSO_STAR, MODEL_STAR, MODEL_VAR, ScenarioConfig, ScenarioGrid
+from .forecast import MODEL_LASSO_STAR, MODEL_STAR, MODEL_VAR, ScenarioGrid
 from .panel import ModelOrder, SplitSpec
 
 EXIT_OK = 0
@@ -115,13 +115,16 @@ class RunDir:
 
 
 def _load_zones(cfg: dict, cfg_path, where: str):
+    """The zones sorted by id, and the echo ``{key: resolved path}`` of the
+    one key they were read from: ``zones`` (GeoJSON) before ``zones_csv``."""
     if "zones" in cfg:
-        zones = ingest.load_zones_geojson(_resolve_path(cfg_path, cfg["zones"]))
+        key, load = "zones", ingest.load_zones_geojson
     elif "zones_csv" in cfg:
-        zones = ingest.load_zones_centroid_csv(_resolve_path(cfg_path, cfg["zones_csv"]))
+        key, load = "zones_csv", ingest.load_zones_centroid_csv
     else:
         raise ConfigError(f"{where}: need zones (GeoJSON) or zones_csv (centroids)")
-    return sorted(zones, key=lambda z: z.zone_id)
+    path = _resolve_path(cfg_path, cfg[key])
+    return sorted(load(path), key=lambda z: z.zone_id), {key: str(path)}
 
 
 def _parse_dt(s: str) -> datetime:
@@ -175,20 +178,21 @@ def cmd_ingest(args) -> int:
     out_dir = args.out or _require(cfg, "output_dir", "")
     trips_path = _resolve_path(args.config, _require(icfg, "trips", "ingest"))
     fmt, parse_policy, assign_policy, bin_minutes, day_range = _ingest_from_config(icfg)
-    zones = _load_zones(icfg, args.config, "ingest")
+    zones, echo = _load_zones(icfg, args.config, "ingest")
+    if day_range is not None:
+        echo["day_range"] = [str(d) for d in day_range]
 
     effective = {
         "command": "ingest",
         "seed": cfg.get("seed", 0),
         "ingest": {
             "trips": str(trips_path),
-            "zones": icfg.get("zones", icfg.get("zones_csv")),
+            **echo,
             "columns": {"time": fmt.time_column, "lat": fmt.lat_column, "lon": fmt.lon_column},
             "timestamp_format": fmt.timestamp_format,
             "bin_minutes": bin_minutes,
             "parse_policy": parse_policy,
             "assign_policy": assign_policy,
-            "day_range": [str(d) for d in day_range] if day_range else None,
         },
     }
     report = ingest.IngestReport()
@@ -218,23 +222,19 @@ def cmd_weights(args) -> int:
     scheme = _require(wcfg, "scheme", "weights")
     eta_max = _number(_require(wcfg, "eta_max", "weights"), "weights.eta_max", minimum=1)
 
-    if scheme == weights.SCHEME_CENTROID:
-        zones = _load_zones(wcfg, args.config, "weights")
-        stack = weights.centroid_rings(zones, eta_max)
-    elif scheme == weights.SCHEME_ADJACENCY:
-        zones = _load_zones(wcfg, args.config, "weights")
-        zone_ids = [z.zone_id for z in zones]
-        adj_path = _resolve_path(args.config, _require(wcfg, "adjacency", "weights"))
-        graph = weights.read_adjacency_csv(adj_path, zone_ids)
-        stack = weights.adjacency_rings(graph, eta_max)
-    else:
+    if scheme not in (weights.SCHEME_CENTROID, weights.SCHEME_ADJACENCY):
         raise ConfigError(f"unknown weight scheme {scheme!r}")
+    zones, echo = _load_zones(wcfg, args.config, "weights")
+    if scheme == weights.SCHEME_CENTROID:
+        stack = weights.centroid_rings(zones, eta_max)
+    else:
+        adj_path = _resolve_path(args.config, _require(wcfg, "adjacency", "weights"))
+        graph = weights.read_adjacency_csv(adj_path, [z.zone_id for z in zones])
+        stack = weights.adjacency_rings(graph, eta_max)
+        echo["adjacency"] = str(adj_path)
 
-    effective = {"command": "weights", "weights": {
-        "scheme": scheme, "eta_max": eta_max,
-        "zones": wcfg.get("zones", wcfg.get("zones_csv")),
-        "adjacency": wcfg.get("adjacency"),
-    }}
+    effective = {"command": "weights",
+                 "weights": {"scheme": scheme, "eta_max": eta_max, **echo}}
     run = RunDir(out_dir, "weights", effective)
     stack_dir = run.path / "stack"
     weights.write_stack(stack, stack_dir)
@@ -261,10 +261,26 @@ def _load_panel(cfg: dict, cfg_path) -> tuple[panel_mod.DemandPanel, SplitSpec]:
     return pn, spl
 
 
-def _load_stacks(cfg: dict, cfg_path) -> dict[str, weights.WeightStack]:
+def _load_stacks(cfg: dict, cfg_path) -> tuple[dict[str, weights.WeightStack], dict[str, str]]:
+    """The named weight stacks of ``stacks:``, a mapping of name to stack
+    directory, and the echo of that mapping with the paths resolved."""
     stacks_cfg = _require(cfg, "stacks", "")
-    return {name: weights.read_stack(_resolve_path(cfg_path, p))
-            for name, p in stacks_cfg.items()}
+    if not isinstance(stacks_cfg, dict) or not all(isinstance(p, str)
+                                                    for p in stacks_cfg.values()):
+        raise ConfigError(f"stacks must be a mapping of name to stack directory, "
+                          f"got {stacks_cfg!r}")
+    paths = {name: _resolve_path(cfg_path, p) for name, p in stacks_cfg.items()}
+    return ({name: weights.read_stack(path) for name, path in paths.items()},
+            {name: str(path) for name, path in paths.items()})
+
+
+def _inputs_echo(cfg: dict, cfg_path, stacks_echo: dict[str, str] | None) -> dict:
+    """The resolved ``panel`` path and, when stacks were read, the ``stacks``
+    echo of a fit or grid run, so a rerun from the echo reads the same files."""
+    echo = {"panel": str(_resolve_path(cfg_path, cfg["panel"]))}
+    if stacks_echo is not None:
+        echo["stacks"] = stacks_echo
+    return echo
 
 
 def _split_from_config(cfg: dict, pn: panel_mod.DemandPanel) -> SplitSpec:
@@ -326,25 +342,25 @@ def _array(value, name: str, ndim: int) -> np.ndarray:
     raise ConfigError(f"{name} must be {ndim} levels of nested lists of numbers, got {value!r}")
 
 
-def _lasso_from_config(cfg: dict) -> tuple[LassoConfig, bool]:
+def _lasso_from_config(cfg: dict) -> LassoConfig:
     lcfg = _section(cfg, "lasso")
     grid = lcfg.get("grid")
-    lasso = LassoConfig(
+    return LassoConfig(
         n_lambdas=_number(lcfg.get("n_lambdas", 50), "lasso.n_lambdas"),
         lambda_min_ratio=_number(lcfg.get("lambda_min_ratio", 1e-4), "lasso.lambda_min_ratio",
                                  float),
         include_zero=_flag(lcfg, "include_zero", True, "lasso"),
         explicit_grid=None if grid is None else _numbers(grid, "lasso.grid", float),
+        refit_after_tuning=_flag(lcfg, "refit_after_tuning", True, "lasso"),
     )
-    return lasso, _flag(lcfg, "refit_after_tuning", True, "lasso")
 
 
-def _lasso_echo(lasso: LassoConfig, refit: bool) -> dict:
+def _lasso_echo(lasso: LassoConfig) -> dict:
     """The resolved ``lasso:`` mapping, in the keys ``_lasso_from_config`` reads."""
     grid = lasso.explicit_grid
     return {"n_lambdas": lasso.n_lambdas, "lambda_min_ratio": lasso.lambda_min_ratio,
             "include_zero": lasso.include_zero, "grid": list(grid) if grid is not None else None,
-            "refit_after_tuning": refit}
+            "refit_after_tuning": lasso.refit_after_tuning}
 
 
 def cmd_fit(args) -> int:
@@ -356,25 +372,25 @@ def cmd_fit(args) -> int:
     if kind not in (MODEL_VAR, MODEL_STAR, MODEL_LASSO_STAR):
         raise ConfigError(f"unknown model kind {kind!r}")
     p = _number(_require(fcfg, "p", "fit"), "fit.p", minimum=1)
-    lasso, refit = _lasso_from_config(cfg)
-    stack, eta = None, 1
+    lasso = _lasso_from_config(cfg)
+    stack, eta, stacks_echo = None, 1, None
     if kind != MODEL_VAR:
         eta = _number(_require(fcfg, "eta", "fit"), "fit.eta", minimum=1)
-        stacks = _load_stacks(cfg, args.config)
+        stacks, stacks_echo = _load_stacks(cfg, args.config)
         stack_name = _require(fcfg, "stack", "fit")
         if stack_name not in stacks:
             raise ConfigError(f"fit.stack {stack_name!r} not in stacks")
         stack = stacks[stack_name]
 
     effective = {"command": "fit", "fit": dict(fcfg),
+                 **_inputs_echo(cfg, args.config, stacks_echo),
                  "split": {"t1": spl.t1, "t2": spl.t2, "t_end": spl.t_end},
-                 "lasso": _lasso_echo(lasso, refit),
+                 "lasso": _lasso_echo(lasso),
                  "standardize": cfg.get("standardize", False)}
     run = RunDir(out_dir, "fit", effective)
 
     model, curve = forecast.fit_scenario_model(
-        pn, stack, kind, ModelOrder(p=p, eta=eta), spl,
-        ScenarioConfig(lasso=lasso, refit_after_tuning=refit))
+        pn, stack, kind, ModelOrder(p=p, eta=eta), spl, lasso)
     if curve is not None:
         with open(run.file("lambda_curve.json"), "w") as fh:
             json.dump({"lambda": model.lambda_,
@@ -391,8 +407,8 @@ def cmd_grid(args) -> int:
     gcfg = _section(cfg, "grid", required=True)
     out_dir = args.out or _require(cfg, "output_dir", "")
     pn, spl = _load_panel(cfg, args.config)
-    stacks = _load_stacks(cfg, args.config)
-    lasso, refit = _lasso_from_config(cfg)
+    stacks, stacks_echo = _load_stacks(cfg, args.config)
+    lasso = _lasso_from_config(cfg)
 
     models = tuple(gcfg.get("models", [MODEL_STAR, MODEL_LASSO_STAR]))
     for m in models:
@@ -410,23 +426,22 @@ def cmd_grid(args) -> int:
         model_kinds=models,
         include_var=include_var,
         split=spl,
-        config=ScenarioConfig(lasso=lasso, refit_after_tuning=refit),
+        config=lasso,
     )
 
     effective = {
         "command": "grid", "seed": cfg.get("seed", 0),
-        "panel": str(_resolve_path(args.config, cfg["panel"])),
-        "stacks": {n: str(_resolve_path(args.config, p)) for n, p in cfg["stacks"].items()},
+        **_inputs_echo(cfg, args.config, stacks_echo),
         "split": {"t1": spl.t1, "t2": spl.t2, "t_end": spl.t_end},
         "standardize": cfg.get("standardize", False),
         "timings": timings,
         "grid": {"models": list(models), "p": list(p_values),
                  "eta": list(eta_values), "include_var": include_var},
-        "lasso": _lasso_echo(lasso, refit),
+        "lasso": _lasso_echo(lasso),
     }
     run = RunDir(out_dir, "grid", effective)
 
-    reports = forecast.run_grid(pn, grid, jobs=args.jobs)
+    reports = forecast.run_grid(pn, grid)
     forecast.reports_to_csv(reports, run.file("reports.csv"), include_seconds=timings)
     table = forecast.render_table(reports)
     with open(run.file("table.txt"), "w") as fh:
@@ -533,7 +548,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-c", "--config", required=True, help="YAML config file")
         p.add_argument("--out", help="output directory (overrides config output_dir)")
         if name == "grid":
-            p.add_argument("--jobs", type=int, default=1, help="worker count")
+            # the grid runs in one thread; the flag stays for existing callers
+            p.add_argument("--jobs", type=int, choices=(1,), default=1,
+                           help="worker count; only 1 is accepted")
         p.set_defaults(fn=fn)
     return ap
 

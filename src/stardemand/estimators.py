@@ -160,12 +160,15 @@ class VarModel:
 
 @dataclass(frozen=True)
 class LassoConfig:
-    """Penalty grid of the LASSO path."""
+    """Penalty grid of the LASSO path, and the span the test model is fit
+    on at the tuned penalty: [0, t2) with ``refit_after_tuning``, else
+    [0, t1). The fields are the keys of the ``lasso:`` config section."""
 
     n_lambdas: int = 50
     lambda_min_ratio: float = 1e-4
     include_zero: bool = True
     explicit_grid: tuple[float, ...] | None = None
+    refit_after_tuning: bool = True
 
     def __post_init__(self):
         if self.n_lambdas < 1:

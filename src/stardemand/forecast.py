@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -87,14 +86,6 @@ class EvalReport:
                 raise DataError("MSPE cannot be negative")
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Shared knobs for scenario runs."""
-
-    lasso: LassoConfig = LassoConfig()
-    refit_after_tuning: bool = True
-
-
 def _report(model_kind: str, order: ModelOrder, stack: WeightStack | None,
             split: SplitSpec, **fields) -> EvalReport:
     is_var = model_kind == MODEL_VAR
@@ -124,20 +115,20 @@ def fit_scenario_model(
     model_kind: str,
     order: ModelOrder,
     split: SplitSpec,
-    config: ScenarioConfig = ScenarioConfig(),
+    config: LassoConfig = LassoConfig(),
 ):
     """Fit the model that a scenario scores on its test span [t2, t_end).
 
     VAR and STAR are least-squares fits on [0, t2). LASSO-STAR tunes the
     penalty on the validation span (see :func:`tune_lambda`), then fits
-    at lambda* on [0, t2), or on [0, t1) with refit_after_tuning off.
-    Returns (model, curve); curve is the [(lambda, validation MSPE), ...]
-    list for LASSO-STAR and None otherwise.
+    at lambda* on [0, t2), or on [0, t1) with ``config.refit_after_tuning``
+    off. Returns (model, curve); curve is the [(lambda, validation MSPE),
+    ...] list for LASSO-STAR and None otherwise.
     """
     _check_scenario(model_kind, stack)
     if model_kind != MODEL_LASSO_STAR:
         return _fit_ols(panel, stack, model_kind, order, split.t2), None
-    lam, curve = tune_lambda(panel, stack, order, split, config.lasso)
+    lam, curve = tune_lambda(panel, stack, order, split, config)
     fit_end = split.t2 if config.refit_after_tuning else split.t1
     design = build_design(panel, stack, order, (0, fit_end))
     return fit_lasso_star(design, lam, scheme=stack.scheme), curve
@@ -149,7 +140,7 @@ def run_scenario(
     model_kind: str,
     order: ModelOrder,
     split: SplitSpec,
-    config: ScenarioConfig = ScenarioConfig(),
+    config: LassoConfig = LassoConfig(),
 ) -> EvalReport:
     """Fit, tune (penalized models), refit and evaluate one scenario.
 
@@ -185,7 +176,7 @@ class ScenarioGrid:
     model_kinds: tuple[str, ...] = (MODEL_STAR, MODEL_LASSO_STAR)
     include_var: bool = True
     split: SplitSpec = None
-    config: ScenarioConfig = ScenarioConfig()
+    config: LassoConfig = LassoConfig()
 
     def __post_init__(self):
         if not self.p_values or (not self.eta_values and self.model_kinds):
@@ -205,27 +196,19 @@ def _scenario_cells(grid: ScenarioGrid):
             yield (MODEL_VAR, None, ModelOrder(p=p, eta=1))
 
 
-def run_grid(panel: DemandPanel, grid: ScenarioGrid, jobs: int = 1) -> list[EvalReport]:
+def run_grid(panel: DemandPanel, grid: ScenarioGrid) -> list[EvalReport]:
     """Run every scenario in the grid; failures land in-row as errors.
 
     Reports come back in a deterministic order (scheme, model, eta
-    descending, p) regardless of worker scheduling.
+    descending, p).
     """
-    cells = list(_scenario_cells(grid))
-
-    def run_cell(cell):
-        kind, stack, order = cell
+    reports = []
+    for kind, stack, order in _scenario_cells(grid):
         try:
-            return run_scenario(panel, stack, kind, order, grid.split, grid.config)
+            reports.append(run_scenario(panel, stack, kind, order, grid.split, grid.config))
         except (DataError, NumericalError) as e:
-            return _report(kind, order, stack, grid.split, val_mspe=None, test_mspe=None,
-                           error=str(e))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(run_cell, cells))
-    else:
-        reports = [run_cell(c) for c in cells]
+            reports.append(_report(kind, order, stack, grid.split, val_mspe=None,
+                                   test_mspe=None, error=str(e)))
 
     model_rank = {MODEL_STAR: 0, MODEL_LASSO_STAR: 1, MODEL_VAR: 2}
     reports.sort(key=lambda r: (

@@ -17,17 +17,15 @@ from stardemand.estimators import (
 )
 from stardemand.forecast import (
     MODEL_LASSO_STAR, MODEL_STAR, MODEL_VAR,
-    ScenarioConfig, ScenarioGrid, mspe, predict_range, reports_to_csv,
+    ScenarioGrid, mspe, predict_range, reports_to_csv,
     run_grid, run_scenario,
 )
 from stardemand.panel import ModelOrder, SplitSpec, make_panel
-from stardemand.synth import (
-    gen_star_process, paired_adjacency_stack, random_centroid_stack,
-    random_sparse_star_spec, recovery_star_spec,
-)
+from stardemand.synth import gen_star_process, random_centroid_stack, random_sparse_star_spec
 
 from conftest import random_panel
 from lasso_oracle import soft_threshold
+from synth_helpers import paired_adjacency_stack, recovery_star_spec
 
 
 def _verdict(number, name, ok, detail=""):
@@ -228,7 +226,6 @@ def _run_ordering():
     k, T = 27, 96
     stack = random_centroid_stack(k, 6, seed=0)
     split = SplitSpec(32, 64, 96)
-    cfg = ScenarioConfig(lasso=ORDERING_LASSO)
     truth_order = ModelOrder(p=1, eta=2)
     deep_order = ModelOrder(p=4, eta=6)
     var_wins = pen_wins = 0
@@ -237,10 +234,10 @@ def _run_ordering():
         spec = random_sparse_star_spec(k, truth_order, stack, sigma=1.0,
                                        length=T, seed=seed, density=0.4)
         panel = gen_star_process(spec, stack)
-        var = run_scenario(panel, None, MODEL_VAR, ModelOrder(p=1, eta=1), split, cfg)
-        las = run_scenario(panel, stack, MODEL_LASSO_STAR, truth_order, split, cfg)
-        star = run_scenario(panel, stack, MODEL_STAR, deep_order, split, cfg)
-        las_deep = run_scenario(panel, stack, MODEL_LASSO_STAR, deep_order, split, cfg)
+        var = run_scenario(panel, None, MODEL_VAR, ModelOrder(p=1, eta=1), split, ORDERING_LASSO)
+        las = run_scenario(panel, stack, MODEL_LASSO_STAR, truth_order, split, ORDERING_LASSO)
+        star = run_scenario(panel, stack, MODEL_STAR, deep_order, split, ORDERING_LASSO)
+        las_deep = run_scenario(panel, stack, MODEL_LASSO_STAR, deep_order, split, ORDERING_LASSO)
         var_wins += var.test_mspe > las.test_mspe
         pen_wins += las_deep.test_mspe <= star.test_mspe
         reports += [var, las, star, las_deep]
@@ -269,7 +266,7 @@ def _run_grid_full():
     panel, stack = _grid_panel()
     grid = ScenarioGrid(p_values=(1, 2, 3, 4), eta_values=(1, 2, 3, 4, 5, 6),
                         stacks=(stack,), split=SplitSpec(32, 64, 96))
-    reports = run_grid(panel, grid, jobs=4)
+    reports = run_grid(panel, grid)
     return reports, reports_to_csv(reports, include_seconds=False)
 
 
@@ -280,7 +277,7 @@ def test_criterion_6_grid_runtime():
     n_err = sum(r.error is not None for r in reports)
     ok = dt < 120.0 and len(reports) == 52 and n_err == 0
     _verdict(6, "48-combination grid under 120s", ok,
-             f"{len(reports)} rows, {n_err} errors, jobs=4, {dt:.1f}s")
+             f"{len(reports)} rows, {n_err} errors, {dt:.1f}s")
 
 
 # -- criterion 7: published-number reproduction is documented, not gated

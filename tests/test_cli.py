@@ -78,6 +78,34 @@ class TestWeights:
         assert stack.k == 3 and stack.eta_max == 3
         assert np.allclose(stack.matrices[0], np.eye(3))
 
+    @pytest.mark.parametrize("wcfg", [
+        {"scheme": "centroid", "zones_csv": "zones.csv"},
+        {"scheme": "adjacency", "zones": "zones.geojson", "adjacency": "adj.csv"},
+    ], ids=["centroid", "adjacency"])
+    def test_echoed_config_reruns_identically(self, tmp_path, wcfg):
+        # relative inputs are echoed resolved, under the key they were read from
+        (tmp_path / "zones.csv").write_text("zone_id,lon,lat\nA,0,0\nB,1,0\nC,3,0\n")
+        (tmp_path / "zones.geojson").write_text(json.dumps({
+            "type": "FeatureCollection",
+            "features": [{"type": "Feature", "properties": {"zone_id": zid},
+                          "geometry": {"type": "Polygon", "coordinates": [
+                              [[x, 0], [x + 1, 0], [x + 1, 1], [x, 1], [x, 0]]]}}
+                         for zid, x in (("A", 0), ("B", 1), ("C", 2))],
+        }))
+        (tmp_path / "adj.csv").write_text("zone_a,zone_b\nA,B\nB,C\n")
+        out1, out2 = tmp_path / "runs" / "w1", tmp_path / "runs" / "w2"
+        cfg = write_yaml(tmp_path / "w.yaml", {"output_dir": str(out1),
+                                               "weights": {"eta_max": 2, **wcfg}})
+        assert main(["weights", "-c", str(cfg)]) == EXIT_OK
+        echoed = yaml.safe_load((out1 / "config.yaml").read_text())["weights"]
+        assert echoed == {"eta_max": 2, "scheme": wcfg["scheme"],
+                          **{k: str(tmp_path / v) for k, v in wcfg.items() if k != "scheme"}}
+        assert main(["weights", "-c", str(out1 / "config.yaml"), "--out", str(out2)]) == EXIT_OK
+        files = sorted(f.name for f in (out1 / "stack").iterdir())
+        assert files == sorted(f.name for f in (out2 / "stack").iterdir())
+        for name in files:
+            assert (out1 / "stack" / name).read_bytes() == (out2 / "stack" / name).read_bytes()
+
     def test_unknown_scheme_is_config_error(self, tmp_path):
         zones = tmp_path / "zones.csv"
         zones.write_text("zone_id,lon,lat\nA,0,0\n")
@@ -122,6 +150,24 @@ class TestIngest:
         report = json.loads((out / "ingest_report.json").read_text())
         assert report["assigned"] == 3 and report["dropped_parse"] == 1
         assert report["row_errors"][0]["line"] == 5
+
+    @pytest.mark.parametrize("day_range", [{}, {"day_range": ["2014-04-01", "2014-04-02"]}],
+                             ids=["whole_days", "day_range"])
+    def test_echoed_config_reruns_identically(self, tmp_path, day_range):
+        self._trips(tmp_path)
+        out1 = tmp_path / "runs" / "i1"
+        cfg = write_yaml(tmp_path / "i.yaml", {
+            "output_dir": str(out1),
+            "ingest": {"trips": "trips.csv", "zones_csv": "zones.csv",
+                       "timestamp_format": "%m/%d/%Y %H:%M:%S", "assign_policy": "nearest",
+                       **day_range},
+        })
+        assert main(["ingest", "-c", str(cfg)]) == EXIT_OK
+        echoed = yaml.safe_load((out1 / "config.yaml").read_text())["ingest"]
+        assert echoed["zones_csv"] == str(tmp_path / "zones.csv") and "zones" not in echoed
+        out2 = tmp_path / "runs" / "i2"
+        assert main(["ingest", "-c", str(out1 / "config.yaml"), "--out", str(out2)]) == EXIT_OK
+        assert (out1 / "panel.csv").read_bytes() == (out2 / "panel.csv").read_bytes()
 
     def test_no_trips_is_data_error(self, tmp_path):
         trips = tmp_path / "trips.csv"
@@ -195,6 +241,31 @@ class TestFit:
         model = read_model_json(out / "model.json")
         assert model.p == 2 and len(model.lag_matrices) == 2
 
+    @pytest.mark.parametrize("kind", ["var", "star", "lasso_star"])
+    def test_echoed_config_reruns_identically(self, tmp_path, synth_run, kind):
+        # panel and stacks relative to the config file
+        out1 = tmp_path / "runs" / "f1"
+        cfg = write_yaml(tmp_path / "f.yaml", {
+            "output_dir": str(out1),
+            "panel": "synth/panel.csv",
+            "stacks": {"rings": "synth/stack"},
+            "split": {"t1": 30, "t2": 60},
+            "lasso": {"n_lambdas": 10, "refit_after_tuning": False},
+            "fit": {"model": kind, "p": 1, "eta": 2, "stack": "rings"},
+        })
+        assert main(["fit", "-c", str(cfg)]) == EXIT_OK
+        echoed = yaml.safe_load((out1 / "config.yaml").read_text())
+        assert echoed["panel"] == str(synth_run / "panel.csv")
+        assert echoed.get("stacks") == (None if kind == "var" else
+                                        {"rings": str(synth_run / "stack")})
+        out2 = tmp_path / "runs" / "f2"
+        assert main(["fit", "-c", str(out1 / "config.yaml"), "--out", str(out2)]) == EXIT_OK
+        names = ["model.json"] + (["lambda_curve.json"] if kind == "lasso_star" else [])
+        assert sorted(json.loads((out2 / "manifest.json").read_text())["outputs"]) == \
+            sorted(names + ["config.yaml"])
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
     def test_unknown_stack_name(self, tmp_path, synth_run):
         cfg = write_yaml(tmp_path / "f.yaml", {
             "output_dir": str(tmp_path / "fit"),
@@ -233,10 +304,17 @@ class TestGrid:
         for name in ("g1", "g2"):
             out = tmp_path / name
             cfg = self._config(tmp_path, synth_run, out, timings=False)
-            assert main(["grid", "-c", str(cfg), "--jobs", "2"]) == EXIT_OK
+            assert main(["grid", "-c", str(cfg)]) == EXIT_OK
             texts.append((out / "reports.csv").read_bytes())
         assert texts[0] == texts[1]
         assert b"seconds" not in texts[0]
+
+    def test_jobs_other_than_one_is_usage_error(self, tmp_path, synth_run):
+        # the grid runs in one thread; --jobs stays only as --jobs 1
+        out = tmp_path / "grid"
+        cfg = self._config(tmp_path, synth_run, out, timings=False)
+        assert main(["grid", "-c", str(cfg), "--jobs", "2"]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_all_failed_is_numerical_error(self, tmp_path, synth_run):
         cfg = write_yaml(tmp_path / "g.yaml", {
@@ -379,6 +457,15 @@ class TestConfigValidation:
     def test_bad_split(self, tmp_path, synth_run, command, split):
         cfg = self._config(tmp_path, synth_run, split=split)
         assert main([command, "-c", str(cfg)]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["grid", "fit"])
+    @pytest.mark.parametrize("stacks", [["synth/stack"], "synth/stack", {"rings": 5}],
+                             ids=["list", "str", "path_int"])
+    def test_bad_stacks(self, tmp_path, synth_run, capsys, command, stacks):
+        cfg = self._config(tmp_path, synth_run, stacks=stacks)
+        assert main([command, "-c", str(cfg)]) == EXIT_CONFIG
+        assert "config error: stacks must be a mapping" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,key,value", [

@@ -7,7 +7,7 @@ from stardemand.estimators import (
 )
 from stardemand.forecast import (
     MODEL_LASSO_STAR, MODEL_STAR, MODEL_VAR,
-    EvalReport, ScenarioConfig, ScenarioGrid,
+    EvalReport, ScenarioGrid,
     mspe, predict_range, render_table, reports_to_csv,
     run_grid, run_scenario,
 )
@@ -243,7 +243,7 @@ class TestRunScenario:
         split = SplitSpec(26, 53, 80)
         order = ModelOrder(p=1, eta=2)
         star = run_scenario(panel, stack, MODEL_STAR, order, split)
-        cfg = ScenarioConfig(lasso=LassoConfig(explicit_grid=(0.0,)))
+        cfg = LassoConfig(explicit_grid=(0.0,))
         lasso = run_scenario(panel, stack, MODEL_LASSO_STAR, order, split, cfg)
         assert abs(star.test_mspe - lasso.test_mspe) < 1e-6
 
@@ -289,15 +289,6 @@ class TestRunGrid:
         good = [r for r in reports if not r.error]
         assert len(bad) == 4 and all(r.eta == 3 for r in bad)
         assert all(np.isfinite(r.test_mspe) for r in good)
-
-    def test_jobs_deterministic(self):
-        panel = random_panel(3, 60, seed=56)
-        s1 = random_centroid_stack(3, 2, seed=56)
-        split = SplitSpec(20, 40, 60)
-        a = run_grid(panel, self._grid((s1,), split), jobs=1)
-        b = run_grid(panel, self._grid((s1,), split), jobs=4)
-        assert reports_to_csv(a, include_seconds=False) == \
-            reports_to_csv(b, include_seconds=False)
 
 
 class TestRendering:
@@ -345,7 +336,7 @@ def test_qualitative_ordering_small():
         panel = gen_star_process(spec, stack)
         var = run_scenario(panel, None, MODEL_VAR, order, split)
         las = run_scenario(panel, stack, MODEL_LASSO_STAR, order, split,
-                           ScenarioConfig(lasso=LassoConfig(n_lambdas=25)))
+                           LassoConfig(n_lambdas=25))
         if var.test_mspe > las.test_mspe:
             wins += 1
     assert wins >= 8

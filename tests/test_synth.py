@@ -7,10 +7,11 @@ from stardemand.panel import ModelOrder
 from stardemand.synth import (
     KIND_STAR, KIND_VAR, ProcessSpec,
     gen_star_process, gen_var_process, implied_var_matrices,
-    paired_adjacency_stack, random_centroid_stack, random_sparse_star_spec,
-    recovery_star_spec, spectral_radius,
+    random_centroid_stack, random_sparse_star_spec, spectral_radius,
 )
 from stardemand.weights import WeightStack
+
+from synth_helpers import paired_adjacency_stack, recovery_star_spec
 
 
 def _id_stack(k):
