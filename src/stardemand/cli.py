@@ -45,13 +45,6 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _resolve_path(cfg_path, value) -> Path:
-    p = Path(value)
-    if not p.is_absolute():
-        p = Path(cfg_path).parent / p
-    return p
-
-
 # the keys each config section may hold
 SECTION_KEYS = {
     "ingest": ("trips", "zones", "zones_csv", "columns", "timestamp_format", "bin_minutes",
@@ -67,38 +60,143 @@ SECTION_KEYS = {
               "lag_matrices"),
 }
 
-
-def _section(cfg: dict, name: str, required: bool = False) -> dict:
-    """The mapping at the dotted ``name`` below ``cfg``, ``{}`` if absent and
-    not required; a non-mapping or a key outside SECTION_KEYS[name] is a
-    config error."""
-    where, _, key = name.rpartition(".")
-    section = _require(cfg, key, where) if required else cfg.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name} must be a mapping, got {section!r}")
-    unknown = sorted(str(k) for k in section if k not in SECTION_KEYS[name])
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {name}: {', '.join(unknown)}")
-    return section
+_REQUIRED = object()
 
 
-def _require(cfg: dict, key: str, where: str):
-    if key not in cfg:
-        raise ConfigError(f"missing config key {where}.{key}" if where else
-                          f"missing config key {key}")
-    return cfg[key]
+def _number(value, name: str, kind=int, minimum=None):
+    """A numeric config value as ``kind`` (int or float). A boolean, a
+    string, a fraction where ``kind`` is int and a value below ``minimum``
+    are rejected; an integral float such as 2.0 reads as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            kind is int and not (isinstance(value, int) or value.is_integer())):
+        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}")
+    number = kind(value)
+    if minimum is not None and not number >= minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
+    return number
+
+
+class Section:
+    """One config mapping, read through typed getters that check each value
+    and record it, resolved, under its key in ``echo``: a run echoes exactly
+    what it read. A section named in SECTION_KEYS rejects any other key."""
+
+    def __init__(self, values: dict, name: str, cfg_path):
+        if name in SECTION_KEYS:
+            unknown = sorted(str(k) for k in values if k not in SECTION_KEYS[name])
+            if unknown:
+                raise ConfigError(f"unknown key(s) in {name}: {', '.join(unknown)}")
+        self.values, self.name, self.cfg_path = values, name, cfg_path
+        self.echo: dict = {}
+
+    def _name(self, key) -> str:
+        return f"{self.name}.{key}" if self.name else str(key)
+
+    def _keep(self, key, value):
+        self.echo[key] = value
+        return value
+
+    def raw(self, key, default=_REQUIRED):
+        """The value at ``key`` as given, not echoed; required unless defaulted."""
+        if key in self.values:
+            return self.values[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"missing config key {self._name(key)}")
+        return default
+
+    def number(self, key, default=_REQUIRED, kind=int, minimum=None):
+        return self._keep(key, _number(self.raw(key, default), self._name(key), kind, minimum))
+
+    def numbers(self, key, default=_REQUIRED, kind=int, minimum=None) -> tuple | None:
+        """A non-empty list of numbers; null where the default is None."""
+        values = self.raw(key, default)
+        if values is None and default is None:
+            return self._keep(key, None)
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"{self._name(key)} must be a non-empty list, got {values!r}")
+        return self._keep(key, tuple(_number(v, self._name(key), kind, minimum) for v in values))
+
+    def flag(self, key, default: bool) -> bool:
+        """A boolean; quoted strings such as "no" are rejected."""
+        value = self.raw(key, default)
+        if not isinstance(value, bool):
+            raise ConfigError(f"{self._name(key)} must be true or false, got {value!r}")
+        return self._keep(key, value)
+
+    def text(self, key, default=_REQUIRED) -> str:
+        value = self.raw(key, default)
+        if not isinstance(value, str):
+            raise ConfigError(f"{self._name(key)} must be a string, got {value!r}")
+        return self._keep(key, value)
+
+    def choice(self, key, allowed, default=_REQUIRED):
+        value = self.raw(key, default)
+        if value not in allowed:
+            raise ConfigError(f"{self._name(key)} {value!r} must be one of "
+                              f"{', '.join(map(str, allowed))}")
+        return self._keep(key, value)
+
+    def choices(self, key, allowed) -> tuple:
+        """A list whose every entry is one of ``allowed``, by default all of them."""
+        values = self.raw(key, list(allowed))
+        if not isinstance(values, list) or any(v not in allowed for v in values):
+            raise ConfigError(f"{self._name(key)} must be a list of {' or '.join(allowed)}, "
+                              f"got {values!r}")
+        return self._keep(key, tuple(values))
+
+    def array(self, key, ndim: int, default=_REQUIRED) -> np.ndarray:
+        """``ndim`` levels of nested lists of unquoted numbers, as floats."""
+        value = self.raw(key, default)
+        try:
+            array = np.array(value)
+        except ValueError:
+            array = None
+        if array is None or array.ndim != ndim or array.dtype.kind not in "iuf":
+            raise ConfigError(f"{self._name(key)} must be {ndim} levels of nested lists of "
+                              f"numbers, got {value!r}")
+        array = array.astype(float)
+        self.echo[key] = array.tolist()
+        return array
+
+    def path(self, key) -> Path:
+        """A file path, relative to the config file unless absolute; resolved to
+        an absolute path, so a rerun from the echo reads the same file from anywhere."""
+        value = self.raw(key)
+        if not isinstance(value, str):
+            raise ConfigError(f"{self._name(key)} must be a path, got {value!r}")
+        path = (Path(self.cfg_path).parent / value).resolve()
+        self.echo[key] = str(path)
+        return path
+
+    def section(self, key, required: bool = False) -> Section:
+        """The mapping at ``key``, ``{}`` if absent and not required."""
+        values = self.raw(key, _REQUIRED if required else {})
+        if not isinstance(values, dict):
+            raise ConfigError(f"{self._name(key)} must be a mapping, got {values!r}")
+        child = Section(values, self._name(key), self.cfg_path)
+        self.echo[key] = child.echo
+        return child
+
+
+def _read_config(args, command: str) -> tuple[Section, Section, str]:
+    """The config of ``args.config``, its required ``command:`` section and
+    the run directory: ``--out``, else ``output_dir`` (not echoed)."""
+    cfg = Section(load_config(args.config), "", args.config)
+    section = cfg.section(command, required=True)
+    return cfg, section, args.out or cfg.raw("output_dir")
 
 
 class RunDir:
-    """Output directory with a manifest and an effective-config echo."""
+    """Output directory with a manifest and the echo of the config it read."""
 
-    def __init__(self, path, command: str, effective_config: dict):
+    def __init__(self, path, command: str, echo: dict):
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
         self.outputs: list[str] = []
         self.command = command
         with open(self.path / "config.yaml", "w") as fh:
-            yaml.safe_dump(effective_config, fh, sort_keys=True)
+            yaml.safe_dump({"command": command, **echo}, fh, sort_keys=True)
 
     def file(self, name: str) -> Path:
         self.outputs.append(name)
@@ -114,17 +212,15 @@ class RunDir:
             fh.write("\n")
 
 
-def _load_zones(cfg: dict, cfg_path, where: str):
-    """The zones sorted by id, and the echo ``{key: resolved path}`` of the
-    one key they were read from: ``zones`` (GeoJSON) before ``zones_csv``."""
-    if "zones" in cfg:
-        key, load = "zones", ingest.load_zones_geojson
-    elif "zones_csv" in cfg:
-        key, load = "zones_csv", ingest.load_zones_centroid_csv
+def _load_zones(cfg: Section):
+    """The zones sorted by id, from ``zones`` (GeoJSON) else ``zones_csv`` (centroids)."""
+    if "zones" in cfg.values:
+        path, load = cfg.path("zones"), ingest.load_zones_geojson
+    elif "zones_csv" in cfg.values:
+        path, load = cfg.path("zones_csv"), ingest.load_zones_centroid_csv
     else:
-        raise ConfigError(f"{where}: need zones (GeoJSON) or zones_csv (centroids)")
-    path = _resolve_path(cfg_path, cfg[key])
-    return sorted(load(path), key=lambda z: z.zone_id), {key: str(path)}
+        raise ConfigError(f"{cfg.name}: need zones (GeoJSON) or zones_csv (centroids)")
+    return sorted(load(path), key=lambda z: z.zone_id)
 
 
 def _parse_dt(s: str) -> datetime:
@@ -138,66 +234,37 @@ def _parse_dt(s: str) -> datetime:
 
 # -- subcommands --------------------------------------------------------
 
-def _ingest_from_config(icfg: dict):
-    """Trip format, parse and assign policies, bin width and day range of an
-    ``ingest:`` mapping, checked before any trip is read."""
-    cols = _section(icfg, "ingest.columns")
+def cmd_ingest(args) -> int:
+    cfg, icfg, out_dir = _read_config(args, "ingest")
+    trips_path = icfg.path("trips")
+    cols = icfg.section("columns")
     fmt = ingest.TripFormat(
-        time_column=cols.get("time", "Date/Time"),
-        lat_column=cols.get("lat", "Lat"),
-        lon_column=cols.get("lon", "Lon"),
-        timestamp_format=icfg.get("timestamp_format", ingest.DEFAULT_TS_FORMAT),
+        time_column=cols.text("time", "Date/Time"),
+        lat_column=cols.text("lat", "Lat"),
+        lon_column=cols.text("lon", "Lon"),
+        timestamp_format=icfg.text("timestamp_format", ingest.DEFAULT_TS_FORMAT),
     )
-    parse_policy = icfg.get("parse_policy", ingest.POLICY_SKIP)
-    if parse_policy not in ingest.PARSE_POLICIES:
-        raise ConfigError(f"ingest.parse_policy {parse_policy!r} must be one of "
-                          f"{', '.join(ingest.PARSE_POLICIES)}")
-    assign_policy = icfg.get("assign_policy", ingest.POLICY_DROP)
-    if assign_policy not in ingest.ASSIGN_POLICIES:
-        raise ConfigError(f"ingest.assign_policy {assign_policy!r} must be one of "
-                          f"{', '.join(ingest.ASSIGN_POLICIES)}")
-    bin_minutes = _number(icfg.get("bin_minutes", 15), "ingest.bin_minutes")
+    parse_policy = icfg.choice("parse_policy", ingest.PARSE_POLICIES, ingest.POLICY_SKIP)
+    assign_policy = icfg.choice("assign_policy", ingest.ASSIGN_POLICIES, ingest.POLICY_DROP)
+    bin_minutes = icfg.number("bin_minutes", 15)
     day_range = None
-    if "day_range" in icfg:
-        bounds = icfg["day_range"]
+    if "day_range" in icfg.values:
+        bounds = icfg.raw("day_range")
         if not isinstance(bounds, list) or len(bounds) != 2:
             raise ConfigError(f"ingest.day_range must be a [start, end] pair, got {bounds!r}")
         day_range = (_parse_dt(str(bounds[0])), _parse_dt(str(bounds[1])))
+        icfg.echo["day_range"] = [str(d) for d in day_range]
     try:
         ingest.check_bin_minutes(bin_minutes)
         if day_range is not None:
             ingest.count_bins(*day_range, bin_minutes)
     except DataError as e:
         raise ConfigError(f"ingest: {e}") from None
-    return fmt, parse_policy, assign_policy, bin_minutes, day_range
+    zones = _load_zones(icfg)
 
-
-def cmd_ingest(args) -> int:
-    cfg = load_config(args.config)
-    icfg = _section(cfg, "ingest", required=True)
-    out_dir = args.out or _require(cfg, "output_dir", "")
-    trips_path = _resolve_path(args.config, _require(icfg, "trips", "ingest"))
-    fmt, parse_policy, assign_policy, bin_minutes, day_range = _ingest_from_config(icfg)
-    zones, echo = _load_zones(icfg, args.config, "ingest")
-    if day_range is not None:
-        echo["day_range"] = [str(d) for d in day_range]
-
-    effective = {
-        "command": "ingest",
-        "seed": cfg.get("seed", 0),
-        "ingest": {
-            "trips": str(trips_path),
-            **echo,
-            "columns": {"time": fmt.time_column, "lat": fmt.lat_column, "lon": fmt.lon_column},
-            "timestamp_format": fmt.timestamp_format,
-            "bin_minutes": bin_minutes,
-            "parse_policy": parse_policy,
-            "assign_policy": assign_policy,
-        },
-    }
     report = ingest.IngestReport()
     trips = ingest.parse_trips(trips_path, fmt, policy=parse_policy, report=report)
-    run = RunDir(out_dir, "ingest", effective)
+    run = RunDir(out_dir, "ingest", cfg.echo)
     if not trips:
         report.write_json(run.file("ingest_report.json"))
         run.finish()
@@ -216,26 +283,18 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    cfg = load_config(args.config)
-    wcfg = _section(cfg, "weights", required=True)
-    out_dir = args.out or _require(cfg, "output_dir", "")
-    scheme = _require(wcfg, "scheme", "weights")
-    eta_max = _number(_require(wcfg, "eta_max", "weights"), "weights.eta_max", minimum=1)
-
-    if scheme not in (weights.SCHEME_CENTROID, weights.SCHEME_ADJACENCY):
-        raise ConfigError(f"unknown weight scheme {scheme!r}")
-    zones, echo = _load_zones(wcfg, args.config, "weights")
-    if scheme == weights.SCHEME_CENTROID:
+    cfg, wcfg, out_dir = _read_config(args, "weights")
+    scheme = wcfg.choice("scheme", (weights.SCHEME_CENTROID, weights.SCHEME_ADJACENCY))
+    eta_max = wcfg.number("eta_max", minimum=1)
+    adj_path = wcfg.path("adjacency") if scheme == weights.SCHEME_ADJACENCY else None
+    zones = _load_zones(wcfg)
+    if adj_path is None:
         stack = weights.centroid_rings(zones, eta_max)
     else:
-        adj_path = _resolve_path(args.config, _require(wcfg, "adjacency", "weights"))
         graph = weights.read_adjacency_csv(adj_path, [z.zone_id for z in zones])
         stack = weights.adjacency_rings(graph, eta_max)
-        echo["adjacency"] = str(adj_path)
 
-    effective = {"command": "weights",
-                 "weights": {"scheme": scheme, "eta_max": eta_max, **echo}}
-    run = RunDir(out_dir, "weights", effective)
+    run = RunDir(out_dir, "weights", cfg.echo)
     stack_dir = run.path / "stack"
     weights.write_stack(stack, stack_dir)
     run.outputs.append("stack")
@@ -251,143 +310,64 @@ def cmd_weights(args) -> int:
     return EXIT_OK
 
 
-def _load_panel(cfg: dict, cfg_path) -> tuple[panel_mod.DemandPanel, SplitSpec]:
-    """The configured panel and its split; with ``standardize: true`` the
-    panel is standardized by its statistics over the training bins [0, t1)."""
-    pn = panel_mod.read_panel_csv(_resolve_path(cfg_path, _require(cfg, "panel", "")))
-    spl = _split_from_config(cfg, pn)
-    if _flag(cfg, "standardize", False, ""):
+def _load_panel(cfg: Section) -> tuple[panel_mod.DemandPanel, SplitSpec]:
+    """The configured panel and its split, echoed as the resolved bins; with
+    ``standardize: true`` the panel is standardized over the bins [0, t1)."""
+    scfg = cfg.section("split")
+    standardize = cfg.flag("standardize", False)
+    pn = panel_mod.read_panel_csv(cfg.path("panel"))
+    try:
+        if "t2" in scfg.values:
+            t2 = scfg.number("t2")
+            t_end = scfg.number("t_end", pn.T)
+            t1 = scfg.number("t1", (t2 + 1) // 2)
+            if t_end > pn.T:
+                raise ConfigError(f"split.t_end={t_end} runs past the panel's {pn.T} bins")
+            spl = SplitSpec(t1=t1, t2=t2, t_end=t_end)
+        else:
+            spl = panel_mod.split(pn, scfg.number("t2_fraction", 2 / 3, float),
+                                  scfg.number("t1_fraction_of_t2", 0.5, float))
+    except DataError as e:
+        raise ConfigError(f"split: {e}") from None
+    cfg.echo["split"] = {"t1": spl.t1, "t2": spl.t2, "t_end": spl.t_end}
+    if standardize:
         pn, _ = panel_mod.standardize(pn, (0, spl.t1))
     return pn, spl
 
 
-def _load_stacks(cfg: dict, cfg_path) -> tuple[dict[str, weights.WeightStack], dict[str, str]]:
-    """The named weight stacks of ``stacks:``, a mapping of name to stack
-    directory, and the echo of that mapping with the paths resolved."""
-    stacks_cfg = _require(cfg, "stacks", "")
-    if not isinstance(stacks_cfg, dict) or not all(isinstance(p, str)
-                                                    for p in stacks_cfg.values()):
+def _stack_dirs(cfg: Section) -> dict[str, Path]:
+    """The ``stacks:`` mapping of name to stack directory, paths resolved."""
+    stacks = cfg.section("stacks", required=True)
+    if not all(isinstance(p, str) for p in stacks.values.values()):
         raise ConfigError(f"stacks must be a mapping of name to stack directory, "
-                          f"got {stacks_cfg!r}")
-    paths = {name: _resolve_path(cfg_path, p) for name, p in stacks_cfg.items()}
-    return ({name: weights.read_stack(path) for name, path in paths.items()},
-            {name: str(path) for name, path in paths.items()})
+                          f"got {stacks.values!r}")
+    return {name: stacks.path(name) for name in stacks.values}
 
 
-def _inputs_echo(cfg: dict, cfg_path, stacks_echo: dict[str, str] | None) -> dict:
-    """The resolved ``panel`` path and, when stacks were read, the ``stacks``
-    echo of a fit or grid run, so a rerun from the echo reads the same files."""
-    echo = {"panel": str(_resolve_path(cfg_path, cfg["panel"]))}
-    if stacks_echo is not None:
-        echo["stacks"] = stacks_echo
-    return echo
-
-
-def _split_from_config(cfg: dict, pn: panel_mod.DemandPanel) -> SplitSpec:
-    scfg = _section(cfg, "split")
-    try:
-        if "t2" not in scfg:
-            return panel_mod.split(
-                pn, _number(scfg.get("t2_fraction", 2 / 3), "split.t2_fraction", float),
-                _number(scfg.get("t1_fraction_of_t2", 0.5), "split.t1_fraction_of_t2", float))
-        t2 = _number(scfg["t2"], "split.t2")
-        t_end = _number(scfg.get("t_end", pn.T), "split.t_end")
-        t1 = _number(scfg.get("t1", (t2 + 1) // 2), "split.t1")
-        if t_end > pn.T:
-            raise ConfigError(f"split.t_end={t_end} runs past the panel's {pn.T} bins")
-        return SplitSpec(t1=t1, t2=t2, t_end=t_end)
-    except DataError as e:
-        raise ConfigError(f"split: {e}") from None
-
-
-def _flag(cfg: dict, key: str, default: bool, where: str) -> bool:
-    """A boolean config value; quoted strings such as "no" are rejected."""
-    value = cfg.get(key, default)
-    if not isinstance(value, bool):
-        name = f"{where}.{key}" if where else key
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
-    return value
-
-
-def _number(value, name: str, kind=int, minimum=None):
-    """A numeric config value read by ``kind`` (int or float); a boolean,
-    a value ``kind`` cannot read and one below ``minimum`` are rejected."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        number = kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
-                          f"got {value!r}") from None
-    if minimum is not None and not number >= minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
-    return number
-
-
-def _numbers(values, name: str, kind=int, minimum=None) -> tuple:
-    """A non-empty config list of numbers, each read by :func:`_number`."""
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"{name} must be a non-empty list, got {values!r}")
-    return tuple(_number(v, name, kind, minimum) for v in values)
-
-
-def _array(value, name: str, ndim: int) -> np.ndarray:
-    """A config value of ``ndim`` levels of nested lists of numbers, as floats."""
-    try:
-        array = np.array(value, dtype=float)
-        if array.ndim == ndim:
-            return array
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"{name} must be {ndim} levels of nested lists of numbers, got {value!r}")
-
-
-def _lasso_from_config(cfg: dict) -> LassoConfig:
-    lcfg = _section(cfg, "lasso")
-    grid = lcfg.get("grid")
+def _lasso_from_config(cfg: Section) -> LassoConfig:
+    lcfg = cfg.section("lasso")
     return LassoConfig(
-        n_lambdas=_number(lcfg.get("n_lambdas", 50), "lasso.n_lambdas"),
-        lambda_min_ratio=_number(lcfg.get("lambda_min_ratio", 1e-4), "lasso.lambda_min_ratio",
-                                 float),
-        include_zero=_flag(lcfg, "include_zero", True, "lasso"),
-        explicit_grid=None if grid is None else _numbers(grid, "lasso.grid", float),
-        refit_after_tuning=_flag(lcfg, "refit_after_tuning", True, "lasso"),
+        n_lambdas=lcfg.number("n_lambdas", 50),
+        lambda_min_ratio=lcfg.number("lambda_min_ratio", 1e-4, float),
+        include_zero=lcfg.flag("include_zero", True),
+        explicit_grid=lcfg.numbers("grid", None, float),
+        refit_after_tuning=lcfg.flag("refit_after_tuning", True),
     )
 
 
-def _lasso_echo(lasso: LassoConfig) -> dict:
-    """The resolved ``lasso:`` mapping, in the keys ``_lasso_from_config`` reads."""
-    grid = lasso.explicit_grid
-    return {"n_lambdas": lasso.n_lambdas, "lambda_min_ratio": lasso.lambda_min_ratio,
-            "include_zero": lasso.include_zero, "grid": list(grid) if grid is not None else None,
-            "refit_after_tuning": lasso.refit_after_tuning}
-
-
 def cmd_fit(args) -> int:
-    cfg = load_config(args.config)
-    fcfg = _section(cfg, "fit", required=True)
-    out_dir = args.out or _require(cfg, "output_dir", "")
-    pn, spl = _load_panel(cfg, args.config)
-    kind = _require(fcfg, "model", "fit")
-    if kind not in (MODEL_VAR, MODEL_STAR, MODEL_LASSO_STAR):
-        raise ConfigError(f"unknown model kind {kind!r}")
-    p = _number(_require(fcfg, "p", "fit"), "fit.p", minimum=1)
+    cfg, fcfg, out_dir = _read_config(args, "fit")
+    kind = fcfg.choice("model", (MODEL_VAR, MODEL_STAR, MODEL_LASSO_STAR))
+    p = fcfg.number("p", minimum=1)
     lasso = _lasso_from_config(cfg)
-    stack, eta, stacks_echo = None, 1, None
+    eta, stack_dirs, stack_name = 1, {}, None
     if kind != MODEL_VAR:
-        eta = _number(_require(fcfg, "eta", "fit"), "fit.eta", minimum=1)
-        stacks, stacks_echo = _load_stacks(cfg, args.config)
-        stack_name = _require(fcfg, "stack", "fit")
-        if stack_name not in stacks:
-            raise ConfigError(f"fit.stack {stack_name!r} not in stacks")
-        stack = stacks[stack_name]
-
-    effective = {"command": "fit", "fit": dict(fcfg),
-                 **_inputs_echo(cfg, args.config, stacks_echo),
-                 "split": {"t1": spl.t1, "t2": spl.t2, "t_end": spl.t_end},
-                 "lasso": _lasso_echo(lasso),
-                 "standardize": cfg.get("standardize", False)}
-    run = RunDir(out_dir, "fit", effective)
+        eta = fcfg.number("eta", minimum=1)
+        stack_dirs = _stack_dirs(cfg)
+        stack_name = fcfg.choice("stack", tuple(stack_dirs))
+    pn, spl = _load_panel(cfg)
+    stack = {name: weights.read_stack(d) for name, d in stack_dirs.items()}.get(stack_name)
+    run = RunDir(out_dir, "fit", cfg.echo)
 
     model, curve = forecast.fit_scenario_model(
         pn, stack, kind, ModelOrder(p=p, eta=eta), spl, lasso)
@@ -403,43 +383,26 @@ def cmd_fit(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    cfg = load_config(args.config)
-    gcfg = _section(cfg, "grid", required=True)
-    out_dir = args.out or _require(cfg, "output_dir", "")
-    pn, spl = _load_panel(cfg, args.config)
-    stacks, stacks_echo = _load_stacks(cfg, args.config)
+    cfg, gcfg, out_dir = _read_config(args, "grid")
+    models = gcfg.choices("models", (MODEL_STAR, MODEL_LASSO_STAR))
+    p_values = gcfg.numbers("p", [1, 2, 3, 4], minimum=1)
+    eta_values = gcfg.numbers("eta", [1, 2, 3, 4, 5, 6], minimum=1)
+    include_var = gcfg.flag("include_var", True)
+    timings = cfg.flag("timings", True)
     lasso = _lasso_from_config(cfg)
-
-    models = tuple(gcfg.get("models", [MODEL_STAR, MODEL_LASSO_STAR]))
-    for m in models:
-        if m not in (MODEL_STAR, MODEL_LASSO_STAR):
-            raise ConfigError(f"grid.models entry {m!r} must be star or lasso_star")
-    p_values = _numbers(gcfg.get("p", [1, 2, 3, 4]), "grid.p", minimum=1)
-    eta_values = _numbers(gcfg.get("eta", [1, 2, 3, 4, 5, 6]), "grid.eta", minimum=1)
-    include_var = _flag(gcfg, "include_var", True, "grid")
-    timings = _flag(cfg, "timings", True, "")
+    stack_dirs = _stack_dirs(cfg)
+    pn, spl = _load_panel(cfg)
 
     grid = ScenarioGrid(
         p_values=p_values,
         eta_values=eta_values,
-        stacks=tuple(stacks[name] for name in sorted(stacks)),
+        stacks=tuple(weights.read_stack(stack_dirs[name]) for name in sorted(stack_dirs)),
         model_kinds=models,
         include_var=include_var,
         split=spl,
         config=lasso,
     )
-
-    effective = {
-        "command": "grid", "seed": cfg.get("seed", 0),
-        **_inputs_echo(cfg, args.config, stacks_echo),
-        "split": {"t1": spl.t1, "t2": spl.t2, "t_end": spl.t_end},
-        "standardize": cfg.get("standardize", False),
-        "timings": timings,
-        "grid": {"models": list(models), "p": list(p_values),
-                 "eta": list(eta_values), "include_var": include_var},
-        "lasso": _lasso_echo(lasso),
-    }
-    run = RunDir(out_dir, "grid", effective)
+    run = RunDir(out_dir, "grid", cfg.echo)
 
     reports = forecast.run_grid(pn, grid)
     forecast.reports_to_csv(reports, run.file("reports.csv"), include_seconds=timings)
@@ -461,47 +424,45 @@ def cmd_grid(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = load_config(args.config)
-    scfg = _section(cfg, "synth", required=True)
-    out_dir = args.out or _require(cfg, "output_dir", "")
-    seed = _number(cfg.get("seed", scfg.get("seed", 0)), "seed")
-    kind = _require(scfg, "kind", "synth")
-    k = _number(_require(scfg, "k", "synth"), "synth.k", minimum=1)
-    length = _number(_require(scfg, "length", "synth"), "synth.length", minimum=1)
-    sigma = _number(scfg.get("sigma", 1.0), "synth.sigma", float)
-    burn_in = _number(scfg.get("burn_in", 50), "synth.burn_in", minimum=0)
-    require_stable = _flag(scfg, "require_stable", False, "synth")
+    cfg, scfg, out_dir = _read_config(args, "synth")
+    seed = cfg.number("seed") if "seed" in cfg.values else scfg.number("seed", 0)
+    kind = scfg.choice("kind", (synth.KIND_STAR, synth.KIND_VAR))
+    k = scfg.number("k", minimum=1)
+    length = scfg.number("length", minimum=1)
+    sigma = scfg.number("sigma", 1.0, float)
+    burn_in = scfg.number("burn_in", 50, minimum=0)
+    require_stable = scfg.flag("require_stable", False)
 
     if kind == synth.KIND_STAR:
-        p = _number(_require(scfg, "p", "synth"), "synth.p", minimum=1)
-        eta = _number(_require(scfg, "eta", "synth"), "synth.eta", minimum=1)
+        p = scfg.number("p", minimum=1)
+        eta = scfg.number("eta", minimum=1)
         order = ModelOrder(p=p, eta=eta)
-        if "stack" in scfg and scfg["stack"] != "random":
-            stack = weights.read_stack(_resolve_path(args.config, scfg["stack"]))
+        if scfg.raw("stack", "random") == "random":
+            stack_dir, eta_max = None, scfg.number("eta_max", eta, minimum=1)
         else:
-            eta_max = _number(scfg.get("eta_max", eta), "synth.eta_max", minimum=1)
-            stack = synth.random_centroid_stack(k, eta_max, seed)
-        if "coefficients" in scfg:
+            stack_dir = scfg.path("stack")
+        if "coefficients" in scfg.values:
             spec = synth.ProcessSpec(
                 kind=synth.KIND_STAR, k=k, length=length, sigma=sigma, seed=seed,
                 initial=np.zeros((k, p)), order=order,
-                star_coefficients=_array(scfg["coefficients"], "synth.coefficients", 2),
+                star_coefficients=scfg.array("coefficients", 2),
                 burn_in=burn_in, require_stable=require_stable,
             )
         else:
-            spec = synth.random_sparse_star_spec(
-                k, order, stack, sigma=sigma, length=length, seed=seed,
-                density=_number(scfg.get("density", 0.5), "synth.density", float),
-                target_radius=_number(scfg.get("target_radius", 0.7), "synth.target_radius",
-                                      float),
-                burn_in=burn_in,
-            )
+            sparse = {"density": scfg.number("density", 0.5, float),
+                      "target_radius": scfg.number("target_radius", 0.7, float)}
+        # every value above is checked before a stack directory is read
+        stack = (synth.random_centroid_stack(k, eta_max, seed) if stack_dir is None
+                 else weights.read_stack(stack_dir))
+        if "coefficients" not in scfg.values:
+            spec = synth.random_sparse_star_spec(k, order, stack, sigma=sigma, length=length,
+                                                 seed=seed, burn_in=burn_in, **sparse)
         out_panel = synth.gen_star_process(spec, stack)
         truth = {"kind": "star", "p": p, "eta": eta, "sigma": sigma,
                  "coefficients": spec.star_coefficients.tolist()}
-    elif kind == synth.KIND_VAR:
-        intercept = _array(scfg.get("intercept", [0.0] * k), "synth.intercept", 1)
-        mats = tuple(_array(_require(scfg, "lag_matrices", "synth"), "synth.lag_matrices", 3))
+    else:
+        intercept = scfg.array("intercept", 1, [0.0] * k)
+        mats = tuple(scfg.array("lag_matrices", 3))
         spec = synth.ProcessSpec(
             kind=synth.KIND_VAR, k=k, length=length, sigma=sigma, seed=seed,
             initial=np.zeros((k, len(mats))),
@@ -512,10 +473,8 @@ def cmd_synth(args) -> int:
         truth = {"kind": "var", "p": len(mats), "sigma": sigma,
                  "intercept": intercept.tolist(),
                  "lag_matrices": [m.tolist() for m in mats]}
-    else:
-        raise ConfigError(f"unknown synth kind {kind!r}")
 
-    run = RunDir(out_dir, "synth", {"command": "synth", "seed": seed, "synth": dict(scfg)})
+    run = RunDir(out_dir, "synth", cfg.echo)
     if kind == synth.KIND_STAR:
         weights.write_stack(stack, run.path / "stack")
         run.outputs.append("stack")

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,22 @@ def write_yaml(path: Path, cfg: dict) -> Path:
     with open(path, "w") as fh:
         yaml.safe_dump(cfg, fh)
     return path
+
+
+def run_twice(monkeypatch, command: str, cfg: Path, runs: Path, relative_c: bool) -> dict:
+    """Run ``command`` from ``cfg`` into ``runs/first``, then from the
+    config.yaml it echoed into ``runs/again``, and return that echo. With
+    ``relative_c`` both ``-c`` paths are relative to a working directory that
+    is not the config's own."""
+    first, again = runs / "first", runs / "again"
+    arg = str
+    if relative_c:
+        (runs / "cwd").mkdir(parents=True)
+        monkeypatch.chdir(runs / "cwd")
+        arg = os.path.relpath
+    assert main([command, "-c", arg(cfg), "--out", str(first)]) == EXIT_OK
+    assert main([command, "-c", arg(first / "config.yaml"), "--out", str(again)]) == EXIT_OK
+    return yaml.safe_load((first / "config.yaml").read_text())
 
 
 @pytest.fixture
@@ -82,8 +99,8 @@ class TestWeights:
         {"scheme": "centroid", "zones_csv": "zones.csv"},
         {"scheme": "adjacency", "zones": "zones.geojson", "adjacency": "adj.csv"},
     ], ids=["centroid", "adjacency"])
-    def test_echoed_config_reruns_identically(self, tmp_path, wcfg):
-        # relative inputs are echoed resolved, under the key they were read from
+    def test_echoed_config_reruns_identically(self, tmp_path, monkeypatch, wcfg):
+        # relative inputs are echoed absolute, under the key they were read from
         (tmp_path / "zones.csv").write_text("zone_id,lon,lat\nA,0,0\nB,1,0\nC,3,0\n")
         (tmp_path / "zones.geojson").write_text(json.dumps({
             "type": "FeatureCollection",
@@ -93,18 +110,17 @@ class TestWeights:
                          for zid, x in (("A", 0), ("B", 1), ("C", 2))],
         }))
         (tmp_path / "adj.csv").write_text("zone_a,zone_b\nA,B\nB,C\n")
-        out1, out2 = tmp_path / "runs" / "w1", tmp_path / "runs" / "w2"
-        cfg = write_yaml(tmp_path / "w.yaml", {"output_dir": str(out1),
-                                               "weights": {"eta_max": 2, **wcfg}})
-        assert main(["weights", "-c", str(cfg)]) == EXIT_OK
-        echoed = yaml.safe_load((out1 / "config.yaml").read_text())["weights"]
-        assert echoed == {"eta_max": 2, "scheme": wcfg["scheme"],
-                          **{k: str(tmp_path / v) for k, v in wcfg.items() if k != "scheme"}}
-        assert main(["weights", "-c", str(out1 / "config.yaml"), "--out", str(out2)]) == EXIT_OK
-        files = sorted(f.name for f in (out1 / "stack").iterdir())
-        assert files == sorted(f.name for f in (out2 / "stack").iterdir())
-        for name in files:
-            assert (out1 / "stack" / name).read_bytes() == (out2 / "stack" / name).read_bytes()
+        cfg = write_yaml(tmp_path / "w.yaml", {"weights": {"eta_max": 2, **wcfg}})
+        for relative_c in (False, True):
+            runs = tmp_path / "runs" / str(relative_c)
+            echoed = run_twice(monkeypatch, "weights", cfg, runs, relative_c)["weights"]
+            assert echoed == {"eta_max": 2, "scheme": wcfg["scheme"],
+                              **{k: str(tmp_path / v) for k, v in wcfg.items() if k != "scheme"}}
+            first, again = runs / "first" / "stack", runs / "again" / "stack"
+            files = sorted(f.name for f in first.iterdir())
+            assert files == sorted(f.name for f in again.iterdir())
+            for name in files:
+                assert (first / name).read_bytes() == (again / name).read_bytes()
 
     def test_unknown_scheme_is_config_error(self, tmp_path):
         zones = tmp_path / "zones.csv"
@@ -153,21 +169,20 @@ class TestIngest:
 
     @pytest.mark.parametrize("day_range", [{}, {"day_range": ["2014-04-01", "2014-04-02"]}],
                              ids=["whole_days", "day_range"])
-    def test_echoed_config_reruns_identically(self, tmp_path, day_range):
+    def test_echoed_config_reruns_identically(self, tmp_path, monkeypatch, day_range):
         self._trips(tmp_path)
-        out1 = tmp_path / "runs" / "i1"
         cfg = write_yaml(tmp_path / "i.yaml", {
-            "output_dir": str(out1),
             "ingest": {"trips": "trips.csv", "zones_csv": "zones.csv",
                        "timestamp_format": "%m/%d/%Y %H:%M:%S", "assign_policy": "nearest",
                        **day_range},
         })
-        assert main(["ingest", "-c", str(cfg)]) == EXIT_OK
-        echoed = yaml.safe_load((out1 / "config.yaml").read_text())["ingest"]
-        assert echoed["zones_csv"] == str(tmp_path / "zones.csv") and "zones" not in echoed
-        out2 = tmp_path / "runs" / "i2"
-        assert main(["ingest", "-c", str(out1 / "config.yaml"), "--out", str(out2)]) == EXIT_OK
-        assert (out1 / "panel.csv").read_bytes() == (out2 / "panel.csv").read_bytes()
+        for relative_c in (False, True):
+            runs = tmp_path / "runs" / str(relative_c)
+            echoed = run_twice(monkeypatch, "ingest", cfg, runs, relative_c)["ingest"]
+            assert echoed["trips"] == str(tmp_path / "trips.csv")
+            assert echoed["zones_csv"] == str(tmp_path / "zones.csv") and "zones" not in echoed
+            assert ((runs / "first" / "panel.csv").read_bytes()
+                    == (runs / "again" / "panel.csv").read_bytes())
 
     def test_no_trips_is_data_error(self, tmp_path):
         trips = tmp_path / "trips.csv"
@@ -193,8 +208,11 @@ class TestIngest:
         {"parse_policy": "lenient"},
         {"assign_policy": "closest"},
         {"columns": ["Date/Time", "Lat", "Lon"]},
+        {"columns": {"time": 5}},
+        {"trips": 5},
     ], ids=["bin_str", "bin_7", "bin_0", "range_one", "range_reversed", "range_part_bin",
-            "range_str", "parse_lenient", "assign_closest", "columns_list"])
+            "range_str", "parse_lenient", "assign_closest", "columns_list", "columns_time_int",
+            "trips_int"])
     def test_bad_setting_is_config_error(self, tmp_path, monkeypatch, setting):
         trips, zones = self._trips(tmp_path)
         cfg = write_yaml(tmp_path / "i.yaml", {
@@ -242,29 +260,27 @@ class TestFit:
         assert model.p == 2 and len(model.lag_matrices) == 2
 
     @pytest.mark.parametrize("kind", ["var", "star", "lasso_star"])
-    def test_echoed_config_reruns_identically(self, tmp_path, synth_run, kind):
+    def test_echoed_config_reruns_identically(self, tmp_path, monkeypatch, synth_run, kind):
         # panel and stacks relative to the config file
-        out1 = tmp_path / "runs" / "f1"
         cfg = write_yaml(tmp_path / "f.yaml", {
-            "output_dir": str(out1),
             "panel": "synth/panel.csv",
             "stacks": {"rings": "synth/stack"},
             "split": {"t1": 30, "t2": 60},
             "lasso": {"n_lambdas": 10, "refit_after_tuning": False},
             "fit": {"model": kind, "p": 1, "eta": 2, "stack": "rings"},
         })
-        assert main(["fit", "-c", str(cfg)]) == EXIT_OK
-        echoed = yaml.safe_load((out1 / "config.yaml").read_text())
-        assert echoed["panel"] == str(synth_run / "panel.csv")
-        assert echoed.get("stacks") == (None if kind == "var" else
-                                        {"rings": str(synth_run / "stack")})
-        out2 = tmp_path / "runs" / "f2"
-        assert main(["fit", "-c", str(out1 / "config.yaml"), "--out", str(out2)]) == EXIT_OK
         names = ["model.json"] + (["lambda_curve.json"] if kind == "lasso_star" else [])
-        assert sorted(json.loads((out2 / "manifest.json").read_text())["outputs"]) == \
-            sorted(names + ["config.yaml"])
-        for name in names:
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        for relative_c in (False, True):
+            runs = tmp_path / "runs" / str(relative_c)
+            echoed = run_twice(monkeypatch, "fit", cfg, runs, relative_c)
+            assert echoed["panel"] == str(synth_run / "panel.csv")
+            assert echoed.get("stacks") == (None if kind == "var" else
+                                            {"rings": str(synth_run / "stack")})
+            again = runs / "again"
+            assert sorted(json.loads((again / "manifest.json").read_text())["outputs"]) == \
+                sorted(names + ["config.yaml"])
+            for name in names:
+                assert (runs / "first" / name).read_bytes() == (again / name).read_bytes()
 
     def test_unknown_stack_name(self, tmp_path, synth_run):
         cfg = write_yaml(tmp_path / "f.yaml", {
@@ -328,26 +344,26 @@ class TestGrid:
         # eta=5 exceeds the stack depth in every cell
         assert main(["grid", "-c", str(cfg)]) == EXIT_NUMERICAL
 
-    def test_echoed_config_reruns_identically(self, tmp_path, synth_run):
+    def test_echoed_config_reruns_identically(self, tmp_path, monkeypatch, synth_run):
         lasso = {"grid": [1.0, 0.1, 0.01], "include_zero": False,
                  "refit_after_tuning": False}
         cfg = write_yaml(tmp_path / "g.yaml", {
-            "output_dir": str(tmp_path / "r1"),
-            "panel": str(synth_run / "panel.csv"),
-            "stacks": {"rings": str(synth_run / "stack")},
+            "panel": "synth/panel.csv",
+            "stacks": {"rings": "synth/stack"},
             "split": {"t1": 30, "t2": 60},
             "timings": False,
             "lasso": lasso,
             "grid": {"models": ["lasso_star"], "p": [1, 2], "eta": [1, 2],
                      "include_var": False},
         })
-        assert main(["grid", "-c", str(cfg)]) == EXIT_OK
-        echoed = tmp_path / "r1" / "config.yaml"
-        assert yaml.safe_load(echoed.read_text())["lasso"] == {
-            **lasso, "n_lambdas": 50, "lambda_min_ratio": 1e-4}
-        assert main(["grid", "-c", str(echoed), "--out", str(tmp_path / "r2")]) == EXIT_OK
-        assert ((tmp_path / "r1" / "reports.csv").read_bytes()
-                == (tmp_path / "r2" / "reports.csv").read_bytes())
+        for relative_c in (False, True):
+            runs = tmp_path / "runs" / str(relative_c)
+            echoed = run_twice(monkeypatch, "grid", cfg, runs, relative_c)
+            assert echoed["lasso"] == {**lasso, "n_lambdas": 50, "lambda_min_ratio": 1e-4}
+            assert echoed["panel"] == str(synth_run / "panel.csv")
+            assert echoed["stacks"] == {"rings": str(synth_run / "stack")}
+            assert ((runs / "first" / "reports.csv").read_bytes()
+                    == (runs / "again" / "reports.csv").read_bytes())
 
     @pytest.mark.parametrize("cell", ["nan", "abc"])
     def test_bad_stack_cell_is_data_error(self, tmp_path, synth_run, cell):
@@ -424,6 +440,7 @@ class TestConfigValidation:
             "grid": {"models": ["lasso_star"], "p": [1], "eta": [1],
                      "include_var": False},
             "fit": {"model": "lasso_star", "p": 1, "eta": 1, "stack": "rings"},
+            "weights": {"scheme": "centroid", "eta_max": 2, "zones_csv": "zones.csv"},
         }
         cfg.update(overrides)
         return write_yaml(tmp_path / "c.yaml", cfg)
@@ -479,9 +496,17 @@ class TestConfigValidation:
         ("grid", "grid.p", 2),
         ("fit", "fit.p", "a"),
         ("fit", "fit.eta", "a"),
+        ("grid", "grid.models", 5),
+        ("fit", "fit.stack", ["rings"]),
+        ("grid", "grid.p", [1.5]),
+        ("grid", "grid.eta", [2.5]),
+        ("fit", "fit.p", 2.5),
+        ("fit", "fit.p", "2"),
+        ("weights", "weights.eta_max", 2.5),
     ], ids=["timings_str", "include_var_str", "standardize_str-grid", "standardize_str-fit",
             "grid_p_str", "grid_eta_str", "grid_p_0", "grid_p_scalar", "fit_p_str",
-            "fit_eta_str"])
+            "fit_eta_str", "grid_models_int", "fit_stack_list", "grid_p_fraction",
+            "grid_eta_fraction", "fit_p_fraction", "fit_p_quoted", "weights_eta_max_fraction"])
     def test_bad_value(self, tmp_path, synth_run, command, key, value):
         cfg = yaml.safe_load(self._config(tmp_path, synth_run).read_text())
         *sections, name = key.split(".")
@@ -506,11 +531,12 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kind,key,value", [
         ("star", "coefficients", [[0.1], ["x"], [0.1], [0.1]]),
         ("var", "intercept", [0.0, "x"]),
+        ("var", "intercept", [0.0, "1.5"]),
         ("var", "lag_matrices", [[[0.5, "x"], [0.1, 0.4]]]),
         ("var", "lag_matrices", [[[0.5], [0.1, 0.4]]]),
         ("var", "lag_matrices", 0.5),
-    ], ids=["coefficients_str", "intercept_str", "lag_matrices_str", "lag_matrices_ragged",
-            "lag_matrices_scalar"])
+    ], ids=["coefficients_str", "intercept_str", "intercept_quoted", "lag_matrices_str",
+            "lag_matrices_ragged", "lag_matrices_scalar"])
     def test_bad_synth_array(self, tmp_path, capsys, kind, key, value):
         synth = ({"kind": "star", "k": 4, "length": 40, "p": 1, "eta": 1} if kind == "star" else
                  {"kind": "var", "k": 2, "length": 40, "lag_matrices": [[[0.5, 0.0], [0.1, 0.4]]]})
@@ -540,7 +566,6 @@ class TestConfigValidation:
         cfg = yaml.safe_load(self._config(tmp_path, synth_run).read_text())
         cfg["synth"] = {"kind": "star", "k": 4, "length": 40, "p": 1, "eta": 1}
         cfg["ingest"] = {"trips": "trips.csv", "zones_csv": "zones.csv", "columns": {}}
-        cfg["weights"] = {"scheme": "centroid", "eta_max": 2, "zones_csv": "zones.csv"}
         node = cfg
         for part in section.split("."):
             node = node[part]
@@ -564,18 +589,16 @@ class TestConfigValidation:
         assert main(["grid", "-c", str(cfg)]) == EXIT_OK
 
 
-def test_config_echo_reruns_identically(tmp_path):
-    """The echoed config in a run dir drives an identical re-run."""
-    out1 = tmp_path / "r1"
-    cfg = write_yaml(tmp_path / "s.yaml", {
-        "seed": 5, "output_dir": str(out1),
-        "synth": {"kind": "star", "k": 4, "length": 40, "sigma": 1.0,
-                  "p": 1, "eta": 1},
-    })
-    assert main(["synth", "-c", str(cfg)]) == EXIT_OK
-    echoed = yaml.safe_load((out1 / "config.yaml").read_text())
-    out2 = tmp_path / "r2"
-    echoed["output_dir"] = str(out2)
-    cfg2 = write_yaml(tmp_path / "s2.yaml", echoed)
-    assert main(["synth", "-c", str(cfg2)]) == EXIT_OK
-    assert (out1 / "panel.csv").read_bytes() == (out2 / "panel.csv").read_bytes()
+def test_config_echo_reruns_identically(tmp_path, monkeypatch, synth_run):
+    """The echoed config in a run dir drives an identical re-run, also when
+    the STAR stack is a directory relative to the config file."""
+    for name, scfg in [("random", {"k": 4, "sigma": 1.0}),
+                       ("stack", {"k": 6, "stack": "synth/stack"})]:
+        cfg = write_yaml(tmp_path / f"{name}.yaml", {
+            "seed": 5, "synth": {"kind": "star", "length": 40, "p": 1, "eta": 1, **scfg}})
+        runs = tmp_path / "runs" / name
+        echoed = run_twice(monkeypatch, "synth", cfg, runs, relative_c=False)
+        if name == "stack":
+            assert echoed["synth"]["stack"] == str(synth_run / "stack")
+        assert ((runs / "first" / "panel.csv").read_bytes()
+                == (runs / "again" / "panel.csv").read_bytes())
