@@ -179,12 +179,17 @@ class Section:
         return child
 
 
-def _read_config(args, command: str) -> tuple[Section, Section, str]:
+def _read_config(args, command: str) -> tuple[Section, Section, Path]:
     """The config of ``args.config``, its required ``command:`` section and
-    the run directory: ``--out``, else ``output_dir`` (not echoed)."""
+    the run directory: ``--out`` (relative to the working directory), else
+    ``output_dir`` (relative to the config file, like every input path)."""
     cfg = Section(load_config(args.config), "", args.config)
     section = cfg.section(command, required=True)
-    return cfg, section, args.out or cfg.raw("output_dir")
+    if args.out:
+        return cfg, section, Path(args.out)
+    out_dir = cfg.path("output_dir")
+    del cfg.echo["output_dir"]     # it names the run directory, so a rerun picks its own
+    return cfg, section, out_dir
 
 
 class RunDir:
@@ -371,7 +376,7 @@ def cmd_fit(args) -> int:
 
     model, curve = forecast.fit_scenario_model(
         pn, stack, kind, ModelOrder(p=p, eta=eta), spl, lasso)
-    if curve is not None:
+    if kind == MODEL_LASSO_STAR:
         with open(run.file("lambda_curve.json"), "w") as fh:
             json.dump({"lambda": model.lambda_,
                        "curve": [[l, m] for l, m in curve]}, fh, indent=2)

@@ -15,9 +15,10 @@ lag j:
 row t, column (j-1)*eta + l  =  W(l)[i, :] . y(t - j).
 
 :func:`fitted` (design rows times per-zone coefficients) is the one
-prediction kernel: OLS residuals, the validation MSPE of the penalty
-curve and the test predictions of ``forecast.predict_range`` all use it,
-and both MSPEs come from :func:`mspe`.
+prediction kernel: OLS residuals, the validation predictions of STAR and
+LASSO-STAR scenarios and the test predictions of
+``forecast.predict_range`` all use it, and both MSPEs come from
+:func:`mspe`.
 """
 
 from __future__ import annotations
@@ -43,6 +44,39 @@ class DesignMatrix:
     y: np.ndarray          # k x T_used
     order: ModelOrder
     fit_range: tuple[int, int]
+
+    def rows(self, t_range: tuple[int, int]) -> np.ndarray:
+        """Z rows (a view) of the target bins t in [start, end), which lie in the fit range."""
+        offset = self.fit_range[0] + self.order.p
+        return self.Z[:, t_range[0] - offset:t_range[1] - offset]
+
+    def head(self, end: int) -> DesignMatrix:
+        """The design of fit range (start, end): a view of the first rows."""
+        start = self.fit_range[0]
+        _check_fit_range((start, end), self.order.p, self.fit_range[1])
+        n = end - start - self.order.p
+        return DesignMatrix(Z=self.Z[:, :n], y=self.y[:, :n], order=self.order,
+                            fit_range=(start, end))
+
+
+def _check_fit_range(fit_range: tuple[int, int], p: int, T: int) -> None:
+    """A fit range must lie within the T bins and leave a usable row at lag p."""
+    start, end = fit_range
+    if not (0 <= start < end <= T):
+        raise DataError(f"bad fit range {fit_range}")
+    if end - start <= p:
+        raise DataError(f"fit range {fit_range} has no usable rows for p={p}")
+
+
+def check_stack(panel: DemandPanel, stack: WeightStack | None, eta: int) -> None:
+    """A STAR model of space lag eta needs a stack at least eta deep, in the
+    panel's zone order."""
+    if stack is None:
+        raise DataError("STAR model needs a weight stack")
+    if eta > stack.eta_max:
+        raise DataError(f"eta={eta} exceeds stack depth {stack.eta_max}")
+    if stack.zone_ids != panel.zone_ids:
+        raise DataError("weight stack zone order does not match panel")
 
 
 def lag_regressors(
@@ -73,18 +107,11 @@ def build_design(
 ) -> DesignMatrix:
     """Build every zone's regression system over the given fit range."""
     start, end = fit_range
-    p, eta = order.p, order.eta
-    if not (0 <= start < end <= panel.T):
-        raise DataError(f"bad fit range {fit_range}")
-    if end - start <= p:
-        raise DataError(f"fit range {fit_range} has no usable rows for p={p}")
-    if eta > stack.eta_max:
-        raise DataError(f"eta={eta} exceeds stack depth {stack.eta_max}")
-    if stack.zone_ids != panel.zone_ids:
-        raise DataError("weight stack zone order does not match panel")
-
+    p = order.p
+    _check_fit_range(fit_range, p, panel.T)
+    check_stack(panel, stack, order.eta)
     Y = panel.values
-    return DesignMatrix(Z=lag_regressors(Y, p, (start + p, end), stack.matrices[:eta]),
+    return DesignMatrix(Z=lag_regressors(Y, p, (start + p, end), stack.matrices[:order.eta]),
                         y=Y[:, start + p:end].copy(), order=order, fit_range=(start, end))
 
 
@@ -225,10 +252,7 @@ def fit_var_ols(panel: DemandPanel, p: int, fit_range: tuple[int, int]) -> VarMo
     solution is returned rather than failing.
     """
     start, end = fit_range
-    if not (0 <= start < end <= panel.T):
-        raise DataError(f"bad fit range {fit_range}")
-    if end - start <= p:
-        raise DataError(f"fit range {fit_range} has no usable rows for p={p}")
+    _check_fit_range(fit_range, p, panel.T)
     Y = panel.values
     k = panel.k
     t_used = end - start - p
@@ -348,29 +372,24 @@ def fit_lasso_star(design: DesignMatrix, lam: float, scheme: str = "") -> StarMo
 
 def tune_lambda(
     panel: DemandPanel,
-    stack: WeightStack,
-    order: ModelOrder,
+    design: DesignMatrix,
     split: SplitSpec,
     config: LassoConfig = LassoConfig(),
 ) -> tuple[float, list[tuple[float, float]]]:
     """Select the penalty minimizing one-step validation MSPE.
 
-    Coefficients are fit on bins [0, t1); one-step predictions over
-    [t1, t2) use true rolling history without refitting, and each
-    penalty is scored by :func:`mspe`. Ties break toward the largest
-    penalty. Returns (lambda*, [(lambda, mspe), ...]) with the curve in
-    descending lambda order.
+    ``design`` covers the fit range (0, t2). Coefficients are fit on its
+    rows for bins [0, t1); its rows for [t1, t2) give the one-step
+    validation predictions from true history, and each penalty is scored
+    by :func:`mspe`. Ties break toward the largest penalty. Returns
+    (lambda*, [(lambda, mspe), ...]) with the curve in descending lambda
+    order.
     """
-    if split.t1 <= order.p:
-        raise DataError(f"t1={split.t1} leaves no training rows for p={order.p}")
-    if split.t2 - split.t1 < 1:
-        raise DataError("degenerate validation range")
-    train = build_design(panel, stack, order, (0, split.t1))
+    train = design.head(split.t1)
     grid = config.grid(lambda_max(train))
-    # validation rows t = t1 .. t2-1 share the Z-row formula with training
-    val_Z = build_design(panel, stack, order, (split.t1 - order.p, split.t2)).Z
     path = fit_lasso_path(train, grid)
     val_range = (split.t1, split.t2)
+    val_Z = design.rows(val_range)
     curve = [(lam, mspe(panel, fitted(val_Z, path[lam]), val_range)) for lam in grid]
     # descending grid: min keeps the first minimum, the largest lambda
     return min(curve, key=lambda c: c[1])[0], curve

@@ -20,8 +20,8 @@ from .panel import DemandPanel, ModelOrder, SplitSpec
 from .weights import WeightStack
 from .estimators import (
     LassoConfig, StarModel, VarModel,
-    build_design, fit_lasso_star, fit_star_ols, fit_var_ols, fitted, lag_regressors, mspe,
-    tune_lambda,
+    build_design, check_stack, fit_lasso_star, fit_star_ols, fit_var_ols, fitted,
+    lag_regressors, mspe, tune_lambda,
 )
 
 MODEL_VAR = "var"
@@ -40,12 +40,7 @@ def predict_range(model, panel: DemandPanel, t_range: tuple[int, int],
     if end <= start:
         raise DataError(f"empty prediction range {t_range}")
     if isinstance(model, StarModel):
-        if stack is None:
-            raise DataError("STAR prediction needs the weight stack")
-        if model.order.eta > stack.eta_max:
-            raise DataError(f"eta={model.order.eta} exceeds stack depth {stack.eta_max}")
-        if stack.zone_ids != panel.zone_ids:
-            raise DataError("weight stack zone order does not match panel")
+        check_stack(panel, stack, model.order.eta)
         p = model.order.p
     elif isinstance(model, VarModel):
         p = model.p
@@ -94,21 +89,6 @@ def _report(model_kind: str, order: ModelOrder, stack: WeightStack | None,
                       split=split, **fields)
 
 
-def _check_scenario(model_kind: str, stack: WeightStack | None) -> None:
-    if model_kind not in (MODEL_VAR, MODEL_STAR, MODEL_LASSO_STAR):
-        raise DataError(f"unknown model kind {model_kind!r}")
-    if model_kind != MODEL_VAR and stack is None:
-        name = model_kind.upper().replace("_", "-")
-        raise DataError(f"{name} scenario needs a weight stack")
-
-
-def _fit_ols(panel: DemandPanel, stack: WeightStack | None, model_kind: str,
-             order: ModelOrder, fit_end: int):
-    if model_kind == MODEL_VAR:
-        return fit_var_ols(panel, order.p, (0, fit_end))
-    return fit_star_ols(build_design(panel, stack, order, (0, fit_end)), scheme=stack.scheme)
-
-
 def fit_scenario_model(
     panel: DemandPanel,
     stack: WeightStack | None,
@@ -116,22 +96,33 @@ def fit_scenario_model(
     order: ModelOrder,
     split: SplitSpec,
     config: LassoConfig = LassoConfig(),
-):
-    """Fit the model that a scenario scores on its test span [t2, t_end).
+) -> tuple[VarModel | StarModel, list[tuple[float | None, float]]]:
+    """Fit the model that a scenario scores on its test span [t2, t_end),
+    and its validation curve on [t1, t2).
 
-    VAR and STAR are least-squares fits on [0, t2). LASSO-STAR tunes the
-    penalty on the validation span (see :func:`tune_lambda`), then fits
-    at lambda* on [0, t2), or on [0, t1) with ``config.refit_after_tuning``
-    off. Returns (model, curve); curve is the [(lambda, validation MSPE),
-    ...] list for LASSO-STAR and None otherwise.
+    VAR and STAR are least-squares fits on [0, t2); their one-point curve
+    [(None, validation MSPE)] scores a fit on [0, t1). LASSO-STAR tunes
+    the penalty on the validation span (see :func:`tune_lambda`), then
+    fits at lambda* on [0, t2), or on [0, t1) with
+    ``config.refit_after_tuning`` off; its curve is [(lambda, validation
+    MSPE), ...]. A STAR or LASSO-STAR scenario builds one design, over
+    (0, t2), and takes every fit and validation row from it.
     """
-    _check_scenario(model_kind, stack)
-    if model_kind != MODEL_LASSO_STAR:
-        return _fit_ols(panel, stack, model_kind, order, split.t2), None
-    lam, curve = tune_lambda(panel, stack, order, split, config)
-    fit_end = split.t2 if config.refit_after_tuning else split.t1
-    design = build_design(panel, stack, order, (0, fit_end))
-    return fit_lasso_star(design, lam, scheme=stack.scheme), curve
+    val_range = (split.t1, split.t2)
+    if model_kind == MODEL_VAR:
+        val_model = fit_var_ols(panel, order.p, (0, split.t1))
+        val_mspe = mspe(panel, predict_range(val_model, panel, val_range), val_range)
+        return fit_var_ols(panel, order.p, (0, split.t2)), [(None, val_mspe)]
+    if model_kind not in (MODEL_STAR, MODEL_LASSO_STAR):
+        raise DataError(f"unknown model kind {model_kind!r}")
+    design = build_design(panel, stack, order, (0, split.t2))
+    if model_kind == MODEL_LASSO_STAR:
+        lam, curve = tune_lambda(panel, design, split, config)
+        fit_design = design if config.refit_after_tuning else design.head(split.t1)
+        return fit_lasso_star(fit_design, lam, scheme=stack.scheme), curve
+    val_model = fit_star_ols(design.head(split.t1), scheme=stack.scheme)
+    val_mspe = mspe(panel, fitted(design.rows(val_range), val_model.coefficients), val_range)
+    return fit_star_ols(design, scheme=stack.scheme), [(None, val_mspe)]
 
 
 def run_scenario(
@@ -142,28 +133,18 @@ def run_scenario(
     split: SplitSpec,
     config: LassoConfig = LassoConfig(),
 ) -> EvalReport:
-    """Fit, tune (penalized models), refit and evaluate one scenario.
+    """Fit and evaluate one scenario through :func:`fit_scenario_model`.
 
-    The test model comes from :func:`fit_scenario_model` and is scored on
-    [t2, t_end). Validation MSPE is the best point of the penalty curve
-    for LASSO-STAR; for VAR and STAR it comes from a fit on [0, t1)
-    predicting [t1, t2).
+    The validation MSPE and lambda* (None for VAR and STAR) are the
+    curve's first minimum; the test model is scored on [t2, t_end).
     """
     t0 = time.perf_counter()
-    _check_scenario(model_kind, stack)
-    val_mspe = None
-    if model_kind != MODEL_LASSO_STAR:
-        val_range = (split.t1, split.t2)
-        m_val = _fit_ols(panel, stack, model_kind, order, split.t1)
-        val_mspe = mspe(panel, predict_range(m_val, panel, val_range, stack), val_range)
     model, curve = fit_scenario_model(panel, stack, model_kind, order, split, config)
-    if curve is not None:
-        val_mspe = min(m for _, m in curve)
+    lam, val_mspe = min(curve, key=lambda c: c[1])
     test_range = (split.t2, split.t_end)
     test = mspe(panel, predict_range(model, panel, test_range, stack), test_range)
     return _report(model_kind, order, stack, split, val_mspe=val_mspe, test_mspe=test,
-                   lambda_=None if curve is None else model.lambda_,
-                   seconds=time.perf_counter() - t0)
+                   lambda_=lam, seconds=time.perf_counter() - t0)
 
 
 @dataclass(frozen=True)

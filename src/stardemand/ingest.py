@@ -26,10 +26,8 @@ POLICY_STRICT = "strict"
 POLICY_SKIP = "skip"
 POLICY_NEAREST = "nearest"
 POLICY_DROP = "drop"
-POLICY_ABORT = "abort"
 PARSE_POLICIES = (POLICY_STRICT, POLICY_SKIP)
 ASSIGN_POLICIES = (POLICY_NEAREST, POLICY_DROP)
-RANGE_POLICIES = (POLICY_DROP, POLICY_ABORT)
 
 DEFAULT_TS_FORMAT = "%m/%d/%Y %H:%M:%S"
 
@@ -383,7 +381,6 @@ def bin_counts(
     bin_minutes: int = 15,
     day_range: tuple[datetime, datetime] | None = None,
     assign_policy: str = POLICY_DROP,
-    range_policy: str = POLICY_DROP,
     report: IngestReport | None = None,
 ) -> DemandPanel:
     """Accumulate trips into a zone x bin count panel.
@@ -391,12 +388,8 @@ def bin_counts(
     ``day_range`` is a half-open (start, end) time window; it defaults to
     the midnight of the earliest trip's day through the end of the latest
     trip's day. Bin index is floor(minutes-since-origin / bin_minutes).
-    Under ``range_policy`` ``abort`` the first trip outside the window in
-    input order raises before anything is counted.
     """
     check_bin_minutes(bin_minutes)
-    if range_policy not in RANGE_POLICIES:
-        raise DataError(f"unknown range policy {range_policy!r}")
     if report is None:
         report = IngestReport()
     t = trips.time.view(np.int64)
@@ -411,9 +404,6 @@ def bin_counts(
 
     lo, hi = _to_us(start), _to_us(end)
     in_range = (t >= lo) & (t < hi)
-    if range_policy == POLICY_ABORT and not in_range.all():
-        first = t[np.argmin(in_range)]
-        raise DataError(f"trip at {_from_us(first)} outside range {start}..{end}")
     zone_ids, zone_of = _assign(trips.lon[in_range], trips.lat[in_range], zones, assign_policy)
     hit = zone_of >= 0
     report.dropped_outside_range += len(t) - len(zone_of)

@@ -16,7 +16,7 @@ import numpy as np
 
 from stardemand.errors import DataError
 from stardemand.ingest import (
-    POLICY_ABORT, POLICY_DROP, POLICY_NEAREST, POLICY_SKIP, POLICY_STRICT,
+    POLICY_DROP, POLICY_NEAREST, POLICY_SKIP, POLICY_STRICT,
     IngestReport, RowError, TripFormat,
 )
 from stardemand.panel import make_panel
@@ -116,12 +116,10 @@ def assign_zone(point, zones, policy=POLICY_DROP):
 
 
 def bin_counts(trips, zones, bin_minutes=15, day_range=None,
-               assign_policy=POLICY_DROP, range_policy=POLICY_DROP, report=None):
+               assign_policy=POLICY_DROP, report=None):
     """Trip-by-trip accumulation into a zone x bin count panel."""
     if 1440 % bin_minutes != 0:
         raise DataError(f"bin_minutes={bin_minutes} must divide 1440")
-    if range_policy not in (POLICY_DROP, POLICY_ABORT):
-        raise DataError(f"unknown range policy {range_policy!r}")
     if report is None:
         report = IngestReport()
     trips = list(trips)
@@ -145,8 +143,6 @@ def bin_counts(trips, zones, bin_minutes=15, day_range=None,
     counts = np.zeros((len(zone_order), n_bins))
     for t in trips:
         if not (start <= t.pickup_time < end):
-            if range_policy == POLICY_ABORT:
-                raise DataError(f"trip at {t.pickup_time} outside range {start}..{end}")
             report.dropped_outside_range += 1
             continue
         zid = assign_zone((t.lon, t.lat), zones, policy=assign_policy)

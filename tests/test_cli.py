@@ -503,10 +503,12 @@ class TestConfigValidation:
         ("fit", "fit.p", 2.5),
         ("fit", "fit.p", "2"),
         ("weights", "weights.eta_max", 2.5),
+        ("grid", "output_dir", 5),
     ], ids=["timings_str", "include_var_str", "standardize_str-grid", "standardize_str-fit",
             "grid_p_str", "grid_eta_str", "grid_p_0", "grid_p_scalar", "fit_p_str",
             "fit_eta_str", "grid_models_int", "fit_stack_list", "grid_p_fraction",
-            "grid_eta_fraction", "fit_p_fraction", "fit_p_quoted", "weights_eta_max_fraction"])
+            "grid_eta_fraction", "fit_p_fraction", "fit_p_quoted", "weights_eta_max_fraction",
+            "output_dir_int"])
     def test_bad_value(self, tmp_path, synth_run, command, key, value):
         cfg = yaml.safe_load(self._config(tmp_path, synth_run).read_text())
         *sections, name = key.split(".")
@@ -602,3 +604,27 @@ def test_config_echo_reruns_identically(tmp_path, monkeypatch, synth_run):
             assert echoed["synth"]["stack"] == str(synth_run / "stack")
         assert ((runs / "first" / "panel.csv").read_bytes()
                 == (runs / "again" / "panel.csv").read_bytes())
+
+
+def test_output_dir_is_relative_to_config(tmp_path, monkeypatch):
+    """``output_dir`` resolves against the config file's directory, as input
+    paths do, so a pipeline of configs runs from any directory; ``--out``
+    stays relative to the working directory."""
+    cfgs, cwd = tmp_path / "cfgs", tmp_path / "elsewhere"
+    cfgs.mkdir()
+    cwd.mkdir()
+    write_yaml(cfgs / "s.yaml", {
+        "seed": 1, "output_dir": "runs/s",
+        "synth": {"kind": "star", "k": 4, "length": 40, "p": 1, "eta": 1}})
+    write_yaml(cfgs / "f.yaml", {
+        "output_dir": "runs/f", "panel": "runs/s/panel.csv", "stacks": {"w": "runs/s/stack"},
+        "split": {"t1": 15, "t2": 30}, "fit": {"model": "star", "p": 1, "eta": 1, "stack": "w"}})
+    monkeypatch.chdir(cwd)
+    assert main(["synth", "-c", "../cfgs/s.yaml"]) == EXIT_OK
+    assert main(["fit", "-c", "../cfgs/f.yaml"]) == EXIT_OK
+    assert (cfgs / "runs" / "s" / "panel.csv").is_file()
+    assert (cfgs / "runs" / "f" / "model.json").is_file()
+    assert "output_dir" not in yaml.safe_load((cfgs / "runs" / "f" / "config.yaml").read_text())
+    assert list(cwd.iterdir()) == []
+    assert main(["fit", "-c", "../cfgs/f.yaml", "--out", "mine"]) == EXIT_OK
+    assert (cwd / "mine" / "model.json").is_file()

@@ -378,7 +378,8 @@ class TestTuneLambda:
         order = ModelOrder(p=1, eta=2)
         # force the curve: descending grid {10, 1, 0.1} gets MSPEs {0.7, 0.3, 0.5}
         cfg = LassoConfig(explicit_grid=(0.1, 1.0, 10.0))
-        lam, curve = tune_lambda(panel, stack, order, split, cfg)
+        design = build_design(panel, stack, order, (0, split.t2))
+        lam, curve = tune_lambda(panel, design, split, cfg)
         by_lam = dict(curve)
         expected = min(by_lam, key=lambda l: (by_lam[l], -l))
         assert lam == expected
@@ -390,7 +391,8 @@ class TestTuneLambda:
         order = ModelOrder(p=1, eta=2)
         big = 1e9  # above lambda_max: identical all-zero fits
         cfg = LassoConfig(explicit_grid=(big, 2 * big))
-        lam, curve = tune_lambda(panel, stack, order, split, cfg)
+        design = build_design(panel, stack, order, (0, split.t2))
+        lam, curve = tune_lambda(panel, design, split, cfg)
         assert lam == 2 * big
         assert curve[0][1] == curve[1][1]
 
@@ -407,7 +409,8 @@ class TestTuneLambda:
                                            seed=seed, density=0.3)
             panel = gen_star_process(spec, stack)
             split = SplitSpec(32, 64, 96)
-            lam, _ = tune_lambda(panel, stack, order, split,
+            design = build_design(panel, stack, order, (0, split.t2))
+            lam, _ = tune_lambda(panel, design, split,
                                  LassoConfig(n_lambdas=30))
             if lam > 0:
                 wins += 1

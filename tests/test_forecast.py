@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stardemand import estimators, forecast
 from stardemand.errors import DataError
 from stardemand.estimators import (
     LassoConfig, StarModel, VarModel, build_design, fit_star_ols, fit_var_ols,
@@ -278,6 +279,24 @@ class TestRunGrid:
             (s1,), split, p_values=(1,), eta_values=(1,),
             model_kinds=(MODEL_STAR,), include_var=False))
         assert len(reports) == 1
+
+    def test_one_design_per_star_cell(self, monkeypatch):
+        # each STAR / LASSO-STAR cell builds its design once, over (0, t2);
+        # a VAR cell builds none
+        calls = []
+
+        def counting(panel, stack, order, fit_range):
+            calls.append((order.p, order.eta, fit_range))
+            return build_design(panel, stack, order, fit_range)
+
+        for module in (estimators, forecast):
+            monkeypatch.setattr(module, "build_design", counting)
+        panel = random_panel(3, 60, seed=56)
+        s1 = random_centroid_stack(3, 2, seed=56)
+        reports = run_grid(panel, self._grid((s1,), SplitSpec(20, 40, 60)))
+        assert not any(r.error for r in reports)
+        cells = [(r.p, r.eta, (0, 40)) for r in reports if r.model != MODEL_VAR]
+        assert len(cells) == 8 and sorted(calls) == sorted(cells)
 
     def test_failures_recorded_in_row(self):
         panel = random_panel(3, 60, seed=55)

@@ -1,6 +1,8 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and
+every module-level private function or class is referenced in its own
+module, so a refactor cannot leave an orphaned helper behind.
 
-``__init__.py`` is skipped: its imports are the public re-exports.
+``__init__.py`` is skipped for imports: they are the public re-exports.
 """
 
 import ast
@@ -27,6 +29,31 @@ def test_helper_flags_unused_names():
     src = ("from __future__ import annotations\n"
            "import os\nimport a.b\nfrom x import y as z, w\nw()\n")
     assert unused_imports(src) == ["os (line 2)", "a (line 3)", "z (line 4)"]
+
+
+def unreferenced_privates(source: str) -> list[str]:
+    """Module-level ``_name`` functions and classes that no other top-level
+    statement of the module names; a use inside its own body does not count."""
+    tree = ast.parse(source)
+    names = [{n.id for n in ast.walk(node) if isinstance(n, ast.Name)} for node in tree.body]
+    return [f"{node.name} (line {node.lineno})" for i, node in enumerate(tree.body)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+            and not any(node.name in used for j, used in enumerate(names) if j != i)]
+
+
+def test_helper_flags_unreferenced_privates():
+    src = ("def _used():\n    pass\n"
+           "def _recursive(n):\n    return _recursive(n - 1)\n"
+           "class _Orphan:\n    pass\n"
+           "def public():\n    return _used()\n")
+    assert unreferenced_privates(src) == ["_recursive (line 3)", "_Orphan (line 5)"]
+
+
+def test_no_unreferenced_private_helpers():
+    found = {path.name: unreferenced_privates(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def test_no_unused_module_imports():

@@ -149,12 +149,6 @@ class TestBinCounts:
         b = bin_counts(_trips(shuffled), self.zones)
         assert np.array_equal(a.values, b.values)
 
-    def test_range_abort(self):
-        day = (datetime(2014, 4, 16), datetime(2014, 4, 17))
-        late = (datetime(2014, 4, 18, 1, 0), 0.5, 0.5)
-        with pytest.raises(DataError, match="outside range"):
-            bin_counts(_trips([late]), self.zones, day_range=day, range_policy="abort")
-
     def test_bad_bin_minutes(self):
         with pytest.raises(DataError):
             bin_counts(_trips([_trip(0, 1)]), self.zones, bin_minutes=7)
@@ -406,14 +400,3 @@ class TestOracleEquivalence:
         assert any(len(h) == 0 for h in hits)             # outside every polygon
         # equidistant from c_lo and c_hi: the lower id wins
         assert ingest_oracle.assign_zone((8.0, 1.0), zones, "nearest") == "c_hi"
-
-    def test_range_abort_message_matches_oracle(self):
-        zones, text, _ = self._inputs(0)
-        day_range = (self.start, self.start + timedelta(days=2))
-        with pytest.raises(DataError) as got:
-            bin_counts(parse_trips(io.StringIO(text)), zones, day_range=day_range,
-                       range_policy="abort")
-        with pytest.raises(DataError) as want:
-            ingest_oracle.bin_counts(ingest_oracle.parse_trips(io.StringIO(text)), zones,
-                                     day_range=day_range, range_policy="abort")
-        assert str(got.value) == str(want.value)
