@@ -182,13 +182,20 @@ class Section:
 def _read_config(args, command: str) -> tuple[Section, Section, Path]:
     """The config of ``args.config``, its required ``command:`` section and
     the run directory: ``--out`` (relative to the working directory), else
-    ``output_dir`` (relative to the config file, like every input path)."""
+    ``output_dir`` (relative to the config file, like every input path).
+    A run directory whose ``config.yaml`` is the config itself is rejected,
+    since the run's echo would overwrite it."""
     cfg = Section(load_config(args.config), "", args.config)
     section = cfg.section(command, required=True)
     if args.out:
-        return cfg, section, Path(args.out)
-    out_dir = cfg.path("output_dir")
-    del cfg.echo["output_dir"]     # it names the run directory, so a rerun picks its own
+        out_dir = Path(args.out)
+    else:
+        out_dir = cfg.path("output_dir")
+        del cfg.echo["output_dir"]     # it names the run directory, so a rerun picks its own
+    echo = out_dir / "config.yaml"
+    if echo.exists() and echo.samefile(args.config):
+        raise ConfigError(f"run directory {out_dir} holds the config {args.config}; "
+                          "the run's config.yaml echo would overwrite it")
     return cfg, section, out_dir
 
 

@@ -14,11 +14,15 @@ k x T_used x (eta * p) and ``Z[i]`` holds zone i's rows, with column
 lag j:
 row t, column (j-1)*eta + l  =  W(l)[i, :] . y(t - j).
 
-:func:`fitted` (design rows times per-zone coefficients) is the one
-prediction kernel: OLS residuals, the validation predictions of STAR and
-LASSO-STAR scenarios and the test predictions of
-``forecast.predict_range`` all use it, and both MSPEs come from
-:func:`mspe`.
+:func:`fitted` (design rows times per-zone coefficients) is the
+prediction kernel: OLS residuals, the validation predictions of STAR
+scenarios and the test predictions of ``forecast.predict_range`` use it,
+and their MSPEs come from :func:`mspe`. :func:`tune_lambda` scores a
+LASSO-STAR validation curve with one product per zone, of its validation
+rows and its coefficients at every penalty; each point equals the
+:func:`mspe` of :func:`fitted` up to summation order. Products of design
+blocks, the per-zone Gram matrices included, go through ``matmul`` and
+so BLAS.
 """
 
 from __future__ import annotations
@@ -305,37 +309,44 @@ def _zone_path(G: np.ndarray, c: np.ndarray, lams: np.ndarray) -> np.ndarray:
     if i == lams.size:
         return out
     floor, joinable = 1e-12 * lam, np.diagonal(G) > 0.0
-    signs = np.zeros(m)         # +-1 on the active set, 0 off it
+    cs = np.column_stack([c, np.zeros(m)])     # [c, signs]: active rows are a step's rhs
+    signs = cs[:, 1]            # +-1 on the active set, 0 off it
     j = int(np.argmax(np.abs(c)))
     signs[j] = np.sign(c[j])
     # a path has finitely many kinks; the bound only stops zero-length
     # steps that rounding could make cycle
     for _ in range(100 * m):
-        A = np.flatnonzero(signs)
+        A = signs.nonzero()[0]
+        GA, rhs = G[:, A], cs[A]
         try:
-            uw = np.linalg.solve(G[np.ix_(A, A)], np.column_stack([c[A], signs[A]]))
+            uw = np.linalg.solve(GA[A], rhs)
         except np.linalg.LinAlgError:
             uw = np.full((A.size, 2), np.nan)
-        if not np.all(np.isfinite(uw)):
+        if not np.isfinite(uw).all():
             raise NumericalError(f"singular active-set Gram matrix at lambda={lam}")
-        ba = G[:, A] @ uw
-        b, a = c - ba[:, 0], ba[:, 1]
-        u, w = np.zeros(m), np.zeros(m)
-        u[A], w[A] = uw.T
-        free = joinable & (signs == 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # +lam is reached where lam * (1 - a) = b and -lam where
-            # lam * (1 + a) = -b, each only if the gap shrinks as lam falls
-            events = np.array([np.where(free & (a < 1.0), b / (1.0 - a), -np.inf),
-                               np.where(free & (a > -1.0), -b / (1.0 + a), -np.inf),
-                               np.where(signs * w < 0.0, u / w, -np.inf)])
-        events[:2][events[:2] < floor] = -np.inf
-        kind, j = np.unravel_index(int(np.argmax(events)), events.shape)
-        lam = max(min(float(events[kind, j]), lam), 0.0)
+        u, w = uw.T
+        s = rhs[:, 1]           # the active signs
+        ba = GA @ uw
+        F = (joinable & (signs == 0.0)).nonzero()[0]
+        b, a, nf = c[F] - ba[F, 0], ba[F, 1], F.size
+        # events in argmax order: free columns reaching +lam, where
+        # lam * (1 - a) = b, then -lam, where lam * (1 + a) = -b, each only if
+        # the gap shrinks as lam falls; then active coefficients reaching 0
+        events = np.full(2 * nf + A.size, -np.inf)
+        np.divide(b, 1.0 - a, out=events[:nf], where=a < 1.0)
+        np.divide(-b, 1.0 + a, out=events[nf:2 * nf], where=a > -1.0)
+        np.divide(u, w, out=events[2 * nf:], where=s * w < 0.0)
+        joins = events[:2 * nf]
+        joins[joins < floor] = -np.inf
+        e = int(np.argmax(events))
+        kind = int(e >= nf) + int(e >= 2 * nf)
+        j = A[e - 2 * nf] if kind == 2 else F[e - kind * nf]
+        lam = max(min(float(events[e]), lam), 0.0)
         n = int(np.count_nonzero(lams >= lam))
-        phi = u[A] - lams[i:n, None] * w[A]
-        # a coefficient at its leaving kink may sit a rounding error past zero
-        out[i:n, A] = np.where(phi * signs[A] > 0.0, phi, 0.0)
+        if n > i:
+            phi = u - lams[i:n, None] * w
+            # a coefficient at its leaving kink may sit a rounding error past zero
+            out[i:n, A] = np.where(phi * s > 0.0, phi, 0.0)
         if n == lams.size:
             return out
         i, signs[j] = n, (1.0, -1.0, 0.0)[kind]
@@ -353,7 +364,7 @@ def fit_lasso_path(design: DesignMatrix, grid: Sequence[float]) -> dict[float, n
     lams = np.array(sorted(map(float, grid), reverse=True))
     if np.any(lams < 0):
         raise DataError("lambda must be >= 0")
-    gram = np.einsum("knm,knq->kmq", design.Z, design.Z)
+    gram = np.matmul(design.Z.transpose(0, 2, 1), design.Z)
     coefs = np.stack([_zone_path(G, c, lams) for G, c in zip(gram, _zy(design))], axis=1)
     return {float(lam): coefs[n] for n, lam in enumerate(lams)}
 
@@ -380,17 +391,26 @@ def tune_lambda(
 
     ``design`` covers the fit range (0, t2). Coefficients are fit on its
     rows for bins [0, t1); its rows for [t1, t2) give the one-step
-    validation predictions from true history, and each penalty is scored
-    by :func:`mspe`. Ties break toward the largest penalty. Returns
+    validation predictions from true history. Each penalty is scored by
+    the MSPE of :func:`mspe`, computed for the whole curve at once: one
+    product of zone i's validation rows with its coefficients at every
+    penalty gives that zone's residuals, so no k x L x n block is built.
+    Ties break toward the largest penalty. Returns
     (lambda*, [(lambda, mspe), ...]) with the curve in descending lambda
     order.
     """
     train = design.head(split.t1)
     grid = config.grid(lambda_max(train))
     path = fit_lasso_path(train, grid)
-    val_range = (split.t1, split.t2)
-    val_Z = design.rows(val_range)
-    curve = [(lam, mspe(panel, fitted(val_Z, path[lam]), val_range)) for lam in grid]
+    coefs = np.stack(list(path.values()), axis=-1)         # k x m x L, descending lambda
+    actual = panel.values[:, split.t1:split.t2]
+    sse = np.zeros(coefs.shape[-1])
+    for Z, y, C in zip(design.rows((split.t1, split.t2)), actual, coefs):
+        err = Z @ C             # the zone's n x L predictions, one column per penalty
+        err -= y[:, None]       # minus its residuals
+        sse += np.square(err, out=err).sum(axis=0)
+    score = dict(zip(path, sse / actual.size))
+    curve = [(lam, float(score[lam])) for lam in grid]
     # descending grid: min keeps the first minimum, the largest lambda
     return min(curve, key=lambda c: c[1])[0], curve
 

@@ -628,3 +628,21 @@ def test_output_dir_is_relative_to_config(tmp_path, monkeypatch):
     assert list(cwd.iterdir()) == []
     assert main(["fit", "-c", "../cfgs/f.yaml", "--out", "mine"]) == EXIT_OK
     assert (cwd / "mine" / "model.json").is_file()
+
+
+@pytest.mark.parametrize("route", ["output_dir", "out"])
+def test_run_dir_holding_its_own_config_is_config_error(tmp_path, monkeypatch, capsys, route):
+    """A run directory whose config.yaml is the config being run, through
+    ``output_dir: .`` or an ``--out`` naming the config's directory, would
+    have the config overwritten by the echo: exit 1 before anything is written."""
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text("# keep this comment\nseed: 1\n"
+                   f"output_dir: {'.' if route == 'output_dir' else 'runs'}\n"
+                   "synth: {kind: star, k: 4, length: 40, p: 1, eta: 1}\n")
+    before = cfg.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    argv = ["synth", "-c", "config.yaml"] + (["--out", "."] if route == "out" else [])
+    assert main(argv) == EXIT_CONFIG
+    assert "echo would overwrite it" in capsys.readouterr().err
+    assert cfg.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]

@@ -5,7 +5,7 @@ from stardemand.errors import ConfigError, DataError, NumericalError
 from stardemand.estimators import (
     DesignMatrix, LassoConfig,
     build_design, fit_lasso_path, fit_lasso_star, fit_star_ols,
-    fit_var_ols, lambda_max, model_from_dict, model_to_dict,
+    fit_var_ols, fitted, lambda_max, model_from_dict, model_to_dict, mspe,
     read_model_json, solve_lasso_batch, tune_lambda, write_model_json, _zone_path,
 )
 from stardemand.forecast import MODEL_LASSO_STAR, run_scenario
@@ -345,6 +345,31 @@ class TestLassoPathCertificate:
             _zone_path(G, np.array([1.0, 0.5]), np.array([0.5, 0.1]))
 
 
+@pytest.mark.parametrize("p,eta,part", [(2, 3, "head"), (2, 3, "rows"), (5, 6, "head")],
+                         ids=["head", "rows", "head_fewer_rows_than_columns"])
+def test_path_on_views_matches_contiguous_copies(p, eta, part):
+    """The path of a design that is a strided view (``head`` or ``rows``)
+    equals the path of the same rows copied to contiguous arrays."""
+    panel = random_panel(6, 96, seed=41)
+    stack = random_centroid_stack(6, 6, seed=41)
+    design = build_design(panel, stack, ModelOrder(p=p, eta=eta), (0, 64))
+    if part == "head":
+        view = design.head(32)
+    else:
+        view = DesignMatrix(Z=design.rows((40, 64)), y=design.y[:, 40 - p:64 - p],
+                            order=design.order, fit_range=(40 - p, 64))
+    if (p, eta) == (5, 6):
+        assert view.Z.shape[1:] == (27, 30)
+    assert not view.Z.flags.c_contiguous and not view.y.flags.c_contiguous
+    copy = DesignMatrix(Z=view.Z.copy(), y=view.y.copy(), order=view.order,
+                        fit_range=view.fit_range)
+    grid = LassoConfig().grid(lambda_max(view))
+    got, want = fit_lasso_path(view, grid), fit_lasso_path(copy, grid)
+    for lam in grid:
+        np.testing.assert_allclose(got[lam], want[lam], rtol=1e-12, atol=0)
+        assert np.array_equal(got[lam] == 0, want[lam] == 0)
+
+
 class TestLassoConfig:
     @pytest.mark.parametrize("kwargs", [
         {"lambda_min_ratio": 0.0},
@@ -395,6 +420,33 @@ class TestTuneLambda:
         lam, curve = tune_lambda(panel, design, split, cfg)
         assert lam == 2 * big
         assert curve[0][1] == curve[1][1]
+
+    @pytest.mark.parametrize("case", ["tall", "fewer_rows_than_columns", "tied_grid"])
+    def test_curve_matches_reference_definition(self, case):
+        """Every point of the batched curve is mspe(fitted(...)) of that
+        penalty's path coefficients on the validation rows, and lambda* is
+        the first minimum of that reference curve."""
+        k, p, eta, split, cfg = {
+            "tall": (5, 2, 3, SplitSpec(40, 80, 120), LassoConfig()),
+            "fewer_rows_than_columns": (6, 5, 6, SplitSpec(32, 64, 96), LassoConfig()),
+            "tied_grid": (5, 1, 2, SplitSpec(40, 80, 120),
+                          LassoConfig(explicit_grid=(2e9, 1e9, 0.5, 0.5, 0.05, 0.05, 0.0))),
+        }[case]
+        panel = random_panel(k, split.t_end, seed=31)
+        stack = random_centroid_stack(k, eta, seed=31)
+        design = build_design(panel, stack, ModelOrder(p=p, eta=eta), (0, split.t2))
+        lam, curve = tune_lambda(panel, design, split, cfg)
+        train = design.head(split.t1)
+        if case == "fewer_rows_than_columns":
+            assert train.Z.shape[1:] == (27, 30)
+        grid = cfg.grid(lambda_max(train))
+        path = fit_lasso_path(train, grid)
+        val = (split.t1, split.t2)
+        ref = [(g, mspe(panel, fitted(design.rows(val), path[g]), val)) for g in grid]
+        assert [g for g, _ in curve] == grid
+        np.testing.assert_allclose([v for _, v in curve], [v for _, v in ref],
+                                   rtol=1e-12, atol=0)
+        assert lam == min(ref, key=lambda c: c[1])[0]
 
     def test_sparse_truth_prefers_penalty(self):
         # Monte Carlo: with a sparse ground truth, the selected penalty

@@ -1,6 +1,8 @@
 """Every module-level import in the package is used by its module, and
 every module-level private function or class is referenced in its own
-module, so a refactor cannot leave an orphaned helper behind.
+module, so a refactor cannot leave an orphaned helper behind. No module
+calls ``einsum``: numpy's default einsum does not use BLAS, and on the
+grid-month designs an einsum Gram build is 12 times slower than ``matmul``.
 
 ``__init__.py`` is skipped for imports: they are the public re-exports.
 """
@@ -60,3 +62,23 @@ def test_no_unused_module_imports():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def einsum_calls(source: str) -> list[str]:
+    """Calls of anything named ``einsum``, as ``np.einsum(...)`` or a bare name."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "attr", None) == "einsum"
+                 or getattr(node.func, "id", None) == "einsum")]
+
+
+def test_helper_flags_einsum_calls():
+    src = ("import numpy as np\nfrom numpy import einsum\n"
+           "a = np.einsum('ij->j', x)\nb = np.matmul(x, x)\n"
+           "c = einsum('ij,ij->j', x, x)\nd = x.einsum\n")
+    assert einsum_calls(src) == ["line 3", "line 5"]
+
+
+def test_no_einsum_calls():
+    found = {path.name: einsum_calls(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
