@@ -1,6 +1,7 @@
 """Model fitting: VAR by OLS, STAR by OLS, and L1-penalized STAR along
-its exact piecewise-linear LASSO path, plus penalty tuning on a
-validation window.
+its exact piecewise-linear LASSO path, walked for all zones in lockstep
+(the scalar one-zone walk is the reference in ``tests/lasso_oracle.py``),
+plus penalty tuning on a validation window.
 
 Conventions
 -----------
@@ -27,6 +28,7 @@ so BLAS.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -289,84 +291,82 @@ def lambda_max(design: DesignMatrix) -> float:
     return float(np.max(np.abs(_zy(design)), initial=0.0))
 
 
-def _zone_path(G: np.ndarray, c: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Exact LASSO path of one zone (G = Z'Z, c = Z'y) at the descending
-    penalties ``lams``; returns a len(lams) x m array.
-
-    Covariance-form homotopy (Osborne, Presnell & Turlach 2000; the LASSO
-    variant of LARS, Efron et al. 2004): between kinks the active set A and
-    its signs s are fixed, phi_A = u - lam * w with G_AA [u, w] = [c_A, s_A],
-    and the correlations c - G phi are b + lam * a. Going down from
-    lambda_max, a column joins when its correlation reaches +-lam and leaves
-    when its coefficient reaches 0. Zero-norm columns never join, nor does
-    a column within 1e-12 * lambda_max of lam = 0, where a design with
-    fewer rows than columns already interpolates.
-    """
-    m = c.size
-    out = np.zeros((lams.size, m))
-    lam = float(np.max(np.abs(c), initial=0.0))
-    i = int(np.count_nonzero(lams >= lam))
-    if i == lams.size:
-        return out
-    floor, joinable = 1e-12 * lam, np.diagonal(G) > 0.0
-    cs = np.column_stack([c, np.zeros(m)])     # [c, signs]: active rows are a step's rhs
-    signs = cs[:, 1]            # +-1 on the active set, 0 off it
-    j = int(np.argmax(np.abs(c)))
-    signs[j] = np.sign(c[j])
-    # a path has finitely many kinks; the bound only stops zero-length
-    # steps that rounding could make cycle
-    for _ in range(100 * m):
-        A = signs.nonzero()[0]
-        GA, rhs = G[:, A], cs[A]
-        try:
-            uw = np.linalg.solve(GA[A], rhs)
-        except np.linalg.LinAlgError:
-            uw = np.full((A.size, 2), np.nan)
-        if not np.isfinite(uw).all():
-            raise NumericalError(f"singular active-set Gram matrix at lambda={lam}")
-        u, w = uw.T
-        s = rhs[:, 1]           # the active signs
-        ba = GA @ uw
-        F = (joinable & (signs == 0.0)).nonzero()[0]
-        b, a, nf = c[F] - ba[F, 0], ba[F, 1], F.size
-        # events in argmax order: free columns reaching +lam, where
-        # lam * (1 - a) = b, then -lam, where lam * (1 + a) = -b, each only if
-        # the gap shrinks as lam falls; then active coefficients reaching 0
-        events = np.full(2 * nf + A.size, -np.inf)
-        np.divide(b, 1.0 - a, out=events[:nf], where=a < 1.0)
-        np.divide(-b, 1.0 + a, out=events[nf:2 * nf], where=a > -1.0)
-        np.divide(u, w, out=events[2 * nf:], where=s * w < 0.0)
-        joins = events[:2 * nf]
-        joins[joins < floor] = -np.inf
-        e = int(np.argmax(events))
-        kind = int(e >= nf) + int(e >= 2 * nf)
-        j = A[e - 2 * nf] if kind == 2 else F[e - kind * nf]
-        lam = max(min(float(events[e]), lam), 0.0)
-        n = int(np.count_nonzero(lams >= lam))
-        if n > i:
-            phi = u - lams[i:n, None] * w
-            # a coefficient at its leaving kink may sit a rounding error past zero
-            out[i:n, A] = np.where(phi * s > 0.0, phi, 0.0)
-        if n == lams.size:
-            return out
-        i, signs[j] = n, (1.0, -1.0, 0.0)[kind]
-    raise NumericalError(f"LASSO path did not reach lambda={lams[-1]}")
-
-
 def fit_lasso_path(design: DesignMatrix, grid: Sequence[float]) -> dict[float, np.ndarray]:
     """Exact LASSO solutions of 0.5||y_i - Z_i phi||^2 + lam * ||phi||_1
-    for every zone i at every penalty of ``grid`` (see :func:`_zone_path`).
+    for every zone i at every penalty of ``grid``: {lambda: k x (eta*p)
+    coefficient matrix}, row i for zone i. Penalties at or above a zone's
+    ||Z_i' y_i||_inf give its exact zero vector.
 
-    Returns {lambda: k x (eta*p) coefficient matrix}, row i for zone i.
-    Penalties at or above a zone's ||Z_i' y_i||_inf give its exact zero
-    vector.
+    Covariance-form homotopy (Osborne, Presnell & Turlach 2000; the LASSO
+    variant of LARS, Efron et al. 2004) on each zone's G = Z'Z and c = Z'y:
+    between kinks the active set A and signs s are fixed,
+    phi_A = u - lam * w with G_AA [u, w] = [c_A, s_A], and the correlations
+    c - G phi are b + lam * a. Going down from lambda_max, a column joins
+    when its correlation reaches +-lam and leaves when its coefficient
+    reaches 0. Zero-norm columns never join, nor does a column within
+    1e-12 * lambda_max of lam = 0, where a design with fewer rows than
+    columns already interpolates. All zones walk in lockstep: a step is one
+    batched solve (the identity off each active block) that takes every
+    zone to its own next kink, and a zone past the last penalty is frozen.
+    ``tests/lasso_oracle.py`` keeps the scalar walk of one zone.
     """
     lams = np.array(sorted(map(float, grid), reverse=True))
     if np.any(lams < 0):
         raise DataError("lambda must be >= 0")
-    gram = np.matmul(design.Z.transpose(0, 2, 1), design.Z)
-    coefs = np.stack([_zone_path(G, c, lams) for G, c in zip(gram, _zy(design))], axis=1)
-    return {float(lam): coefs[n] for n, lam in enumerate(lams)}
+    G, c = np.matmul(design.Z.transpose(0, 2, 1), design.Z), _zy(design)
+    (k, m), L = c.shape, lams.size
+    zones, steps, out = np.arange(k), np.arange(L), np.zeros((L, k, m))
+    lam = np.max(np.abs(c), axis=1, initial=0.0)
+    floor, joinable = 1e-12 * lam, np.diagonal(G, axis1=1, axis2=2) > 0.0
+    i = np.count_nonzero(lams >= lam[:, None], axis=1)     # each zone's next grid index
+    live, signs = i < L, np.zeros((k, m))      # signs: +-1 on the active set, 0 off it
+    j = np.argmax(np.abs(c), axis=1)
+    signs[zones, j] = np.sign(c[zones, j])
+    events = np.empty((k, 3, m))
+    # a path has finitely many kinks; the bound only stops zero-length
+    # steps that rounding could make cycle
+    for _ in range(100 * m):
+        if not live.any():
+            break
+        act = signs != 0.0
+        M = np.where(act[:, :, None] & act[:, None, :], G, np.eye(m))
+        rhs = np.stack([c * act, signs], axis=-1)
+        try:
+            uw = np.linalg.solve(M, rhs)
+        except np.linalg.LinAlgError:   # solve zone by zone to find the singular one
+            uw = np.full(rhs.shape, np.nan)
+            for z in range(k):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    uw[z] = np.linalg.solve(M[z], rhs[z])
+        bad = np.flatnonzero(~np.isfinite(uw).all(axis=(1, 2)))
+        if bad.size:
+            raise NumericalError(f"singular active-set Gram matrix in zone {bad[0]} "
+                                 f"at lambda={lam[bad[0]]}")
+        (u, w), ba = uw.transpose(2, 0, 1), np.matmul(G, uw)
+        b, a, free = c - ba[..., 0], ba[..., 1], joinable & ~act
+        # events in argmax order: free columns reaching +lam, where
+        # lam * (1 - a) = b, then -lam, where lam * (1 + a) = -b, each only if
+        # the gap shrinks as lam falls; then active coefficients reaching 0
+        events.fill(-np.inf)
+        np.divide(b, 1.0 - a, out=events[:, 0], where=free & (a < 1.0))
+        np.divide(-b, 1.0 + a, out=events[:, 1], where=free & (a > -1.0))
+        events[:, :2][events[:, :2] < floor[:, None, None]] = -np.inf
+        np.divide(u, w, out=events[:, 2], where=signs * w < 0.0)
+        e = np.argmax(events.reshape(k, 3 * m), axis=1)
+        (kind, j), at = np.divmod(e, m), events.reshape(k, 3 * m)[zones, e]
+        lam = np.maximum(np.minimum(at, lam), 0.0)
+        n = np.count_nonzero(lams >= lam[:, None], axis=1)
+        # the grid penalties each zone's step crossed: none once its lam is past the last
+        zs, ls = np.nonzero((steps >= i[:, None]) & (steps < n[:, None]))
+        phi = u[zs] - lams[ls, None] * w[zs]
+        # a coefficient at its leaving kink may sit a rounding error past zero
+        out[ls, zs] = np.where(phi * signs[zs] > 0.0, phi, 0.0)
+        i, live = n, live & (n < L)
+        signs[zones[live], j[live]] = np.array([1.0, -1.0, 0.0])[kind[live]]
+    if live.any():
+        raise NumericalError(f"LASSO path of zone {np.flatnonzero(live)[0]} did not "
+                             f"reach lambda={lams[-1]}")
+    return {float(g): out[n] for n, g in enumerate(lams)}
 
 
 def solve_lasso_batch(design: DesignMatrix, lam: float) -> np.ndarray:

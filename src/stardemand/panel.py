@@ -244,6 +244,9 @@ def read_panel_csv(path, bin_minutes: int = 15, origin: datetime | None = None,
     for r in rows[1:]:
         if not r:
             continue
+        if len(r) != len(rows[0]):
+            raise DataError(f"{path}: row of zone {r[0]} has {len(r) - 1} values, "
+                            f"the header names {len(rows[0]) - 1} bins")
         zone_ids.append(r[0])
         try:
             data.append([float(x) for x in r[1:]])
@@ -251,9 +254,6 @@ def read_panel_csv(path, bin_minutes: int = 15, origin: datetime | None = None,
             raise DataError(f"{path}: bad value in row {r[0]}: {e}") from None
     if not data:
         raise DataError(f"{path}: empty panel")
-    arr_rows = {len(r) for r in data}
-    if len(arr_rows) > 1:
-        raise DataError(f"{path}: ragged rows")
     arr = np.array(data, dtype=float)
     if kind is None:
         raw_like = np.all(arr >= 0) and np.all(arr == np.round(arr))

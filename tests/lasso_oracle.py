@@ -1,16 +1,20 @@
-"""Scalar cyclic coordinate descent for one LASSO system: the reference
-the production all-zone solver (``estimators.solve_lasso_batch``) is
-compared against.
+"""Scalar references for one zone's LASSO system, which the production
+all-zone solver (``estimators.fit_lasso_path`` and ``solve_lasso_batch``)
+is compared against.
 
-It works on the residual y - Z phi, one column at a time, with a Python
-soft-threshold, so it shares no arithmetic with the exact Gram-matrix
-homotopy of the production solver. Its stopping rule and sweep limit are
-its own.
+:func:`lasso_cd` is cyclic coordinate descent. It works on the residual
+y - Z phi, one column at a time, with a Python soft-threshold, so it shares
+no arithmetic with the exact Gram-matrix homotopy of the production solver.
+Its stopping rule and sweep limit are its own.
+
+:func:`zone_path` is the homotopy walked for one zone at a time, one
+Python step per kink: the same events, floor and argmax order as the
+production path, which walks all zones in lockstep.
 """
 
 import numpy as np
 
-from stardemand.errors import DataError
+from stardemand.errors import DataError, NumericalError
 
 TOLERANCE = 1e-8
 MAX_SWEEPS = 10_000
@@ -79,3 +83,56 @@ def lasso_cd(Z: np.ndarray, y: np.ndarray, lam: float, tolerance: float = TOLERA
             return phi
     raise OracleConvergenceError(
         f"coordinate descent did not converge in {max_sweeps} sweeps (lambda={lam})", phi)
+
+
+def zone_path(G: np.ndarray, c: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact LASSO path of one zone (G = Z'Z, c = Z'y) at the descending
+    penalties ``lams``: (len(lams) x m coefficients, number of solves).
+
+    Between kinks the active set A and its signs s are fixed,
+    phi_A = u - lam * w with G_AA [u, w] = [c_A, s_A], and the correlations
+    c - G phi are b + lam * a. A column joins when its correlation reaches
+    +-lam and leaves when its coefficient reaches 0; zero-norm columns, and
+    joins below 1e-12 * lambda_max, never happen.
+    """
+    m = c.size
+    out = np.zeros((lams.size, m))
+    lam = float(np.max(np.abs(c), initial=0.0))
+    i = int(np.count_nonzero(lams >= lam))
+    if i == lams.size:
+        return out, 0
+    floor, joinable = 1e-12 * lam, np.diagonal(G) > 0.0
+    signs = np.zeros(m)
+    j = int(np.argmax(np.abs(c)))
+    signs[j] = np.sign(c[j])
+    for step in range(1, 100 * m + 1):
+        A = signs.nonzero()[0]
+        s = signs[A]
+        try:
+            uw = np.linalg.solve(G[np.ix_(A, A)], np.column_stack([c[A], s]))
+        except np.linalg.LinAlgError:
+            uw = np.full((A.size, 2), np.nan)
+        if not np.isfinite(uw).all():
+            raise NumericalError(f"singular active-set Gram matrix at lambda={lam}")
+        u, w = uw.T
+        ba = G[:, A] @ uw
+        F = (joinable & (signs == 0.0)).nonzero()[0]
+        b, a, nf = c[F] - ba[F, 0], ba[F, 1], F.size
+        # free columns reaching +lam, then -lam, then active ones reaching 0
+        events = np.full(2 * nf + A.size, -np.inf)
+        np.divide(b, 1.0 - a, out=events[:nf], where=a < 1.0)
+        np.divide(-b, 1.0 + a, out=events[nf:2 * nf], where=a > -1.0)
+        np.divide(u, w, out=events[2 * nf:], where=s * w < 0.0)
+        joins = events[:2 * nf]
+        joins[joins < floor] = -np.inf
+        e = int(np.argmax(events))
+        kind = int(e >= nf) + int(e >= 2 * nf)
+        j = A[e - 2 * nf] if kind == 2 else F[e - kind * nf]
+        lam = max(min(float(events[e]), lam), 0.0)
+        n = int(np.count_nonzero(lams >= lam))
+        phi = u - lams[i:n, None] * w
+        out[i:n, A] = np.where(phi * s > 0.0, phi, 0.0)
+        if n == lams.size:
+            return out, step
+        i, signs[j] = n, (1.0, -1.0, 0.0)[kind]
+    raise NumericalError(f"LASSO path did not reach lambda={lams[-1]}")

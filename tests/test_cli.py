@@ -400,6 +400,18 @@ class TestExitCodes:
         })
         assert main(["fit", "-c", str(cfg)]) == EXIT_DATA
 
+    def test_panel_row_longer_than_header_is_data_error(self, tmp_path, capsys):
+        panel = tmp_path / "panel.csv"
+        panel.write_text("zone_id,bin_0,bin_1\nA,1,2,3\nB,4,5,6\n")
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "output_dir": str(tmp_path / "out"),
+            "panel": str(panel), "stacks": {},
+            "split": {"t1": 1, "t2": 2},
+            "fit": {"model": "var", "p": 1},
+        })
+        assert main(["fit", "-c", str(cfg)]) == EXIT_DATA
+        assert f"{panel}: row of zone A has 3 values" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,section,key", [
         ("fit", None, "panel"),
         ("weights", "weights", "zones"),

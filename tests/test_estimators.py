@@ -6,7 +6,7 @@ from stardemand.estimators import (
     DesignMatrix, LassoConfig,
     build_design, fit_lasso_path, fit_lasso_star, fit_star_ols,
     fit_var_ols, fitted, lambda_max, model_from_dict, model_to_dict, mspe,
-    read_model_json, solve_lasso_batch, tune_lambda, write_model_json, _zone_path,
+    read_model_json, solve_lasso_batch, tune_lambda, write_model_json,
 )
 from stardemand.forecast import MODEL_LASSO_STAR, run_scenario
 from stardemand.panel import ModelOrder, SplitSpec, make_panel
@@ -14,7 +14,9 @@ from stardemand.synth import random_centroid_stack, random_sparse_star_spec, gen
 from stardemand.weights import WeightStack
 
 from conftest import random_panel
-from lasso_oracle import OracleConvergenceError, lasso_cd, lasso_objective, soft_threshold
+from lasso_oracle import (
+    OracleConvergenceError, lasso_cd, lasso_objective, soft_threshold, zone_path,
+)
 
 
 def naive_design(panel, stack, order, fit_range):
@@ -307,14 +309,25 @@ class TestLassoCd:
         assert all(a <= b for a, b in zip(active, active[1:]))
 
 
+def _worst_kkt(design, path):
+    return max(_kkt_violation(Z, y, coefs[i], lam)
+               for lam, coefs in path.items()
+               for i, (Z, y) in enumerate(zip(design.Z, design.y)))
+
+
+def _fewer_rows_design():
+    """The acceptance grid panel at p=5, eta=6: 27 training rows, 30 columns."""
+    stack = random_centroid_stack(27, 6, seed=0)
+    spec = random_sparse_star_spec(27, ModelOrder(p=1, eta=2), stack, sigma=1.0,
+                                   length=96, seed=0, density=0.4)
+    panel = gen_star_process(spec, stack)
+    design = build_design(panel, stack, ModelOrder(p=5, eta=6), (0, 32))
+    assert design.Z.shape == (27, 27, 30)
+    return panel, stack, design
+
+
 class TestLassoPathCertificate:
     """KKT certificates of the production path itself, every zone and penalty."""
-
-    @staticmethod
-    def _worst_kkt(design, path):
-        return max(_kkt_violation(Z, y, coefs[i], lam)
-                   for lam, coefs in path.items()
-                   for i, (Z, y) in enumerate(zip(design.Z, design.y)))
 
     def test_kkt_every_zone_and_lambda(self):
         panel = random_panel(6, 90, seed=61)
@@ -322,27 +335,112 @@ class TestLassoPathCertificate:
         design = build_design(panel, stack, ModelOrder(p=3, eta=3), (0, 90))
         path = fit_lasso_path(design, LassoConfig().grid(lambda_max(design)))
         assert len(path) == 51
-        assert self._worst_kkt(design, path) <= 1e-10
+        assert _worst_kkt(design, path) <= 1e-10
 
     def test_fewer_rows_than_columns(self):
-        # the acceptance grid panel at p=5, eta=6: 27 training rows, 30 columns
-        stack = random_centroid_stack(27, 6, seed=0)
-        spec = random_sparse_star_spec(27, ModelOrder(p=1, eta=2), stack, sigma=1.0,
-                                       length=96, seed=0, density=0.4)
-        panel = gen_star_process(spec, stack)
-        order = ModelOrder(p=5, eta=6)
-        design = build_design(panel, stack, order, (0, 32))
-        assert design.Z.shape == (27, 27, 30)
+        panel, stack, design = _fewer_rows_design()
         path = fit_lasso_path(design, LassoConfig().grid(lambda_max(design)))
-        assert self._worst_kkt(design, path) <= 1e-10
-        report = run_scenario(panel, stack, MODEL_LASSO_STAR, order, SplitSpec(32, 64, 96))
+        assert _worst_kkt(design, path) <= 1e-10
+        report = run_scenario(panel, stack, MODEL_LASSO_STAR, design.order,
+                              SplitSpec(32, 64, 96))
         assert report.error is None and report.test_mspe > 0
 
     def test_singular_active_set_raises(self):
-        # column 2 reaches -lambda at 0.25 and would join an identical column 1
-        G = np.ones((2, 2))
-        with pytest.raises(NumericalError, match="singular active-set Gram"):
-            _zone_path(G, np.array([1.0, 0.5]), np.array([0.5, 0.1]))
+        """Zone 1's columns 0 and 1 are identical. Every |Z'y| entry is 1, so
+        once columns 0 and 2 are active (at lambda = 1), u = w and column 1's
+        join event is exactly 1 whenever rounding leaves its correlation slope
+        inside +-1; it then joins its twin and the active block is singular.
+        The other zones are regular."""
+        rng = np.random.default_rng(65)
+        Z, y = rng.normal(size=(3, 6, 3)), rng.normal(size=(3, 6))
+        a = [-3.0, 1.0, 4.0, -2.0, 4.0, -4.0]
+        Z[1] = np.array([a, a, [1.0, -4.0, -2.0, 0.0, -3.0, -3.0]]).T
+        y[1] = [1.0, -4.0, 3.0, 3.0, 2.0, 2.0]
+        design = DesignMatrix(Z=Z, y=y, order=ModelOrder(p=1, eta=3), fit_range=(0, 7))
+        with pytest.raises(NumericalError,
+                           match=r"singular active-set Gram matrix in zone 1 at lambda=1\.0$"):
+            fit_lasso_path(design, [0.5, 0.0])
+
+
+def _oracle_paths(design, lams):
+    """Each zone's scalar walk, on the production path's own G and c:
+    [(len(lams) x m coefficients, number of solves), ...]."""
+    Zt = design.Z.transpose(0, 2, 1)
+    G, c = np.matmul(Zt, design.Z), np.matmul(Zt, design.y[..., None])[..., 0]
+    return G, [zone_path(G_i, c_i, lams) for G_i, c_i in zip(G, c)]
+
+
+def _assert_matches_oracle(design, grid):
+    """Same zero pattern as the scalar walk at every (zone, lambda), and
+    coefficients within 1e-13 times the zone's largest |coefficient|. Where
+    the active block G_AA is so ill-conditioned that two LU solves of it
+    may differ by more, the bound is eps * cond(G_AA) times it instead."""
+    lams = np.array(sorted(grid, reverse=True))
+    path = fit_lasso_path(design, grid)
+    G, oracle = _oracle_paths(design, lams)
+    eps = np.finfo(float).eps
+    for i, (want, _) in enumerate(oracle):
+        got = np.array([path[float(lam)][i] for lam in lams])
+        assert np.array_equal(got == 0, want == 0), f"zone {i}"
+        scale = np.max(np.abs(want), initial=0.0)
+        for n, row in enumerate(want):
+            A = np.flatnonzero(row)
+            cond = np.linalg.cond(G[i][np.ix_(A, A)]) if A.size else 1.0
+            err = np.max(np.abs(got[n] - row))
+            assert err <= scale * max(1e-13, eps * cond), (i, lams[n], err, cond)
+
+
+class TestLockstepPath:
+    """The all-zone path against the scalar walk of each zone."""
+
+    @pytest.mark.parametrize("case", ["tall", "fewer_rows_than_columns", "head", "rows"])
+    def test_matches_scalar_oracle(self, case):
+        if case == "fewer_rows_than_columns":
+            design = _fewer_rows_design()[2]
+        else:
+            panel = random_panel(6, 120, seed=64)
+            stack = random_centroid_stack(6, 3, seed=64)
+            design = build_design(panel, stack, ModelOrder(p=2, eta=3), (0, 120))
+            if case == "head":
+                design = design.head(60)
+            elif case == "rows":
+                design = DesignMatrix(Z=design.rows((50, 120)), y=design.y[:, 48:],
+                                      order=design.order, fit_range=(48, 120))
+        _assert_matches_oracle(design, LassoConfig().grid(lambda_max(design)))
+
+    def test_zones_that_finish_at_different_steps(self):
+        rng = np.random.default_rng(62)
+        n = 40
+        Z, y = rng.normal(size=(4, n, 6)), rng.normal(size=(4, n))
+        y[0] = 0.0                  # lambda_max = 0: frozen from the start
+        Z[1, :, 2] = 0.0            # a zero-norm column, which must never join
+        Z[3] = np.linalg.qr(Z[3])[0]
+        y[3] = 3.0 * Z[3, :, 0]     # orthonormal columns, y on one of them: one kink
+        design = DesignMatrix(Z=Z, y=y, order=ModelOrder(p=2, eta=3), fit_range=(0, n + 2))
+        grid = LassoConfig().grid(lambda_max(design))
+        steps = [s for _, s in _oracle_paths(design, np.array(grid))[1]]
+        assert steps[0] == 0 and steps[3] == 1 and steps[2] >= 6
+        path = fit_lasso_path(design, grid)
+        assert all(not coefs[0].any() and coefs[1, 2] == 0.0 for coefs in path.values())
+        assert _worst_kkt(design, path) <= 1e-10
+        _assert_matches_oracle(design, grid)
+
+    def test_one_batched_solve_per_step_of_the_longest_zone(self, monkeypatch):
+        panel = random_panel(6, 90, seed=63)
+        stack = random_centroid_stack(6, 3, seed=63)
+        design = build_design(panel, stack, ModelOrder(p=3, eta=3), (0, 90))
+        grid = LassoConfig().grid(lambda_max(design))
+        steps = [s for _, s in _oracle_paths(design, np.array(grid))[1]]
+        solve, shapes = np.linalg.solve, []
+
+        def counting_solve(a, b):
+            shapes.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        fit_lasso_path(design, grid)
+        assert len(shapes) == max(steps) < sum(steps)
+        assert set(shapes) == {(6, 9, 9)}
 
 
 @pytest.mark.parametrize("p,eta,part", [(2, 3, "head"), (2, 3, "rows"), (5, 6, "head")],

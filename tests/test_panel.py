@@ -108,3 +108,15 @@ def test_csv_round_trip(tmp_path):
     q = read_panel_csv(path)
     assert q.zone_ids == p.zone_ids
     assert np.array_equal(q.values, p.values)
+
+
+@pytest.mark.parametrize("rows,zone", [("A,1,2,3\nB,4,5,6\n", "A"), ("A,1\nB,2\n", "A"),
+                                       ("A,1,2\nB,3,4,5\n", "B")],
+                         ids=["longer", "shorter", "one_longer"])
+def test_csv_row_length_must_match_header(tmp_path, rows, zone):
+    """The header names two bins; a row with any other count is rejected,
+    not read as a panel of another length."""
+    path = tmp_path / "panel.csv"
+    path.write_text("zone_id,bin_0,bin_1\n" + rows)
+    with pytest.raises(DataError, match=f"row of zone {zone} has"):
+        read_panel_csv(path)
