@@ -12,7 +12,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from datetime import datetime
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 import yaml
 
 from . import estimators, forecast, ingest, panel as panel_mod, synth, weights
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, write_json
 from .estimators import LassoConfig
 from .forecast import MODEL_LASSO_STAR, MODEL_STAR, MODEL_VAR, ScenarioGrid
 from .panel import ModelOrder, SplitSpec
@@ -219,9 +218,7 @@ class RunDir:
             "command": self.command,
             "outputs": sorted(set(self.outputs + ["config.yaml"])),
         }
-        with open(self.path / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
+        write_json(self.path / "manifest.json", manifest)
 
 
 def _load_zones(cfg: Section):
@@ -278,7 +275,7 @@ def cmd_ingest(args) -> int:
     trips = ingest.parse_trips(trips_path, fmt, policy=parse_policy, report=report)
     run = RunDir(out_dir, "ingest", cfg.echo)
     if not trips:
-        report.write_json(run.file("ingest_report.json"))
+        write_json(run.file("ingest_report.json"), report.to_dict())
         run.finish()
         raise DataError("no trips parsed")
     out_panel = ingest.bin_counts(
@@ -286,7 +283,7 @@ def cmd_ingest(args) -> int:
         assign_policy=assign_policy, report=report,
     )
     panel_mod.write_panel_csv(out_panel, run.file("panel.csv"))
-    report.write_json(run.file("ingest_report.json"))
+    write_json(run.file("ingest_report.json"), report.to_dict())
     run.finish()
     print(f"panel: {out_panel.k} zones x {out_panel.T} bins; "
           f"assigned {report.assigned}, dropped "
@@ -311,9 +308,7 @@ def cmd_weights(args) -> int:
     weights.write_stack(stack, stack_dir)
     run.outputs.append("stack")
     checks = weights.validate_stack(stack)
-    with open(run.file("stack_checks.json"), "w") as fh:
-        json.dump(checks, fh, indent=2)
-        fh.write("\n")
+    write_json(run.file("stack_checks.json"), checks)
     run.finish()
     failed = [c for c in checks if not c["ok"]]
     if failed:
@@ -384,10 +379,8 @@ def cmd_fit(args) -> int:
     model, curve = forecast.fit_scenario_model(
         pn, stack, kind, ModelOrder(p=p, eta=eta), spl, lasso)
     if kind == MODEL_LASSO_STAR:
-        with open(run.file("lambda_curve.json"), "w") as fh:
-            json.dump({"lambda": model.lambda_,
-                       "curve": [[l, m] for l, m in curve]}, fh, indent=2)
-            fh.write("\n")
+        write_json(run.file("lambda_curve.json"),
+                   {"lambda": model.lambda_, "curve": [[l, m] for l, m in curve]})
     estimators.write_model_json(model, run.file("model.json"))
     run.finish()
     print(f"fitted {kind} (p={p}) -> {run.path / 'model.json'}")
@@ -490,9 +483,7 @@ def cmd_synth(args) -> int:
     if kind == synth.KIND_STAR:
         weights.write_stack(stack, run.path / "stack")
         run.outputs.append("stack")
-    with open(run.file("truth.json"), "w") as fh:
-        json.dump(truth, fh, indent=2)
-        fh.write("\n")
+    write_json(run.file("truth.json"), truth)
     panel_mod.write_panel_csv(out_panel, run.file("panel.csv"))
     run.finish()
     print(f"synthetic panel: {out_panel.k} zones x {out_panel.T} bins -> "

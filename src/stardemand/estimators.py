@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, write_json
 from .panel import DemandPanel, ModelOrder, SplitSpec
 from .weights import WeightStack
 
@@ -464,9 +464,7 @@ def model_from_dict(doc: dict):
 
 
 def write_model_json(model, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
+    write_json(path, model_to_dict(model))
 
 
 def read_model_json(path):

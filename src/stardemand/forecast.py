@@ -164,6 +164,10 @@ class ScenarioGrid:
             raise DataError("grid axes must be non-empty")
         if self.split is None:
             raise DataError("grid needs a split")
+        schemes = [s.scheme for s in self.stacks]
+        if len(set(schemes)) != len(schemes):
+            # reports name a stack by its scheme alone
+            raise DataError(f"grid stacks must have distinct schemes, got {schemes}")
 
 
 def _scenario_cells(grid: ScenarioGrid):

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
 from typing import Sequence
 
@@ -142,19 +142,7 @@ class IngestReport:
     row_errors: list[RowError] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "parsed": self.parsed,
-            "assigned": self.assigned,
-            "dropped_parse": self.dropped_parse,
-            "dropped_outside_range": self.dropped_outside_range,
-            "dropped_unassigned": self.dropped_unassigned,
-            "row_errors": [{"line": e.line, "message": e.message} for e in self.row_errors],
-        }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -114,7 +114,7 @@ def spectral_radius(lag_matrices: Sequence[np.ndarray]) -> float:
 
 
 def _iterate(spec: ProcessSpec, intercept: np.ndarray,
-             lag_matrices: Sequence[np.ndarray]) -> DemandPanel:
+             lag_matrices: Sequence[np.ndarray], zone_ids: Sequence[str]) -> DemandPanel:
     """Run y(t) = intercept + sum_j A_j y(t - j) + noise from the initial values."""
     if spec.require_stable:
         rho = spectral_radius(lag_matrices)
@@ -136,19 +136,19 @@ def _iterate(spec: ProcessSpec, intercept: np.ndarray,
             y += A @ Y[:, t - j]
         Y[:, t] = y + eps
     out = Y[:, total - spec.length:]
-    return make_panel(synthetic_zone_ids(k), out, kind=KIND_REAL)
+    return make_panel(zone_ids, out, kind=KIND_REAL)
 
 
 def gen_star_process(spec: ProcessSpec, stack: WeightStack) -> DemandPanel:
     """Iterate the spatio-temporal regression forward with Gaussian noise,
-    through its VAR form (zero intercept)."""
+    through its VAR form (zero intercept); the panel's zones are the stack's."""
     if spec.kind != KIND_STAR:
         raise DataError("spec kind is not star")
     if stack.eta_max < spec.order.eta:
         raise DataError("stack too shallow for spec eta")
     if stack.k != spec.k:
         raise DataError("stack size does not match spec")
-    return _iterate(spec, np.zeros(spec.k), implied_var_matrices(spec, stack))
+    return _iterate(spec, np.zeros(spec.k), implied_var_matrices(spec, stack), stack.zone_ids)
 
 
 def gen_var_process(spec: ProcessSpec) -> DemandPanel:
@@ -156,7 +156,7 @@ def gen_var_process(spec: ProcessSpec) -> DemandPanel:
     if spec.kind != KIND_VAR:
         raise DataError("spec kind is not var")
     return _iterate(spec, np.asarray(spec.var_intercept, dtype=float),
-                    implied_var_matrices(spec, None))
+                    implied_var_matrices(spec, None), synthetic_zone_ids(spec.k))
 
 
 def random_sparse_star_spec(
@@ -200,7 +200,8 @@ def random_sparse_star_spec(
 
 
 def synthetic_zone_ids(k: int) -> list[str]:
-    """Zone ids matching those of generated panels (z00, z01, ...)."""
+    """Zone ids z00, z01, ... of generated VAR panels and random stacks; a
+    STAR panel takes the ids of the stack it was generated through."""
     return [f"z{i:02d}" for i in range(k)]
 
 

@@ -5,21 +5,22 @@ is always the identity (each zone is its own order-0 neighborhood), lag
 l >= 1 holds the l-th ring of neighbors for each origin zone.
 
 Two ring schemes are provided: centroid-distance ranking and adjacency
-hop count (BFS on a shared-boundary graph).
+hop count (breadth-first on a shared-boundary graph). Each fills one
+k x k array ring[i, j], the ring of zone j around origin i, from which
+every matrix of the stack is built.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, open_input
+from .errors import DataError, open_input, write_json
 from .panel import _frozen
 
 SCHEME_CENTROID = "centroid"
@@ -52,14 +53,6 @@ class AdjacencyGraph:
     zone_ids: tuple[str, ...]
     edges: frozenset[frozenset]
 
-    def neighbors(self, zone_id: str) -> list[str]:
-        out = []
-        for e in self.edges:
-            if zone_id in e:
-                (other,) = e - {zone_id}
-                out.append(other)
-        return sorted(out)
-
 
 def make_adjacency(zone_ids: Sequence[str], edges: Iterable[tuple[str, str]]) -> AdjacencyGraph:
     zone_ids = tuple(str(z) for z in zone_ids)
@@ -85,19 +78,11 @@ def row_normalize(matrix: np.ndarray) -> np.ndarray:
     return matrix / safe
 
 
-def _stack_from_rings(rings_per_zone, zone_ids, eta_max, scheme) -> WeightStack:
-    """rings_per_zone[i] is a list of rings (lists of zone indices) for lag 1.."""
-    k = len(zone_ids)
-    mats = [np.eye(k)]
-    for lag in range(1, eta_max):
-        m = np.zeros((k, k))
-        for i, rings in enumerate(rings_per_zone):
-            if lag - 1 < len(rings):
-                for j in rings[lag - 1]:
-                    m[i, j] = 1.0
-        mats.append(row_normalize(m))
+def _stack(ring: np.ndarray, zone_ids, eta_max: int, scheme: str) -> WeightStack:
+    """W(l) = row_normalize(ring == l) for l < eta_max, where ring[i, j] is
+    the ring of zone j around origin i: 0 for i itself, -1 for none."""
     return WeightStack(
-        matrices=tuple(_frozen(m) for m in mats),
+        matrices=tuple(_frozen(row_normalize(ring == l)) for l in range(eta_max)),
         scheme=scheme,
         zone_ids=tuple(zone_ids),
     )
@@ -121,53 +106,41 @@ def centroid_rings(zones, eta_max: int) -> WeightStack:
         raise DataError(f"eta_max={eta_max} needs at least {eta_max - 1} other zones, have {k - 1}")
 
     cents = np.array([z.centroid for z in zones], dtype=float)
-    rings_per_zone = []
-    n_rings = eta_max - 1
-    for i in range(k):
-        others = [j for j in range(k) if j != i]
-        d = np.hypot(*(cents[others] - cents[i]).T) if others else np.array([])
-        ranked = sorted(zip(others, d), key=lambda t: (t[1], zone_ids[t[0]]))
-        order = [j for j, _ in ranked]
-        rings = []
-        if n_rings:
-            base, extra = divmod(len(order), n_rings)
-            pos = 0
-            for r in range(n_rings):
-                size = base + (1 if r < extra else 0)
-                rings.append(order[pos:pos + size])
-                pos += size
-        rings_per_zone.append(rings)
-    return _stack_from_rings(rings_per_zone, zone_ids, eta_max, SCHEME_CENTROID)
+    gap = cents[None, :] - cents[:, None]             # gap[i, j] = centroid j - centroid i
+    dist = np.hypot(gap[..., 0], gap[..., 1])
+    np.fill_diagonal(dist, -1.0)                      # each origin ranks first
+    id_rank = np.unique(zone_ids, return_inverse=True)[1]
+    order = np.lexsort((np.broadcast_to(id_rank, (k, k)), dist))
+    ring = np.full((k, k), -1)
+    np.fill_diagonal(ring, 0)
+    if eta_max > 1:
+        for l, cols in enumerate(np.array_split(order[:, 1:], eta_max - 1, axis=1), start=1):
+            np.put_along_axis(ring, cols, l, axis=1)
+    return _stack(ring, zone_ids, eta_max, SCHEME_CENTROID)
 
 
 def adjacency_rings(graph: AdjacencyGraph, eta_max: int) -> WeightStack:
-    """Ring stack from BFS hop distance on the adjacency graph.
+    """Ring stack from hop distance on the adjacency graph.
 
     Zones at hop l populate ring l for 1 <= l <= eta_max - 1; unreachable
     zones and hops >= eta_max get zero weight (empty rings stay all-zero).
+    The breadth-first frontier of every origin advances at once.
     """
     if eta_max < 1:
         raise DataError("eta_max must be >= 1")
-    zone_ids = graph.zone_ids
-    index = {z: i for i, z in enumerate(zone_ids)}
-    nbrs = {z: [index[n] for n in graph.neighbors(z)] for z in zone_ids}
-
-    rings_per_zone = []
-    for i, origin in enumerate(zone_ids):
-        hops = {i: 0}
-        q = deque([i])
-        while q:
-            cur = q.popleft()
-            for nb in nbrs[zone_ids[cur]]:
-                if nb not in hops:
-                    hops[nb] = hops[cur] + 1
-                    q.append(nb)
-        rings = [[] for _ in range(eta_max - 1)]
-        for j, h in hops.items():
-            if 1 <= h <= eta_max - 1:
-                rings[h - 1].append(j)
-        rings_per_zone.append([sorted(r) for r in rings])
-    return _stack_from_rings(rings_per_zone, zone_ids, eta_max, SCHEME_ADJACENCY)
+    k = len(graph.zone_ids)
+    index = {z: i for i, z in enumerate(graph.zone_ids)}
+    adjacent = np.zeros((k, k), dtype=bool)
+    for a, b in graph.edges:
+        adjacent[index[a], index[b]] = adjacent[index[b], index[a]] = True
+    reached = np.eye(k, dtype=bool)
+    ring = np.where(reached, 0, -1)
+    frontier = reached
+    for hop in range(1, eta_max):
+        frontier = (frontier @ adjacent) & ~reached
+        ring[frontier] = hop
+        reached |= frontier
+    return _stack(ring, graph.zone_ids, eta_max, SCHEME_ADJACENCY)
 
 
 def validate_stack(stack: WeightStack) -> list[dict]:
@@ -201,16 +174,11 @@ def validate_stack(stack: WeightStack) -> list[dict]:
                 bad_rows.append((l, i, float(s)))
     add("row_sum", not bad_rows, f"rows not summing to 0 or 1: {bad_rows}" if bad_rows else "")
 
-    overlaps = []
-    for i in range(k):
-        seen = set()
-        for l in range(1, stack.eta_max):
-            hit = set(np.flatnonzero(stack.matrices[l][i] > 0))
-            if hit & seen:
-                overlaps.append((i, l, sorted(hit & seen)))
-            seen |= hit
+    # ring 0, the zone itself, counts as taken
+    overlaps = [(int(i), int(j)) for i, j in
+                np.argwhere((np.array(stack.matrices) > 0).sum(axis=0) > 1)]
     add("disjoint_rings", not overlaps,
-        f"zones in multiple rings: {overlaps}" if overlaps else "")
+        f"(origin, zone) pairs in multiple rings: {overlaps}" if overlaps else "")
     return report
 
 
@@ -231,9 +199,7 @@ def write_stack(stack: WeightStack, directory) -> None:
         "zone_ids": list(stack.zone_ids),
         "files": [f"w{l}.csv" for l in range(stack.eta_max)],
     }
-    with open(directory / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(directory / "manifest.json", manifest)
 
 
 def read_stack(directory) -> WeightStack:

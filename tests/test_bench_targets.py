@@ -1,16 +1,20 @@
-"""Every function the traced benchmark wraps exists in the package.
+"""Everything the benchmark takes from the package exists in it.
 
-``bench/spans.py`` names its targets as (module, function) strings, so a
-renamed or deleted function would otherwise only show up when
-``bench/run.py --trace 1`` fails.
+``bench/spans.py`` names its targets as (module, function) strings, and the
+other bench files import modules and read functions off them, so a renamed
+or deleted function would otherwise only show up when ``bench/run.py`` or
+``python3 -m pytest bench`` fails.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS = BENCH / "spans.py"
+PACKAGE = "stardemand"
 
 
 def _spans_module():
@@ -32,3 +36,41 @@ def test_span_targets_resolve():
         if not callable(getattr(module, fn_name, None)):
             missing.append(f"{mod_name}.{fn_name}")
     assert spans.TARGETS and missing == []
+
+
+def package_uses(source: str) -> set[tuple[str, str]]:
+    """(module, name) pairs a file takes from the package: names imported
+    from a package module, and attributes read off an imported module."""
+    tree = ast.parse(source)
+    modules, uses = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == PACKAGE:
+            for alias in node.names:
+                if node.module == PACKAGE:
+                    modules[alias.asname or alias.name] = f"{PACKAGE}.{alias.name}"
+                else:
+                    uses.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            uses.add((modules[node.value.id], node.attr))
+    return uses
+
+
+def test_helper_finds_imported_names_and_module_attributes():
+    src = ("from stardemand import cli, panel as pm\nfrom stardemand.panel import X\n"
+           "import numpy as np\ncli.main(pm.read(np.ones(1)))\n")
+    assert package_uses(src) == {("stardemand.cli", "main"), ("stardemand.panel", "read"),
+                                 ("stardemand.panel", "X")}
+
+
+def test_bench_package_uses_resolve():
+    uses = set().union(*(package_uses(p.read_text()) for p in sorted(BENCH.glob("*.py"))))
+    missing = sorted(f"{mod}.{name}" for mod, name in uses
+                     if not hasattr(importlib.import_module(mod), name))
+    assert {("stardemand.weights", "read_adjacency_csv"),
+            ("stardemand.weights", "adjacency_rings"),
+            ("stardemand.weights", "WeightStack"),
+            ("stardemand.weights", "write_stack"),
+            ("stardemand.ingest", "point_in_ring")} <= uses
+    assert missing == []

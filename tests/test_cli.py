@@ -132,6 +132,30 @@ class TestWeights:
         assert main(["weights", "-c", str(cfg)]) == EXIT_CONFIG
 
 
+    def test_synth_through_built_stack_then_fit(self, tmp_path):
+        # the synthetic panel takes the zone ids of the stack it was made through
+        (tmp_path / "zones.csv").write_text("zone_id,lon,lat\nA,0,0\nB,1,0\nC,3,0\nD,4,1\n")
+        write_yaml(tmp_path / "w.yaml", {
+            "weights": {"scheme": "centroid", "eta_max": 3, "zones_csv": "zones.csv"}})
+        assert main(["weights", "-c", str(tmp_path / "w.yaml"), "--out",
+                     str(tmp_path / "w")]) == EXIT_OK
+        write_yaml(tmp_path / "s.yaml", {
+            "seed": 4,
+            "synth": {"kind": "star", "k": 4, "length": 60, "p": 1, "eta": 2,
+                      "stack": "w/stack"}})
+        assert main(["synth", "-c", str(tmp_path / "s.yaml"), "--out",
+                     str(tmp_path / "s")]) == EXIT_OK
+        assert read_panel_csv(tmp_path / "s" / "panel.csv").zone_ids == ("A", "B", "C", "D")
+        write_yaml(tmp_path / "f.yaml", {
+            "panel": "s/panel.csv",
+            "stacks": {"rings": "w/stack"},
+            "split": {"t1": 20, "t2": 40},
+            "fit": {"model": "star", "p": 1, "eta": 2, "stack": "rings"}})
+        assert main(["fit", "-c", str(tmp_path / "f.yaml"), "--out",
+                     str(tmp_path / "f")]) == EXIT_OK
+        assert read_model_json(tmp_path / "f" / "model.json").coefficients.shape == (4, 2)
+
+
 class TestIngest:
     def _trips(self, tmp_path):
         trips = tmp_path / "trips.csv"
@@ -370,6 +394,16 @@ class TestGrid:
         replace_first_cell(synth_run / "stack" / "w1.csv", cell)
         cfg = self._config(tmp_path, synth_run, tmp_path / "grid", timings=False)
         assert main(["grid", "-c", str(cfg)]) == EXIT_DATA
+        assert not (tmp_path / "grid").exists()
+
+    def test_two_stacks_of_one_scheme_is_data_error(self, tmp_path, synth_run, capsys):
+        # reports.csv and table.txt name a stack by its scheme alone
+        cfg = yaml.safe_load(self._config(tmp_path, synth_run, tmp_path / "grid",
+                                          timings=False).read_text())
+        cfg["stacks"]["again"] = cfg["stacks"]["rings"]
+        write_yaml(tmp_path / "g.yaml", cfg)
+        assert main(["grid", "-c", str(tmp_path / "g.yaml")]) == EXIT_DATA
+        assert "distinct schemes" in capsys.readouterr().err
         assert not (tmp_path / "grid").exists()
 
 

@@ -9,6 +9,7 @@ from stardemand.weights import (
 )
 
 from conftest import replace_first_cell
+from ring_oracle import adjacency_ring, centroid_ranks, centroid_ring, ring_matrices
 
 
 class TestCentroidRings:
@@ -97,6 +98,41 @@ class TestAdjacencyRings:
             make_adjacency(["A"], [("A", "A")])
 
 
+class TestRingOracle:
+    """Both schemes against the pair-by-pair oracle, on tied distances,
+    repeated and out-of-order zone ids, and graphs with isolated zones."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_centroid_rings(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 25))
+        # a small integer lattice: many tied distances and shared centroids
+        pts = rng.integers(0, 4, size=(k, 2)) * 0.7 if seed % 3 else rng.random((k, 2))
+        ids = [f"{'abc'[rng.integers(0, 3)]}{i}" for i in rng.permutation(k)]
+        if seed % 4 == 1 and k > 2:
+            ids[2] = ids[0]
+        zones = [make_zone(z, centroid=tuple(p)) for z, p in zip(ids, pts)]
+        rank = centroid_ranks(pts, ids)
+        for eta_max in range(1, k + 1):
+            stack = centroid_rings(zones, eta_max)
+            want = ring_matrices(centroid_ring(rank, eta_max), eta_max)
+            assert all(np.array_equal(a, b) for a, b in zip(stack.matrices, want, strict=True))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_adjacency_rings(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        k = int(rng.integers(1, 25))
+        ids = [f"Z{i}" for i in rng.permutation(k)]
+        density = (0.05, 0.15, 0.4)[seed % 3]
+        edges = [(ids[i], ids[j]) for i in range(k) for j in range(i + 1, k)
+                 if rng.random() < density]
+        graph = make_adjacency(ids, edges)
+        for eta_max in range(1, k + 2):
+            stack = adjacency_rings(graph, eta_max)
+            want = ring_matrices(adjacency_ring(ids, edges, eta_max), eta_max)
+            assert all(np.array_equal(a, b) for a, b in zip(stack.matrices, want, strict=True))
+
+
 class TestRowNormalize:
     def test_basic(self):
         assert np.allclose(row_normalize(np.array([[0, 1, 1, 0.]])), [[0, .5, .5, 0]])
@@ -141,6 +177,20 @@ class TestValidateStack:
         report = {c["check"]: c["ok"] for c in validate_stack(bad)}
         assert not report["finite"]
 
+    def test_zone_in_its_own_ring(self, tmp_path, line_stack):
+        # zone A as its own ring-1 neighbour would give it two identical
+        # design columns, own lag and ring-1 lag
+        m1 = np.array(line_stack.matrices[1])
+        m1[0] = [1.0, 0.0, 0.0]
+        bad = WeightStack(matrices=(line_stack.matrices[0], m1) + line_stack.matrices[2:],
+                          scheme="centroid", zone_ids=line_stack.zone_ids)
+        report = {c["check"]: c["ok"] for c in validate_stack(bad)}
+        assert not report["disjoint_rings"]
+        assert all(ok for check, ok in report.items() if check != "disjoint_rings")
+        write_stack(bad, tmp_path / "stack")
+        with pytest.raises(DataError, match="disjoint_rings"):
+            read_stack(tmp_path / "stack")
+
     def test_ring_partition_bound(self):
         rng = np.random.default_rng(10)
         zones = [make_zone(f"z{i}", centroid=tuple(rng.random(2))) for i in range(9)]
@@ -182,4 +232,4 @@ def test_adjacency_csv(tmp_path):
     path = tmp_path / "adj.csv"
     path.write_text("zone_a,zone_b\nA,B\nB,C\n")
     g = read_adjacency_csv(path, ["A", "B", "C"])
-    assert g.neighbors("B") == ["A", "C"]
+    assert g.edges == {frozenset(("A", "B")), frozenset(("B", "C"))}
