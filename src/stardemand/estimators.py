@@ -15,9 +15,14 @@ k x T_used x (eta * p) and ``Z[i]`` holds zone i's rows, with column
 lag j:
 row t, column (j-1)*eta + l  =  W(l)[i, :] . y(t - j).
 
+A design of order (p, eta) is a column subset of one of higher order, so
+a scenario grid builds one design per weight stack and :class:`StarBlocks`
+hands each cell its rows as views and its Gram G = Z'Z, c = Z'y as
+sub-blocks. The fits read only the Gram: OLS by Cholesky, LASSO by path.
+
 :func:`fitted` (design rows times per-zone coefficients) is the
-prediction kernel: OLS residuals, the validation predictions of STAR
-scenarios and the test predictions of ``forecast.predict_range`` use it,
+prediction kernel: OLS residuals and the validation and test predictions
+of STAR scenarios use it, through :meth:`DesignMatrix.predict` for views,
 and their MSPEs come from :func:`mspe`. :func:`tune_lambda` scores a
 LASSO-STAR validation curve with one product per zone, of its validation
 rows and its coefficients at every penalty; each point equals the
@@ -30,10 +35,11 @@ from __future__ import annotations
 
 import contextlib
 import json
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, NumericalError, write_json
 from .panel import DemandPanel, ModelOrder, SplitSpec
@@ -42,27 +48,52 @@ from .weights import WeightStack
 
 # -- design ------------------------------------------------------------
 
+class Gram(NamedTuple):
+    """Per-zone normal equations of a design: G = Z'Z and c = Z'y."""
+
+    G: np.ndarray          # k x m x m
+    c: np.ndarray          # k x m
+
+
+def _gram(Z: np.ndarray, y: np.ndarray) -> Gram:
+    # G from a contiguous copy, so BLAS forms the Gram of a strided view as
+    # it does that of its copy; c column by column, so that the c of some
+    # of a design's columns is, bit for bit, that of those columns alone
+    Z = np.ascontiguousarray(Z)
+    c = np.stack([np.sum(Z[..., j] * y, axis=1) for j in range(Z.shape[2])], axis=-1)
+    return Gram(np.matmul(Z.transpose(0, 2, 1), Z), c)
+
+
 @dataclass(frozen=True)
 class DesignMatrix:
-    """All zones' regression systems: zone i regresses y[i] on Z[i]."""
+    """All zones' regression systems: zone i regresses y[i] on Z[i].
 
-    Z: np.ndarray          # k x T_used x (eta * p)
+    A view of a design of higher order keeps its wider Z, of which
+    ``cols`` are its own, and may carry its Gram in ``normal``.
+    """
+
+    Z: np.ndarray          # k x T_used x (eta * p), or wider with ``cols``
     y: np.ndarray          # k x T_used
     order: ModelOrder
     fit_range: tuple[int, int]
+    cols: np.ndarray | None = None
+    normal: Gram | None = None
 
-    def rows(self, t_range: tuple[int, int]) -> np.ndarray:
-        """Z rows (a view) of the target bins t in [start, end), which lie in the fit range."""
-        offset = self.fit_range[0] + self.order.p
-        return self.Z[:, t_range[0] - offset:t_range[1] - offset]
+    def own(self, zone=slice(None)) -> np.ndarray:
+        """A zone's rows (every zone's by default) in the design's own columns."""
+        return self.Z[zone] if self.cols is None else self.Z[zone][..., self.cols]
 
-    def head(self, end: int) -> DesignMatrix:
-        """The design of fit range (start, end): a view of the first rows."""
-        start = self.fit_range[0]
-        _check_fit_range((start, end), self.order.p, self.fit_range[1])
-        n = end - start - self.order.p
-        return DesignMatrix(Z=self.Z[:, :n], y=self.y[:, :n], order=self.order,
-                            fit_range=(start, end))
+    def gram(self) -> Gram:
+        """The Gram of the rows in the design's own columns: ``normal`` if given."""
+        return _gram(self.own(), self.y) if self.normal is None else self.normal
+
+    def predict(self, coefs: np.ndarray) -> np.ndarray:
+        """:func:`fitted` of the rows and per-zone coefficients (k x eta*p);
+        a view gives the columns it does not own zero coefficients."""
+        if self.cols is not None:
+            coefs, own = np.zeros((len(coefs), self.Z.shape[2])), coefs
+            coefs[:, self.cols] = own
+        return fitted(self.Z, coefs)
 
 
 def _check_fit_range(fit_range: tuple[int, int], p: int, T: int) -> None:
@@ -98,11 +129,15 @@ def lag_regressors(
     [i] is zone i's design rows. Without ``matrices`` the regressors are
     the raw lags y_i(t - j) (eta = 1). Bin t reads only bins t - p .. t - 1,
     so ``end`` may be one past the panel; needs start >= p.
+
+    The array is a read-only view: row t is the window of p * eta values
+    from bin t - 1 back in the eta averages of each bin, kept once.
     """
     start, end = t_range
     bases = [Y] if matrices is None else [W @ Y for W in matrices]
-    return np.stack([b[:, start - j:end - j] for j in range(1, p + 1) for b in bases],
-                    axis=-1)
+    back = np.stack([b[:, start - p:end - 1][:, ::-1] for b in bases], axis=-1)
+    windows = sliding_window_view(back.reshape(len(back), -1), p * len(bases), axis=1)
+    return windows[:, ::len(bases)][:, ::-1]
 
 
 def build_design(
@@ -119,6 +154,53 @@ def build_design(
     Y = panel.values
     return DesignMatrix(Z=lag_regressors(Y, p, (start + p, end), stack.matrices[:order.eta]),
                         y=Y[:, start + p:end].copy(), order=order, fit_range=(start, end))
+
+
+@dataclass(frozen=True)
+class StarBlocks:
+    """One design shared by the STAR cells of order (p, eta) <= (P, E) on
+    one split, which take their rows from it as views and their Gram
+    matrices as sub-blocks.
+
+    ``design`` is of order (P, E), built on the panel with P - 1 zero bins
+    before bin 0: its rows are the targets 1 .. t_end - 1, and a cell of
+    order p reads those at t >= p, which read no zero bin. ``grams`` maps
+    (p, t1) and (p, t2) to the Gram of the rows [p, t1) and [p, t2), the
+    latter as that of [p, t1) plus that of [t1, t2): what a cell's own
+    design would give.
+    """
+
+    design: DesignMatrix
+    split: SplitSpec
+    grams: dict[tuple[int, int], Gram]
+
+    def rows(self, order: ModelOrder, t_range: tuple[int, int]) -> DesignMatrix:
+        """Cell ``order``'s rows of the targets [start, end)."""
+        (start, end), design = t_range, self.design
+        if not order.p <= start <= end <= self.split.t_end:
+            raise DataError(f"no shared rows for targets {t_range} at p={order.p}")
+        # column (j - 1) * eta + l of the cell is (j - 1) * E + l of the design
+        cols = np.arange(order.p)[:, None] * design.order.eta + np.arange(order.eta)
+        return DesignMatrix(Z=design.Z[:, start - 1:end - 1], y=design.y[:, start - 1:end - 1],
+                            order=order, fit_range=(start - order.p, end), cols=cols.ravel())
+
+    def fit_design(self, order: ModelOrder, end: int) -> DesignMatrix:
+        """Cell ``order``'s design over the fit range (0, end), end t1 or t2."""
+        design = self.rows(order, (order.p, end))
+        (G, c), cols = self.grams[order.p, end], design.cols
+        return replace(design, normal=Gram(G[:, cols[:, None], cols], c[:, cols]))
+
+
+def star_blocks(design: DesignMatrix, split: SplitSpec) -> StarBlocks:
+    """The :class:`StarBlocks` of ``split`` on ``design``."""
+    P = design.order.p
+    _check_fit_range((0, split.t1), P, split.t_end)
+    Z, y, grams = design.Z, design.y, {}
+    G2, c2 = _gram(Z[:, split.t1 - 1:split.t2 - 1], y[:, split.t1 - 1:split.t2 - 1])
+    for p in range(1, P + 1):
+        G1, c1 = grams[p, split.t1] = _gram(Z[:, p - 1:split.t1 - 1], y[:, p - 1:split.t1 - 1])
+        grams[p, split.t2] = Gram(G1 + G2, c1 + c2)
+    return StarBlocks(design, split, grams)
 
 
 def fitted(Z: np.ndarray, coefs: np.ndarray) -> np.ndarray:
@@ -234,7 +316,7 @@ def _star_model(design: DesignMatrix, coefs: np.ndarray, n_free: int,
                 scheme: str, lambda_: float | None = None) -> StarModel:
     """Package per-zone coefficients (row i for zone i); sigma2 pools the
     residuals of all zones over n_rows - n_free degrees of freedom."""
-    resid = design.y - fitted(design.Z, coefs)
+    resid = design.y - design.predict(coefs)
     rss = float(np.sum(resid * resid))
     n_rows = resid.size
     dof = n_rows - n_free
@@ -243,11 +325,34 @@ def _star_model(design: DesignMatrix, coefs: np.ndarray, n_free: int,
                      scheme=scheme, fit_range=design.fit_range, lambda_=lambda_)
 
 
+def _each_zone(solver, *arrays: np.ndarray) -> np.ndarray:
+    """``solver`` over every zone in one batched call. If it fails, zone by
+    zone instead, with NaN for the zones it fails on."""
+    try:
+        return solver(*arrays)
+    except np.linalg.LinAlgError:
+        out = np.full(arrays[-1].shape, np.nan)
+        for z in range(len(out)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[z] = solver(*(a[z] for a in arrays))
+        return out
+
+
 def fit_star_ols(design: DesignMatrix, scheme: str = "") -> StarModel:
-    """Per-zone least squares; rank-deficient systems get the
-    minimum-norm solution. sigma2 pools residuals across zones."""
-    coefs = np.array([np.linalg.lstsq(Z, y, rcond=None)[0]
-                      for Z, y in zip(design.Z, design.y)])
+    """Per-zone least squares from the normal equations, by one batched
+    Cholesky factorization. A zone with fewer rows than columns, or whose
+    factor fails or has a pivot below 1e-7 of its largest (cond(G) > 1e14),
+    gets the minimum-norm solution of its rows by ``lstsq`` instead.
+    sigma2 pools residuals across zones."""
+    G, c = design.gram()
+    L = _each_zone(np.linalg.cholesky, G)
+    pivots = np.diagonal(L, axis1=1, axis2=2)
+    ok = (design.y.shape[1] >= c.shape[1]) & (pivots.min(axis=1) > 1e-7 * pivots.max(axis=1))
+    coefs = np.empty(c.shape)
+    half = np.linalg.solve(L[ok], c[ok][..., None])
+    coefs[ok] = np.linalg.solve(L[ok].transpose(0, 2, 1), half)[..., 0]
+    for z in np.flatnonzero(~ok):
+        coefs[z] = np.linalg.lstsq(design.own(z), design.y[z], rcond=None)[0]
     return _star_model(design, coefs, coefs.size, scheme)
 
 
@@ -279,26 +384,20 @@ def fit_var_ols(panel: DemandPanel, p: int, fit_range: tuple[int, int]) -> VarMo
 
 # -- LASSO -------------------------------------------------------------
 
-def _zy(design: DesignMatrix) -> np.ndarray:
-    """Per-zone Z'y (k x m), the one expression behind :func:`lambda_max`
-    and the path's starting penalty, so the two agree bit for bit."""
-    return np.matmul(design.Z.transpose(0, 2, 1), design.y[..., None])[..., 0]
-
-
-def lambda_max(design: DesignMatrix) -> float:
+def lambda_max(gram: Gram) -> float:
     """Smallest penalty with an all-zero solution in every zone: the
     largest ||Z_i' y_i||_inf over zones i."""
-    return float(np.max(np.abs(_zy(design)), initial=0.0))
+    return float(np.max(np.abs(gram.c), initial=0.0))
 
 
-def fit_lasso_path(design: DesignMatrix, grid: Sequence[float]) -> dict[float, np.ndarray]:
+def fit_lasso_path(gram: Gram, grid: Sequence[float]) -> dict[float, np.ndarray]:
     """Exact LASSO solutions of 0.5||y_i - Z_i phi||^2 + lam * ||phi||_1
     for every zone i at every penalty of ``grid``: {lambda: k x (eta*p)
     coefficient matrix}, row i for zone i. Penalties at or above a zone's
     ||Z_i' y_i||_inf give its exact zero vector.
 
     Covariance-form homotopy (Osborne, Presnell & Turlach 2000; the LASSO
-    variant of LARS, Efron et al. 2004) on each zone's G = Z'Z and c = Z'y:
+    variant of LARS, Efron et al. 2004) on each zone's G and c of ``gram``:
     between kinks the active set A and signs s are fixed,
     phi_A = u - lam * w with G_AA [u, w] = [c_A, s_A], and the correlations
     c - G phi are b + lam * a. Going down from lambda_max, a column joins
@@ -313,7 +412,7 @@ def fit_lasso_path(design: DesignMatrix, grid: Sequence[float]) -> dict[float, n
     lams = np.array(sorted(map(float, grid), reverse=True))
     if np.any(lams < 0):
         raise DataError("lambda must be >= 0")
-    G, c = np.matmul(design.Z.transpose(0, 2, 1), design.Z), _zy(design)
+    G, c = gram
     (k, m), L = c.shape, lams.size
     zones, steps, out = np.arange(k), np.arange(L), np.zeros((L, k, m))
     lam = np.max(np.abs(c), axis=1, initial=0.0)
@@ -331,13 +430,7 @@ def fit_lasso_path(design: DesignMatrix, grid: Sequence[float]) -> dict[float, n
         act = signs != 0.0
         M = np.where(act[:, :, None] & act[:, None, :], G, np.eye(m))
         rhs = np.stack([c * act, signs], axis=-1)
-        try:
-            uw = np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError:   # solve zone by zone to find the singular one
-            uw = np.full(rhs.shape, np.nan)
-            for z in range(k):
-                with contextlib.suppress(np.linalg.LinAlgError):
-                    uw[z] = np.linalg.solve(M[z], rhs[z])
+        uw = _each_zone(np.linalg.solve, M, rhs)
         bad = np.flatnonzero(~np.isfinite(uw).all(axis=(1, 2)))
         if bad.size:
             raise NumericalError(f"singular active-set Gram matrix in zone {bad[0]} "
@@ -369,47 +462,45 @@ def fit_lasso_path(design: DesignMatrix, grid: Sequence[float]) -> dict[float, n
     return {float(g): out[n] for n, g in enumerate(lams)}
 
 
-def solve_lasso_batch(design: DesignMatrix, lam: float) -> np.ndarray:
+def solve_lasso_batch(gram: Gram, lam: float) -> np.ndarray:
     """Every zone's LASSO solution at one penalty: the path walked down to
     ``lam``. Returns the k x m coefficient matrix, row i for zone i."""
-    return fit_lasso_path(design, [lam])[float(lam)]
+    return fit_lasso_path(gram, [lam])[float(lam)]
 
 
 def fit_lasso_star(design: DesignMatrix, lam: float, scheme: str = "") -> StarModel:
     """Fit all zones at a single penalty and package as a StarModel."""
-    coefs = solve_lasso_batch(design, lam)
+    coefs = solve_lasso_batch(design.gram(), lam)
     return _star_model(design, coefs, int(np.count_nonzero(coefs)), scheme, lam)
 
 
 def tune_lambda(
-    panel: DemandPanel,
-    design: DesignMatrix,
-    split: SplitSpec,
+    blocks: StarBlocks,
+    order: ModelOrder,
     config: LassoConfig = LassoConfig(),
 ) -> tuple[float, list[tuple[float, float]]]:
     """Select the penalty minimizing one-step validation MSPE.
 
-    ``design`` covers the fit range (0, t2). Coefficients are fit on its
-    rows for bins [0, t1); its rows for [t1, t2) give the one-step
-    validation predictions from true history. Each penalty is scored by
-    the MSPE of :func:`mspe`, computed for the whole curve at once: one
-    product of zone i's validation rows with its coefficients at every
-    penalty gives that zone's residuals, so no k x L x n block is built.
-    Ties break toward the largest penalty. Returns
-    (lambda*, [(lambda, mspe), ...]) with the curve in descending lambda
-    order.
+    The path of cell ``order`` is fit on its design over [0, t1) of
+    ``blocks.split``; its rows for [t1, t2) give the one-step validation
+    predictions from true history. Each penalty is scored by the MSPE of
+    :func:`mspe`, computed for the whole curve at once: one product of
+    zone i's validation rows with its coefficients at every penalty gives
+    that zone's residuals, so no k x L x n block is built. Ties break
+    toward the largest penalty. Returns (lambda*, [(lambda, mspe), ...])
+    with the curve in descending lambda order.
     """
-    train = design.head(split.t1)
-    grid = config.grid(lambda_max(train))
-    path = fit_lasso_path(train, grid)
+    split, gram = blocks.split, blocks.fit_design(order, blocks.split.t1).gram()
+    grid = config.grid(lambda_max(gram))
+    path = fit_lasso_path(gram, grid)
     coefs = np.stack(list(path.values()), axis=-1)         # k x m x L, descending lambda
-    actual = panel.values[:, split.t1:split.t2]
+    val = blocks.rows(order, (split.t1, split.t2))
     sse = np.zeros(coefs.shape[-1])
-    for Z, y, C in zip(design.rows((split.t1, split.t2)), actual, coefs):
-        err = Z @ C             # the zone's n x L predictions, one column per penalty
-        err -= y[:, None]       # minus its residuals
+    for i, (y, C) in enumerate(zip(val.y, coefs)):
+        err = val.own(i) @ C        # the zone's n x L predictions, one column per penalty
+        err -= y[:, None]           # minus its residuals
         sse += np.square(err, out=err).sum(axis=0)
-    score = dict(zip(path, sse / actual.size))
+    score = dict(zip(path, sse / val.y.size))
     curve = [(lam, float(score[lam])) for lam in grid]
     # descending grid: min keeps the first minimum, the largest lambda
     return min(curve, key=lambda c: c[1])[0], curve

@@ -2,13 +2,16 @@
 
 Test predictions are rolling one-step: the prediction at bin t always
 conditions on the true observed history at bins < t, never on earlier
-predictions.
+predictions. A STAR scenario reads its fits, validation and test rows
+from a :class:`StarBlocks`: its own, or in the grid the one of its stack.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,9 +22,9 @@ from .errors import DataError, NumericalError
 from .panel import DemandPanel, ModelOrder, SplitSpec
 from .weights import WeightStack
 from .estimators import (
-    LassoConfig, StarModel, VarModel,
+    LassoConfig, StarBlocks, StarModel, VarModel,
     build_design, check_stack, fit_lasso_star, fit_star_ols, fit_var_ols, fitted,
-    lag_regressors, mspe, tune_lambda,
+    lag_regressors, mspe, star_blocks, tune_lambda,
 )
 
 MODEL_VAR = "var"
@@ -30,15 +33,19 @@ MODEL_LASSO_STAR = "lasso_star"
 
 
 def predict_range(model, panel: DemandPanel, t_range: tuple[int, int],
-                  stack: WeightStack | None = None) -> np.ndarray:
+                  stack: WeightStack | None = None,
+                  blocks: StarBlocks | None = None) -> np.ndarray:
     """Rolling one-step predictions for t in [t_range.start, t_range.end).
 
     Column t - start is the prediction of bin t from the true history at
-    bins < t; the range may end one past the panel (bin T).
+    bins < t; the range may end one past the panel (bin T). A STAR model
+    given the ``blocks`` its scenario was fit on reads its rows from them.
     """
     start, end = t_range
     if end <= start:
         raise DataError(f"empty prediction range {t_range}")
+    if isinstance(model, StarModel) and blocks is not None:
+        return blocks.rows(model.order, t_range).predict(model.coefficients)
     if isinstance(model, StarModel):
         check_stack(panel, stack, model.order.eta)
         p = model.order.p
@@ -89,6 +96,14 @@ def _report(model_kind: str, order: ModelOrder, stack: WeightStack | None,
                       split=split, **fields)
 
 
+def scenario_blocks(panel: DemandPanel, stack: WeightStack | None, order: ModelOrder,
+                    split: SplitSpec) -> StarBlocks:
+    """One design of ``order`` for the cells up to it, and its blocks for ``split``."""
+    lead = order.p - 1      # zero bins before bin 0, see StarBlocks
+    zeros = DemandPanel(panel.zone_ids, np.pad(panel.values, ((0, 0), (lead, 0))))
+    return star_blocks(build_design(zeros, stack, order, (0, split.t_end + lead)), split)
+
+
 def fit_scenario_model(
     panel: DemandPanel,
     stack: WeightStack | None,
@@ -96,6 +111,7 @@ def fit_scenario_model(
     order: ModelOrder,
     split: SplitSpec,
     config: LassoConfig = LassoConfig(),
+    blocks: StarBlocks | None = None,
 ) -> tuple[VarModel | StarModel, list[tuple[float | None, float]]]:
     """Fit the model that a scenario scores on its test span [t2, t_end),
     and its validation curve on [t1, t2).
@@ -105,8 +121,9 @@ def fit_scenario_model(
     the penalty on the validation span (see :func:`tune_lambda`), then
     fits at lambda* on [0, t2), or on [0, t1) with
     ``config.refit_after_tuning`` off; its curve is [(lambda, validation
-    MSPE), ...]. A STAR or LASSO-STAR scenario builds one design, over
-    (0, t2), and takes every fit and validation row from it.
+    MSPE), ...]. A STAR or LASSO-STAR scenario takes every fit design and
+    validation row from ``blocks`` of a design of its order or higher,
+    built here over (0, t_end) if not given.
     """
     val_range = (split.t1, split.t2)
     if model_kind == MODEL_VAR:
@@ -115,14 +132,16 @@ def fit_scenario_model(
         return fit_var_ols(panel, order.p, (0, split.t2)), [(None, val_mspe)]
     if model_kind not in (MODEL_STAR, MODEL_LASSO_STAR):
         raise DataError(f"unknown model kind {model_kind!r}")
-    design = build_design(panel, stack, order, (0, split.t2))
+    if blocks is None:
+        blocks = scenario_blocks(panel, stack, order, split)
     if model_kind == MODEL_LASSO_STAR:
-        lam, curve = tune_lambda(panel, design, split, config)
-        fit_design = design if config.refit_after_tuning else design.head(split.t1)
-        return fit_lasso_star(fit_design, lam, scheme=stack.scheme), curve
-    val_model = fit_star_ols(design.head(split.t1), scheme=stack.scheme)
-    val_mspe = mspe(panel, fitted(design.rows(val_range), val_model.coefficients), val_range)
-    return fit_star_ols(design, scheme=stack.scheme), [(None, val_mspe)]
+        lam, curve = tune_lambda(blocks, order, config)
+        fit_end = split.t2 if config.refit_after_tuning else split.t1
+        return fit_lasso_star(blocks.fit_design(order, fit_end), lam, scheme=stack.scheme), curve
+    val_model = fit_star_ols(blocks.fit_design(order, split.t1), scheme=stack.scheme)
+    val_mspe = mspe(panel, blocks.rows(order, val_range).predict(val_model.coefficients),
+                    val_range)
+    return fit_star_ols(blocks.fit_design(order, split.t2), scheme=stack.scheme), [(None, val_mspe)]
 
 
 def run_scenario(
@@ -132,17 +151,21 @@ def run_scenario(
     order: ModelOrder,
     split: SplitSpec,
     config: LassoConfig = LassoConfig(),
+    blocks: StarBlocks | None = None,
 ) -> EvalReport:
     """Fit and evaluate one scenario through :func:`fit_scenario_model`.
 
     The validation MSPE and lambda* (None for VAR and STAR) are the
-    curve's first minimum; the test model is scored on [t2, t_end).
+    curve's first minimum; the test model is scored on [t2, t_end), a
+    STAR model's from the rows of ``blocks`` (built here if not given).
     """
     t0 = time.perf_counter()
-    model, curve = fit_scenario_model(panel, stack, model_kind, order, split, config)
+    if blocks is None and model_kind in (MODEL_STAR, MODEL_LASSO_STAR):
+        blocks = scenario_blocks(panel, stack, order, split)
+    model, curve = fit_scenario_model(panel, stack, model_kind, order, split, config, blocks)
     lam, val_mspe = min(curve, key=lambda c: c[1])
     test_range = (split.t2, split.t_end)
-    test = mspe(panel, predict_range(model, panel, test_range, stack), test_range)
+    test = mspe(panel, predict_range(model, panel, test_range, stack, blocks), test_range)
     return _report(model_kind, order, stack, split, val_mspe=val_mspe, test_mspe=test,
                    lambda_=lam, seconds=time.perf_counter() - t0)
 
@@ -170,15 +193,24 @@ class ScenarioGrid:
             raise DataError(f"grid stacks must have distinct schemes, got {schemes}")
 
 
-def _scenario_cells(grid: ScenarioGrid):
-    for kind in grid.model_kinds:
-        for stack in grid.stacks:
-            for eta in grid.eta_values:
-                for p in grid.p_values:
-                    yield (kind, stack, ModelOrder(p=p, eta=eta))
+def _scenario_cells(panel: DemandPanel, grid: ScenarioGrid):
+    """(kind, stack, order, blocks) of every cell. The STAR and LASSO-STAR
+    cells of a stack share the blocks of one design, of the largest p and
+    eta among the cells that fit (p < t1, eta within the stack); a cell
+    that does not fit gets none, and so fails alone, saying why."""
+    for stack in grid.stacks:
+        ps = [p for p in grid.p_values if p < grid.split.t1]
+        etas = [eta for eta in grid.eta_values if eta <= stack.eta_max]
+        blocks = None
+        if grid.model_kinds and ps and etas:
+            with contextlib.suppress(DataError):
+                blocks = scenario_blocks(panel, stack, ModelOrder(max(ps), max(etas)), grid.split)
+        for kind, eta, p in itertools.product(grid.model_kinds, grid.eta_values, grid.p_values):
+            yield kind, stack, ModelOrder(p=p, eta=eta), (
+                blocks if p in ps and eta in etas else None)
     if grid.include_var:
         for p in grid.p_values:
-            yield (MODEL_VAR, None, ModelOrder(p=p, eta=1))
+            yield MODEL_VAR, None, ModelOrder(p=p, eta=1), None
 
 
 def run_grid(panel: DemandPanel, grid: ScenarioGrid) -> list[EvalReport]:
@@ -188,9 +220,10 @@ def run_grid(panel: DemandPanel, grid: ScenarioGrid) -> list[EvalReport]:
     descending, p).
     """
     reports = []
-    for kind, stack, order in _scenario_cells(grid):
+    for kind, stack, order, blocks in _scenario_cells(panel, grid):
         try:
-            reports.append(run_scenario(panel, stack, kind, order, grid.split, grid.config))
+            reports.append(run_scenario(panel, stack, kind, order, grid.split, grid.config,
+                                        blocks))
         except (DataError, NumericalError) as e:
             reports.append(_report(kind, order, stack, grid.split, val_mspe=None,
                                    test_mspe=None, error=str(e)))

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, open_input
-from .panel import DemandPanel, make_panel
+from .panel import DemandPanel, make_panel, unique_zone_ids
 
 POLICY_STRICT = "strict"
 POLICY_SKIP = "skip"
@@ -435,6 +435,7 @@ def load_zones_geojson(path) -> list[ZoneGeometry]:
         zones.append(make_zone(props["zone_id"], polygon=ring))
     if not zones:
         raise DataError(f"{path}: no zone features")
+    unique_zone_ids((z.zone_id for z in zones), str(path))
     return zones
 
 
@@ -454,4 +455,5 @@ def load_zones_centroid_csv(path) -> list[ZoneGeometry]:
                 raise DataError(f"{path}: bad centroid row {row}: {e}") from None
     if not zones:
         raise DataError(f"{path}: no zones")
+    unique_zone_ids((z.zone_id for z in zones), str(path))
     return zones

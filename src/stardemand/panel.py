@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterable, Sequence
@@ -66,6 +67,15 @@ class DemandPanel:
         )
 
 
+def unique_zone_ids(zone_ids: Iterable, where: str) -> tuple[str, ...]:
+    """The zone ids as strings; an id given twice is a DataError."""
+    zone_ids = tuple(str(z) for z in zone_ids)
+    repeated = sorted(z for z, n in Counter(zone_ids).items() if n > 1)
+    if repeated:
+        raise DataError(f"{where}: duplicate zone ids {', '.join(repeated)}")
+    return zone_ids
+
+
 def make_panel(
     zone_ids: Sequence[str],
     values: Iterable[Iterable[float]] | np.ndarray,
@@ -78,11 +88,9 @@ def make_panel(
     Raises DataError on ragged rows, duplicate zone ids, or (in raw mode)
     negative or non-integer counts.
     """
-    zone_ids = tuple(str(z) for z in zone_ids)
+    zone_ids = unique_zone_ids(zone_ids, "panel")
     if len(zone_ids) == 0:
         raise DataError("panel needs at least one zone")
-    if len(set(zone_ids)) != len(zone_ids):
-        raise DataError("duplicate zone ids")
     if bin_minutes <= 0:
         raise DataError("bin_minutes must be positive")
     if kind not in _KINDS:

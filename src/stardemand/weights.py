@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, open_input, write_json
-from .panel import _frozen
+from .panel import _frozen, unique_zone_ids
 
 SCHEME_CENTROID = "centroid"
 SCHEME_ADJACENCY = "adjacency"
@@ -55,7 +55,7 @@ class AdjacencyGraph:
 
 
 def make_adjacency(zone_ids: Sequence[str], edges: Iterable[tuple[str, str]]) -> AdjacencyGraph:
-    zone_ids = tuple(str(z) for z in zone_ids)
+    zone_ids = unique_zone_ids(zone_ids, "adjacency graph")
     known = set(zone_ids)
     norm = set()
     for a, b in edges:
@@ -219,7 +219,7 @@ def read_stack(directory) -> WeightStack:
         stack = WeightStack(
             matrices=tuple(_frozen(m) for m in mats),
             scheme=manifest["scheme"],
-            zone_ids=tuple(manifest["zone_ids"]),
+            zone_ids=unique_zone_ids(manifest["zone_ids"], f"weight stack in {directory}"),
         )
     except (OSError, KeyError, TypeError, ValueError) as e:
         raise DataError(f"malformed weight stack in {directory}: {e!r}") from None

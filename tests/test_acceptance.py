@@ -132,7 +132,7 @@ def _design(Z, y):
 
 def _solve(d, lam):
     """The production solver on a one-zone design."""
-    return solve_lasso_batch(d, lam)[0]
+    return solve_lasso_batch(d.gram(), lam)[0]
 
 
 def test_criterion_3_lasso_correctness():
@@ -154,7 +154,7 @@ def test_criterion_3_lasso_correctness():
         Z = rng.normal(size=(30, 6))
         y = rng.normal(size=30)
         d = _design(Z, y)
-        for lam in (lambda_max(d), 1.5 * lambda_max(d)):
+        for lam in (lambda_max(d.gram()), 1.5 * lambda_max(d.gram())):
             ok_b &= bool(np.all(_solve(d, lam) == 0.0))
 
     # (c) KKT stationarity certificate on 50 random instances
@@ -165,7 +165,7 @@ def test_criterion_3_lasso_correctness():
         Z = rng.normal(size=(n, m))
         y = rng.normal(size=n)
         d = _design(Z, y)
-        lam = float(rng.uniform(0.05, 0.8)) * lambda_max(d)
+        lam = float(rng.uniform(0.05, 0.8)) * lambda_max(d.gram())
         phi = _solve(d, lam)
         worst_c = max(worst_c, _kkt_violation(Z, y, phi, lam))
 

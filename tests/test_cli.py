@@ -99,6 +99,26 @@ class TestWeights:
         {"scheme": "centroid", "zones_csv": "zones.csv"},
         {"scheme": "adjacency", "zones": "zones.geojson", "adjacency": "adj.csv"},
     ], ids=["centroid", "adjacency"])
+    def test_duplicate_zone_id_is_data_error(self, tmp_path, wcfg):
+        # a repeated id would write a stack whose first copy has all-zero rings
+        (tmp_path / "zones.csv").write_text("zone_id,lon,lat\nA,0,0\nB,1,0\nA,3,0\n")
+        (tmp_path / "zones.geojson").write_text(json.dumps({
+            "type": "FeatureCollection",
+            "features": [{"type": "Feature", "properties": {"zone_id": zid},
+                          "geometry": {"type": "Polygon", "coordinates": [
+                              [[x, 0], [x + 1, 0], [x + 1, 1], [x, 1], [x, 0]]]}}
+                         for zid, x in (("A", 0), ("B", 1), ("A", 2))],
+        }))
+        (tmp_path / "adj.csv").write_text("zone_a,zone_b\nA,B\n")
+        cfg = write_yaml(tmp_path / "w.yaml", {"output_dir": str(tmp_path / "w"),
+                                              "weights": {"eta_max": 2, **wcfg}})
+        assert main(["weights", "-c", str(cfg)]) == EXIT_DATA
+        assert not (tmp_path / "w" / "stack").exists()
+
+    @pytest.mark.parametrize("wcfg", [
+        {"scheme": "centroid", "zones_csv": "zones.csv"},
+        {"scheme": "adjacency", "zones": "zones.geojson", "adjacency": "adj.csv"},
+    ], ids=["centroid", "adjacency"])
     def test_echoed_config_reruns_identically(self, tmp_path, monkeypatch, wcfg):
         # relative inputs are echoed absolute, under the key they were read from
         (tmp_path / "zones.csv").write_text("zone_id,lon,lat\nA,0,0\nB,1,0\nC,3,0\n")

@@ -8,10 +8,10 @@ from stardemand.estimators import (
     fit_var_ols, fitted, lambda_max, model_from_dict, model_to_dict, mspe,
     read_model_json, solve_lasso_batch, tune_lambda, write_model_json,
 )
-from stardemand.forecast import MODEL_LASSO_STAR, run_scenario
+from stardemand.forecast import MODEL_LASSO_STAR, run_scenario, scenario_blocks
 from stardemand.panel import ModelOrder, SplitSpec, make_panel
 from stardemand.synth import random_centroid_stack, random_sparse_star_spec, gen_star_process
-from stardemand.weights import WeightStack
+from stardemand.weights import WeightStack, adjacency_rings, make_adjacency
 
 from conftest import random_panel
 from lasso_oracle import (
@@ -104,6 +104,53 @@ class TestStarOls:
             expected = np.linalg.solve(Z.T @ Z, Z.T @ y)
             assert np.max(np.abs(model.coefficients[i] - expected)) < 1e-8
 
+    @pytest.mark.parametrize("case", ["tall", "isolated_zone", "fewer_rows_than_columns",
+                                      "near_collinear"])
+    def test_normal_equations_match_lstsq(self, case, monkeypatch):
+        """Zones solved through the Cholesky factor agree with lstsq within
+        the normal equations' error bound, eps * cond(Z)^2; a zone with a
+        zero column (an isolated zone of an adjacency stack), fewer rows than
+        columns, or two nearly equal columns gets lstsq's minimum-norm answer
+        itself, and only those zones call lstsq."""
+        if case == "fewer_rows_than_columns":
+            design, fallback = _fewer_rows_design()[2], list(range(27))
+        elif case == "isolated_zone":
+            ids = [f"z{i:02d}" for i in range(8)]
+            stack = adjacency_rings(make_adjacency(ids, zip(ids[:6], ids[1:7])), 3)
+            design = build_design(random_panel(8, 80, seed=17), stack,
+                                  ModelOrder(p=2, eta=3), (0, 80))
+            assert not design.Z[7].any(axis=0)[[1, 2, 4, 5]].any()
+            fallback = [7]
+        else:
+            design = build_design(random_panel(5, 90, seed=18), random_centroid_stack(5, 3, 18),
+                                  ModelOrder(p=3, eta=3), (0, 90))
+            fallback = []
+            if case == "near_collinear":
+                Z = design.Z.copy()
+                noise = np.random.default_rng(19).normal(size=Z.shape[1])
+                Z[0, :, 1] = Z[0, :, 0] + 1e-9 * noise     # cond(Z_0) about 1e9
+                Z[1, :, 1] = Z[1, :, 0] + 1e-3 * noise     # cond(Z_1) about 1e3
+                design = DesignMatrix(Z=Z, y=design.y, order=design.order,
+                                      fit_range=design.fit_range)
+                fallback = [0]
+        lstsq, calls = np.linalg.lstsq, []
+
+        def counting_lstsq(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        got = fit_star_ols(design).coefficients
+        assert len(calls) == len(fallback)
+        eps = np.finfo(float).eps
+        for i, (Z, y) in enumerate(zip(design.Z, design.y)):
+            want = lstsq(Z, y, rcond=None)[0]
+            if i in fallback:
+                assert np.array_equal(got[i], want), i
+            else:
+                bound = 16 * eps * np.linalg.cond(Z) ** 2 * np.max(np.abs(want))
+                assert np.max(np.abs(got[i] - want)) <= bound, i
+
     def test_parameter_count(self):
         panel = random_panel(4, 50, seed=16)
         stack = random_centroid_stack(4, 3, seed=16)
@@ -176,7 +223,7 @@ def _design(Z, y, p=1, eta=None):
 class TestLambdaMax:
     def test_single_column(self):
         Z, y = np.array([[1.0], [1.0]]), np.array([1.0, 1.0])
-        assert lambda_max(_design(Z, y, eta=1)) == 2.0
+        assert lambda_max(_design(Z, y, eta=1).gram()) == 2.0
         # 1-D grid-search oracle: penalized objective minimized at phi=0
         # exactly when lam >= 2
         for lam, want_zero in [(1.9, False), (2.0, True), (2.5, True)]:
@@ -187,14 +234,14 @@ class TestLambdaMax:
 
     def test_zero_response(self):
         d = _design([[1.0], [2.0]], [0.0, 0.0], eta=1)
-        assert lambda_max(d) == 0.0
+        assert lambda_max(d.gram()) == 0.0
 
     def test_scales_with_response(self):
         rng = np.random.default_rng(20)
         Z = rng.normal(size=(10, 3))
         y = rng.normal(size=10)
-        a = lambda_max(_design(Z, y, eta=3))
-        b = lambda_max(_design(Z, 3.5 * y, eta=3))
+        a = lambda_max(_design(Z, y, eta=3).gram())
+        b = lambda_max(_design(Z, 3.5 * y, eta=3).gram())
         assert abs(b - 3.5 * a) < 1e-10
 
 
@@ -211,7 +258,7 @@ def _kkt_violation(Z, y, phi, lam):
 
 def _solve(d, lam):
     """The production solver on a one-zone design."""
-    return solve_lasso_batch(d, lam)[0]
+    return solve_lasso_batch(d.gram(), lam)[0]
 
 
 class TestLassoCd:
@@ -236,7 +283,7 @@ class TestLassoCd:
         Z = rng.normal(size=(20, 5))
         y = rng.normal(size=20)
         d = _design(Z, y, eta=5)
-        for lam in (lambda_max(d), lambda_max(d) * 1.0001):
+        for lam in (lambda_max(d.gram()), lambda_max(d.gram()) * 1.0001):
             phi = _solve(d, lam)
             assert np.all(phi == 0.0)
             assert _kkt_violation(Z, y, phi, lam) <= 1e-10
@@ -247,7 +294,7 @@ class TestLassoCd:
             Z = rng.normal(size=(25, 6))
             y = rng.normal(size=25)
             d = _design(Z, y, eta=6)
-            lam = 0.3 * lambda_max(d)
+            lam = 0.3 * lambda_max(d.gram())
             phi = _solve(d, lam)
             assert _kkt_violation(Z, y, phi, lam) < 1e-6
 
@@ -256,7 +303,7 @@ class TestLassoCd:
         Z = rng.normal(size=(40, 8))
         y = rng.normal(size=40)
         d = _design(Z, y, eta=8)
-        lam = 0.5 * lambda_max(d)
+        lam = 0.5 * lambda_max(d.gram())
         trace = []
         lasso_cd(Z, y, lam, objective_trace=trace)
         assert np.all(np.diff(trace) <= 1e-10)
@@ -293,8 +340,8 @@ class TestLassoCd:
         panel = random_panel(4, 50, seed=60)
         stack = random_centroid_stack(4, 2, seed=60)
         design = build_design(panel, stack, ModelOrder(p=2, eta=2), (0, 50))
-        lam = 0.4 * lambda_max(design)
-        batch = solve_lasso_batch(design, lam)
+        lam = 0.4 * lambda_max(design.gram())
+        batch = solve_lasso_batch(design.gram(), lam)
         for i, (Z, y) in enumerate(zip(design.Z, design.y)):
             single = lasso_cd(Z, y, lam)
             assert np.max(np.abs(batch[i] - single)) < 1e-7
@@ -303,8 +350,8 @@ class TestLassoCd:
         q, _ = np.linalg.qr(np.random.default_rng(26).normal(size=(12, 6)))
         y = np.random.default_rng(27).normal(size=12)
         d = _design(q, y, eta=6)
-        grid = LassoConfig().grid(lambda_max(d))
-        path = fit_lasso_path(d, grid)
+        grid = LassoConfig().grid(lambda_max(d.gram()))
+        path = fit_lasso_path(d.gram(), grid)
         active = [int(np.count_nonzero(path[lam])) for lam in grid]  # descending lam
         assert all(a <= b for a, b in zip(active, active[1:]))
 
@@ -333,13 +380,13 @@ class TestLassoPathCertificate:
         panel = random_panel(6, 90, seed=61)
         stack = random_centroid_stack(6, 3, seed=61)
         design = build_design(panel, stack, ModelOrder(p=3, eta=3), (0, 90))
-        path = fit_lasso_path(design, LassoConfig().grid(lambda_max(design)))
+        path = fit_lasso_path(design.gram(), LassoConfig().grid(lambda_max(design.gram())))
         assert len(path) == 51
         assert _worst_kkt(design, path) <= 1e-10
 
     def test_fewer_rows_than_columns(self):
         panel, stack, design = _fewer_rows_design()
-        path = fit_lasso_path(design, LassoConfig().grid(lambda_max(design)))
+        path = fit_lasso_path(design.gram(), LassoConfig().grid(lambda_max(design.gram())))
         assert _worst_kkt(design, path) <= 1e-10
         report = run_scenario(panel, stack, MODEL_LASSO_STAR, design.order,
                               SplitSpec(32, 64, 96))
@@ -359,14 +406,13 @@ class TestLassoPathCertificate:
         design = DesignMatrix(Z=Z, y=y, order=ModelOrder(p=1, eta=3), fit_range=(0, 7))
         with pytest.raises(NumericalError,
                            match=r"singular active-set Gram matrix in zone 1 at lambda=1\.0$"):
-            fit_lasso_path(design, [0.5, 0.0])
+            fit_lasso_path(design.gram(), [0.5, 0.0])
 
 
 def _oracle_paths(design, lams):
     """Each zone's scalar walk, on the production path's own G and c:
     [(len(lams) x m coefficients, number of solves), ...]."""
-    Zt = design.Z.transpose(0, 2, 1)
-    G, c = np.matmul(Zt, design.Z), np.matmul(Zt, design.y[..., None])[..., 0]
+    G, c = design.gram()
     return G, [zone_path(G_i, c_i, lams) for G_i, c_i in zip(G, c)]
 
 
@@ -376,7 +422,7 @@ def _assert_matches_oracle(design, grid):
     the active block G_AA is so ill-conditioned that two LU solves of it
     may differ by more, the bound is eps * cond(G_AA) times it instead."""
     lams = np.array(sorted(grid, reverse=True))
-    path = fit_lasso_path(design, grid)
+    path = fit_lasso_path(design.gram(), grid)
     G, oracle = _oracle_paths(design, lams)
     eps = np.finfo(float).eps
     for i, (want, _) in enumerate(oracle):
@@ -400,13 +446,15 @@ class TestLockstepPath:
         else:
             panel = random_panel(6, 120, seed=64)
             stack = random_centroid_stack(6, 3, seed=64)
-            design = build_design(panel, stack, ModelOrder(p=2, eta=3), (0, 120))
+            order = ModelOrder(p=2, eta=3)
+            design = build_design(panel, stack, order, (0, 120))
+            # a cell's fit design and rows, read from a shared design of higher order
+            blocks = scenario_blocks(panel, stack, ModelOrder(p=3, eta=3), SplitSpec(60, 90, 120))
             if case == "head":
-                design = design.head(60)
+                design = blocks.fit_design(order, 60)
             elif case == "rows":
-                design = DesignMatrix(Z=design.rows((50, 120)), y=design.y[:, 48:],
-                                      order=design.order, fit_range=(48, 120))
-        _assert_matches_oracle(design, LassoConfig().grid(lambda_max(design)))
+                design = blocks.rows(order, (50, 120))
+        _assert_matches_oracle(design, LassoConfig().grid(lambda_max(design.gram())))
 
     def test_zones_that_finish_at_different_steps(self):
         rng = np.random.default_rng(62)
@@ -417,10 +465,10 @@ class TestLockstepPath:
         Z[3] = np.linalg.qr(Z[3])[0]
         y[3] = 3.0 * Z[3, :, 0]     # orthonormal columns, y on one of them: one kink
         design = DesignMatrix(Z=Z, y=y, order=ModelOrder(p=2, eta=3), fit_range=(0, n + 2))
-        grid = LassoConfig().grid(lambda_max(design))
+        grid = LassoConfig().grid(lambda_max(design.gram()))
         steps = [s for _, s in _oracle_paths(design, np.array(grid))[1]]
         assert steps[0] == 0 and steps[3] == 1 and steps[2] >= 6
-        path = fit_lasso_path(design, grid)
+        path = fit_lasso_path(design.gram(), grid)
         assert all(not coefs[0].any() and coefs[1, 2] == 0.0 for coefs in path.values())
         assert _worst_kkt(design, path) <= 1e-10
         _assert_matches_oracle(design, grid)
@@ -429,7 +477,7 @@ class TestLockstepPath:
         panel = random_panel(6, 90, seed=63)
         stack = random_centroid_stack(6, 3, seed=63)
         design = build_design(panel, stack, ModelOrder(p=3, eta=3), (0, 90))
-        grid = LassoConfig().grid(lambda_max(design))
+        grid = LassoConfig().grid(lambda_max(design.gram()))
         steps = [s for _, s in _oracle_paths(design, np.array(grid))[1]]
         solve, shapes = np.linalg.solve, []
 
@@ -438,7 +486,7 @@ class TestLockstepPath:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
-        fit_lasso_path(design, grid)
+        fit_lasso_path(design.gram(), grid)
         assert len(shapes) == max(steps) < sum(steps)
         assert set(shapes) == {(6, 9, 9)}
 
@@ -452,17 +500,18 @@ def test_path_on_views_matches_contiguous_copies(p, eta, part):
     stack = random_centroid_stack(6, 6, seed=41)
     design = build_design(panel, stack, ModelOrder(p=p, eta=eta), (0, 64))
     if part == "head":
-        view = design.head(32)
+        view = DesignMatrix(Z=design.Z[:, :32 - p], y=design.y[:, :32 - p],
+                            order=design.order, fit_range=(0, 32))
     else:
-        view = DesignMatrix(Z=design.rows((40, 64)), y=design.y[:, 40 - p:64 - p],
+        view = DesignMatrix(Z=design.Z[:, 40 - p:64 - p], y=design.y[:, 40 - p:64 - p],
                             order=design.order, fit_range=(40 - p, 64))
     if (p, eta) == (5, 6):
         assert view.Z.shape[1:] == (27, 30)
     assert not view.Z.flags.c_contiguous and not view.y.flags.c_contiguous
     copy = DesignMatrix(Z=view.Z.copy(), y=view.y.copy(), order=view.order,
                         fit_range=view.fit_range)
-    grid = LassoConfig().grid(lambda_max(view))
-    got, want = fit_lasso_path(view, grid), fit_lasso_path(copy, grid)
+    grid = LassoConfig().grid(lambda_max(view.gram()))
+    got, want = fit_lasso_path(view.gram(), grid), fit_lasso_path(copy.gram(), grid)
     for lam in grid:
         np.testing.assert_allclose(got[lam], want[lam], rtol=1e-12, atol=0)
         assert np.array_equal(got[lam] == 0, want[lam] == 0)
@@ -501,8 +550,7 @@ class TestTuneLambda:
         order = ModelOrder(p=1, eta=2)
         # force the curve: descending grid {10, 1, 0.1} gets MSPEs {0.7, 0.3, 0.5}
         cfg = LassoConfig(explicit_grid=(0.1, 1.0, 10.0))
-        design = build_design(panel, stack, order, (0, split.t2))
-        lam, curve = tune_lambda(panel, design, split, cfg)
+        lam, curve = tune_lambda(scenario_blocks(panel, stack, order, split), order, cfg)
         by_lam = dict(curve)
         expected = min(by_lam, key=lambda l: (by_lam[l], -l))
         assert lam == expected
@@ -514,8 +562,7 @@ class TestTuneLambda:
         order = ModelOrder(p=1, eta=2)
         big = 1e9  # above lambda_max: identical all-zero fits
         cfg = LassoConfig(explicit_grid=(big, 2 * big))
-        design = build_design(panel, stack, order, (0, split.t2))
-        lam, curve = tune_lambda(panel, design, split, cfg)
+        lam, curve = tune_lambda(scenario_blocks(panel, stack, order, split), order, cfg)
         assert lam == 2 * big
         assert curve[0][1] == curve[1][1]
 
@@ -532,15 +579,18 @@ class TestTuneLambda:
         }[case]
         panel = random_panel(k, split.t_end, seed=31)
         stack = random_centroid_stack(k, eta, seed=31)
-        design = build_design(panel, stack, ModelOrder(p=p, eta=eta), (0, split.t2))
-        lam, curve = tune_lambda(panel, design, split, cfg)
-        train = design.head(split.t1)
+        order = ModelOrder(p=p, eta=eta)
+        lam, curve = tune_lambda(scenario_blocks(panel, stack, order, split), order, cfg)
+        design = build_design(panel, stack, order, (0, split.t2))
+        train = DesignMatrix(Z=design.Z[:, :split.t1 - p], y=design.y[:, :split.t1 - p],
+                             order=order, fit_range=(0, split.t1))
         if case == "fewer_rows_than_columns":
             assert train.Z.shape[1:] == (27, 30)
-        grid = cfg.grid(lambda_max(train))
-        path = fit_lasso_path(train, grid)
+        grid = cfg.grid(lambda_max(train.gram()))
+        path = fit_lasso_path(train.gram(), grid)
         val = (split.t1, split.t2)
-        ref = [(g, mspe(panel, fitted(design.rows(val), path[g]), val)) for g in grid]
+        val_rows = design.Z[:, split.t1 - p:]
+        ref = [(g, mspe(panel, fitted(val_rows, path[g]), val)) for g in grid]
         assert [g for g, _ in curve] == grid
         np.testing.assert_allclose([v for _, v in curve], [v for _, v in ref],
                                    rtol=1e-12, atol=0)
@@ -559,8 +609,7 @@ class TestTuneLambda:
                                            seed=seed, density=0.3)
             panel = gen_star_process(spec, stack)
             split = SplitSpec(32, 64, 96)
-            design = build_design(panel, stack, order, (0, split.t2))
-            lam, _ = tune_lambda(panel, design, split,
+            lam, _ = tune_lambda(scenario_blocks(panel, stack, order, split), order,
                                  LassoConfig(n_lambdas=30))
             if lam > 0:
                 wins += 1

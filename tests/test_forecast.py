@@ -4,7 +4,7 @@ import pytest
 from stardemand import estimators, forecast
 from stardemand.errors import DataError
 from stardemand.estimators import (
-    LassoConfig, StarModel, VarModel, build_design, fit_star_ols, fit_var_ols,
+    LassoConfig, StarModel, VarModel, build_design, fit_star_ols, fit_var_ols, lag_regressors,
 )
 from stardemand.forecast import (
     MODEL_LASSO_STAR, MODEL_STAR, MODEL_VAR,
@@ -17,6 +17,7 @@ from stardemand.synth import random_centroid_stack, random_sparse_star_spec, gen
 from stardemand.weights import WeightStack
 
 from conftest import random_panel
+from synth_helpers import paired_adjacency_stack
 
 
 def _star_model(coefs, order, fit_range=(0, 10)):
@@ -280,23 +281,35 @@ class TestRunGrid:
             model_kinds=(MODEL_STAR,), include_var=False))
         assert len(reports) == 1
 
-    def test_one_design_per_star_cell(self, monkeypatch):
-        # each STAR / LASSO-STAR cell builds its design once, over (0, t2);
-        # a VAR cell builds none
-        calls = []
+    def test_one_design_per_stack(self, monkeypatch):
+        # every STAR and LASSO-STAR cell of a stack reads one shared design:
+        # one build_design per stack, and no lag_regressors call but the one
+        # inside it, so no cell builds rows of its own for its test span
+        builds, lags, inside = [], [], []
 
-        def counting(panel, stack, order, fit_range):
-            calls.append((order.p, order.eta, fit_range))
-            return build_design(panel, stack, order, fit_range)
+        def counting_build(panel, stack, order, fit_range):
+            builds.append((stack.scheme, order))
+            inside.append(True)
+            try:
+                return build_design(panel, stack, order, fit_range)
+            finally:
+                inside.pop()
+
+        def counting_lags(Y, p, t_range, matrices=None):
+            lags.append(bool(inside))
+            return lag_regressors(Y, p, t_range, matrices)
 
         for module in (estimators, forecast):
-            monkeypatch.setattr(module, "build_design", counting)
-        panel = random_panel(3, 60, seed=56)
-        s1 = random_centroid_stack(3, 2, seed=56)
-        reports = run_grid(panel, self._grid((s1,), SplitSpec(20, 40, 60)))
-        assert not any(r.error for r in reports)
-        cells = [(r.p, r.eta, (0, 40)) for r in reports if r.model != MODEL_VAR]
-        assert len(cells) == 8 and sorted(calls) == sorted(cells)
+            monkeypatch.setattr(module, "build_design", counting_build)
+            monkeypatch.setattr(module, "lag_regressors", counting_lags)
+        panel = random_panel(6, 60, seed=56)
+        stacks = (random_centroid_stack(6, 3, seed=56), paired_adjacency_stack(6, 2))
+        reports = run_grid(panel, self._grid(stacks, SplitSpec(20, 40, 60), p_values=(1, 2, 3),
+                                             eta_values=(1, 2), include_var=False))
+        assert len(reports) == 24 and not any(r.error for r in reports)
+        assert sorted(builds) == [("adjacency", ModelOrder(p=3, eta=2)),
+                                  ("centroid", ModelOrder(p=3, eta=2))]
+        assert lags == [True, True]
 
     def test_failures_recorded_in_row(self):
         panel = random_panel(3, 60, seed=55)
@@ -308,6 +321,36 @@ class TestRunGrid:
         good = [r for r in reports if not r.error]
         assert len(bad) == 4 and all(r.eta == 3 for r in bad)
         assert all(np.isfinite(r.test_mspe) for r in good)
+
+
+class TestGridMatchesCells:
+    """run_grid shares one design per stack; each of its reports must equal
+    that of the cell run alone through run_scenario, which builds its own."""
+
+    @pytest.mark.parametrize("config", [
+        LassoConfig(n_lambdas=20, refit_after_tuning=False),
+        LassoConfig(explicit_grid=(0.0, 0.5, 2.0, 8.0)),
+    ], ids=["refit_off", "explicit_grid"])
+    def test_reports_equal_cell_by_cell(self, config):
+        panel = random_panel(8, 90, seed=58)
+        stacks = (random_centroid_stack(8, 3, seed=58), paired_adjacency_stack(8, 2))
+        split = SplitSpec(36, 62, 90)
+        # eta=3 exceeds the adjacency stack: those cells error in both runs
+        grid = ScenarioGrid(p_values=(1, 2, 3), eta_values=(1, 2, 3), stacks=stacks,
+                            split=split, config=config, include_var=False)
+        reports = run_grid(panel, grid)
+        assert len(reports) == 36 and sum(r.error is not None for r in reports) == 6
+        by_scheme = {s.scheme: s for s in stacks}
+        for r in reports:
+            try:
+                alone = run_scenario(panel, by_scheme[r.scheme], r.model,
+                                     ModelOrder(p=r.p, eta=r.eta), split, config)
+            except DataError as e:
+                assert r.error == str(e) == "eta=3 exceeds stack depth 2"
+                continue
+            assert r.error is None and r.lambda_ == alone.lambda_
+            np.testing.assert_allclose([r.val_mspe, r.test_mspe],
+                                       [alone.val_mspe, alone.test_mspe], rtol=1e-12, atol=0)
 
 
 class TestRendering:

@@ -97,6 +97,11 @@ class TestAdjacencyRings:
         with pytest.raises(DataError, match="self-loop"):
             make_adjacency(["A"], [("A", "A")])
 
+    def test_duplicate_zone_id_rejected(self):
+        # both A's would take the last one's ring, leaving the first all zero
+        with pytest.raises(DataError, match="duplicate zone ids A$"):
+            make_adjacency(["A", "B", "A"], [("A", "B")])
+
 
 class TestRingOracle:
     """Both schemes against the pair-by-pair oracle, on tied distances,
@@ -225,6 +230,14 @@ def test_read_stack_rejects_bad_manifest(tmp_path, line_stack, manifest):
     write_stack(line_stack, tmp_path / "stack")
     (tmp_path / "stack" / "manifest.json").write_text(manifest)
     with pytest.raises(DataError):
+        read_stack(tmp_path / "stack")
+
+
+def test_read_stack_rejects_duplicate_zone_ids(tmp_path, line_stack):
+    write_stack(line_stack, tmp_path / "stack")
+    manifest = tmp_path / "stack" / "manifest.json"
+    manifest.write_text(manifest.read_text().replace('"C"', '"A"'))
+    with pytest.raises(DataError, match="duplicate zone ids A$"):
         read_stack(tmp_path / "stack")
 
 
