@@ -17,25 +17,22 @@ row t, column (j-1)*eta + l  =  W(l)[i, :] . y(t - j).
 
 A design of order (p, eta) is a column subset of one of higher order, so
 a scenario grid builds one design per weight stack and :class:`StarBlocks`
-hands each cell its rows as views and its Gram G = Z'Z, c = Z'y as
-sub-blocks. The fits read only the Gram: OLS by Cholesky, LASSO by path.
-
-:func:`fitted` (design rows times per-zone coefficients) is the
-prediction kernel: OLS residuals and the validation and test predictions
-of STAR scenarios use it, through :meth:`DesignMatrix.predict` for views,
-and their MSPEs come from :func:`mspe`. :func:`tune_lambda` scores a
-LASSO-STAR validation curve with one product per zone, of its validation
-rows and its coefficients at every penalty; each point equals the
-:func:`mspe` of :func:`fitted` up to summation order. Products of design
-blocks, the per-zone Gram matrices included, go through ``matmul`` and
-so BLAS.
+hands each cell its rows as views and its Gram G = Z'Z, c = Z'y, y'y as
+sub-blocks. The fits read only the Gram: OLS (VAR's too) by Cholesky,
+LASSO by path. So do the scores: :func:`sse` reads each zone's residual
+sum of squares as the quadratic form y'y - 2 c'phi + phi'G phi, for the
+sigma2 of a STAR model, the validation and test MSPEs of a STAR scenario
+and the whole validation curve of :func:`tune_lambda`. :func:`fitted`
+(design rows times per-zone coefficients) is the prediction kernel of
+``forecast.predict_range``. Products of design blocks, the per-zone Gram
+matrices included, go through ``matmul`` and so BLAS.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -49,19 +46,22 @@ from .weights import WeightStack
 # -- design ------------------------------------------------------------
 
 class Gram(NamedTuple):
-    """Per-zone normal equations of a design: G = Z'Z and c = Z'y."""
+    """Per-zone normal equations of a design, G = Z'Z and c = Z'y, and y'y."""
 
     G: np.ndarray          # k x m x m
     c: np.ndarray          # k x m
+    yy: np.ndarray         # k
 
 
 def _gram(Z: np.ndarray, y: np.ndarray) -> Gram:
-    # G from a contiguous copy, so BLAS forms the Gram of a strided view as
-    # it does that of its copy; c column by column, so that the c of some
-    # of a design's columns is, bit for bit, that of those columns alone
-    Z = np.ascontiguousarray(Z)
+    # G zone by zone from a contiguous copy of its rows, so BLAS forms the
+    # Gram of a strided view as it does that of its copy, and no k x n x m
+    # copy is made (such temporaries left glibc's heap holding ~6 MB more);
+    # c column by column, so that the c of some of a design's columns is,
+    # bit for bit, that of those columns alone
     c = np.stack([np.sum(Z[..., j] * y, axis=1) for j in range(Z.shape[2])], axis=-1)
-    return Gram(np.matmul(Z.transpose(0, 2, 1), Z), c)
+    G = np.stack([(z := np.ascontiguousarray(Zi)).T @ z for Zi in Z])
+    return Gram(G, c, np.sum(y * y, axis=1))
 
 
 @dataclass(frozen=True)
@@ -86,14 +86,6 @@ class DesignMatrix:
     def gram(self) -> Gram:
         """The Gram of the rows in the design's own columns: ``normal`` if given."""
         return _gram(self.own(), self.y) if self.normal is None else self.normal
-
-    def predict(self, coefs: np.ndarray) -> np.ndarray:
-        """:func:`fitted` of the rows and per-zone coefficients (k x eta*p);
-        a view gives the columns it does not own zero coefficients."""
-        if self.cols is not None:
-            coefs, own = np.zeros((len(coefs), self.Z.shape[2])), coefs
-            coefs[:, self.cols] = own
-        return fitted(self.Z, coefs)
 
 
 def _check_fit_range(fit_range: tuple[int, int], p: int, T: int) -> None:
@@ -164,10 +156,11 @@ class StarBlocks:
 
     ``design`` is of order (P, E), built on the panel with P - 1 zero bins
     before bin 0: its rows are the targets 1 .. t_end - 1, and a cell of
-    order p reads those at t >= p, which read no zero bin. ``grams`` maps
-    (p, t1) and (p, t2) to the Gram of the rows [p, t1) and [p, t2), the
-    latter as that of [p, t1) plus that of [t1, t2): what a cell's own
-    design would give.
+    order p reads those at t >= p, which read no zero bin. ``grams`` maps a
+    target range to the Gram of its rows: the fit ranges [p, t1) and
+    [p, t2) of every p <= P, the latter as that of [p, t1) plus that of
+    [t1, t2), which is what a cell's own design would give; and the
+    validation and test spans [t1, t2) and [t2, t_end), which no p changes.
     """
 
     design: DesignMatrix
@@ -175,37 +168,57 @@ class StarBlocks:
     grams: dict[tuple[int, int], Gram]
 
     def rows(self, order: ModelOrder, t_range: tuple[int, int]) -> DesignMatrix:
-        """Cell ``order``'s rows of the targets [start, end)."""
+        """Cell ``order``'s rows of the targets [start, end), with their Gram
+        as ``normal`` where ``grams`` holds the range."""
         (start, end), design = t_range, self.design
         if not order.p <= start <= end <= self.split.t_end:
             raise DataError(f"no shared rows for targets {t_range} at p={order.p}")
         # column (j - 1) * eta + l of the cell is (j - 1) * E + l of the design
-        cols = np.arange(order.p)[:, None] * design.order.eta + np.arange(order.eta)
+        cols = (np.arange(order.p)[:, None] * design.order.eta + np.arange(order.eta)).ravel()
+        gram = self.grams.get((start, end))
+        if gram is not None:
+            gram = Gram(gram.G[:, cols[:, None], cols], gram.c[:, cols], gram.yy)
         return DesignMatrix(Z=design.Z[:, start - 1:end - 1], y=design.y[:, start - 1:end - 1],
-                            order=order, fit_range=(start - order.p, end), cols=cols.ravel())
-
-    def fit_design(self, order: ModelOrder, end: int) -> DesignMatrix:
-        """Cell ``order``'s design over the fit range (0, end), end t1 or t2."""
-        design = self.rows(order, (order.p, end))
-        (G, c), cols = self.grams[order.p, end], design.cols
-        return replace(design, normal=Gram(G[:, cols[:, None], cols], c[:, cols]))
+                            order=order, fit_range=(start - order.p, end), cols=cols,
+                            normal=gram)
 
 
 def star_blocks(design: DesignMatrix, split: SplitSpec) -> StarBlocks:
     """The :class:`StarBlocks` of ``split`` on ``design``."""
-    P = design.order.p
-    _check_fit_range((0, split.t1), P, split.t_end)
-    Z, y, grams = design.Z, design.y, {}
-    G2, c2 = _gram(Z[:, split.t1 - 1:split.t2 - 1], y[:, split.t1 - 1:split.t2 - 1])
+    P, (t1, t2, t_end) = design.order.p, (split.t1, split.t2, split.t_end)
+    _check_fit_range((0, t1), P, t_end)
+    Z, y = design.Z, design.y
+    grams = {(a, b): _gram(Z[:, a - 1:b - 1], y[:, a - 1:b - 1]) for a, b in
+             [(t1, t2), (t2, t_end)] + [(p, t1) for p in range(1, P + 1)]}
     for p in range(1, P + 1):
-        G1, c1 = grams[p, split.t1] = _gram(Z[:, p - 1:split.t1 - 1], y[:, p - 1:split.t1 - 1])
-        grams[p, split.t2] = Gram(G1 + G2, c1 + c2)
+        grams[p, t2] = Gram(*map(np.add, grams[p, t1], grams[t1, t2]))
     return StarBlocks(design, split, grams)
 
 
 def fitted(Z: np.ndarray, coefs: np.ndarray) -> np.ndarray:
     """Design rows times per-zone coefficients: entry [i, t] is Z[i, t] . coefs[i]."""
     return np.matmul(Z, coefs[:, :, None])[:, :, 0]
+
+
+def sse(design: DesignMatrix, coefs: np.ndarray) -> np.ndarray:
+    """Each zone's residual sum of squares ||y - Z phi||^2 on the design's
+    rows, for k x m coefficients (returns k) or k x m x L, one column per
+    penalty (returns k x L): the Gram form y'y - 2 c'phi + phi'G phi,
+    clamped at 0 as rounding takes an interpolating fit's below. A zone
+    whose rounding bound (n + m) eps s^2, s = ||y|| + sum_j |phi_j| ||z_j||
+    over n rows, exceeds 1e-10 y'y (a near-collinear fit with large
+    coefficients) is summed from its rows instead."""
+    gram, n = design.gram(), design.y.shape[1]
+    C = coefs if coefs.ndim == 3 else coefs[..., None]
+    rss = gram.yy[:, None] + np.sum(C * (np.matmul(gram.G, C) - 2.0 * gram.c[..., None]), axis=1)
+    norms = np.sqrt(np.diagonal(gram.G, axis1=1, axis2=2))[..., None]
+    s = np.sqrt(gram.yy)[:, None] + np.sum(np.abs(C) * norms, axis=1)
+    bound = (n + C.shape[1]) * np.finfo(float).eps * s * s
+    loose = np.any(bound > 1e-10 * gram.yy[:, None], axis=1)
+    if loose.any():
+        resid = design.y[loose][..., None] - np.matmul(design.own(loose), C[loose])
+        rss[loose] = np.sum(resid * resid, axis=1)
+    return np.maximum(rss, 0.0).reshape(coefs.shape[:1] + coefs.shape[2:])
 
 
 def mspe(panel: DemandPanel, predicted: np.ndarray, t_range: tuple[int, int]) -> float:
@@ -315,10 +328,10 @@ class LassoConfig:
 def _star_model(design: DesignMatrix, coefs: np.ndarray, n_free: int,
                 scheme: str, lambda_: float | None = None) -> StarModel:
     """Package per-zone coefficients (row i for zone i); sigma2 pools the
-    residuals of all zones over n_rows - n_free degrees of freedom."""
-    resid = design.y - design.predict(coefs)
-    rss = float(np.sum(resid * resid))
-    n_rows = resid.size
+    residual sums of squares of all zones (:func:`sse`) over n_rows - n_free
+    degrees of freedom."""
+    rss = float(np.sum(sse(design, coefs)))
+    n_rows = design.y.size
     dof = n_rows - n_free
     sigma2 = rss / dof if dof > 0 else rss / max(n_rows, 1)
     return StarModel(order=design.order, coefficients=coefs, sigma2=sigma2,
@@ -338,26 +351,35 @@ def _each_zone(solver, *arrays: np.ndarray) -> np.ndarray:
         return out
 
 
-def fit_star_ols(design: DesignMatrix, scheme: str = "") -> StarModel:
-    """Per-zone least squares from the normal equations, by one batched
-    Cholesky factorization. A zone with fewer rows than columns, or whose
-    factor fails or has a pivot below 1e-7 of its largest (cond(G) > 1e14),
-    gets the minimum-norm solution of its rows by ``lstsq`` instead.
-    sigma2 pools residuals across zones."""
-    G, c = design.gram()
+def _solve_normal(G: np.ndarray, C: np.ndarray, n_rows: int, rows) -> np.ndarray:
+    """Least squares of a batch of systems from their normal equations
+    G[z] X[z] = C[z] (b x m x m and b x m x r), by one batched Cholesky
+    factorization. A system with fewer rows than columns, or whose factor
+    fails or has a pivot below 1e-7 of its largest (cond(G) > 1e14), gets
+    the minimum-norm solution of its rows ``rows(z)`` = (A, B) by ``lstsq``
+    instead."""
     L = _each_zone(np.linalg.cholesky, G)
     pivots = np.diagonal(L, axis1=1, axis2=2)
-    ok = (design.y.shape[1] >= c.shape[1]) & (pivots.min(axis=1) > 1e-7 * pivots.max(axis=1))
-    coefs = np.empty(c.shape)
-    half = np.linalg.solve(L[ok], c[ok][..., None])
-    coefs[ok] = np.linalg.solve(L[ok].transpose(0, 2, 1), half)[..., 0]
+    ok = (n_rows >= G.shape[-1]) & (pivots.min(axis=1) > 1e-7 * pivots.max(axis=1))
+    X = np.empty(C.shape)
+    X[ok] = np.linalg.solve(L[ok].transpose(0, 2, 1), np.linalg.solve(L[ok], C[ok]))
     for z in np.flatnonzero(~ok):
-        coefs[z] = np.linalg.lstsq(design.own(z), design.y[z], rcond=None)[0]
+        X[z] = np.linalg.lstsq(*rows(z), rcond=None)[0]
+    return X
+
+
+def fit_star_ols(design: DesignMatrix, scheme: str = "") -> StarModel:
+    """Per-zone least squares by :func:`_solve_normal`, from the design's
+    Gram; sigma2 pools residuals across zones."""
+    gram, y = design.gram(), design.y
+    coefs = _solve_normal(gram.G, gram.c[..., None], y.shape[1],
+                          lambda z: (design.own(z), y[z][:, None]))[..., 0]
     return _star_model(design, coefs, coefs.size, scheme)
 
 
 def fit_var_ols(panel: DemandPanel, p: int, fit_range: tuple[int, int]) -> VarModel:
-    """Per-equation OLS with intercept on stacked lag regressors.
+    """Per-equation OLS with intercept on stacked lag regressors, all k
+    equations from one set of normal equations by :func:`_solve_normal`.
 
     When usable rows fall below k*p + 1 regressors, the minimum-norm
     solution is returned rather than failing.
@@ -373,7 +395,7 @@ def fit_var_ols(panel: DemandPanel, p: int, fit_range: tuple[int, int]) -> VarMo
     lags = lag_regressors(Y, p, (start + p, end))          # k x t_used x p
     X[:, 1:] = lags.transpose(1, 2, 0).reshape(t_used, k * p)
     resp = Y[:, start + p:end].T    # t_used x k
-    B = np.linalg.lstsq(X, resp, rcond=None)[0]    # (kp+1) x k
+    B = _solve_normal((X.T @ X)[None], (X.T @ resp)[None], t_used, lambda z: (X, resp))[0]
     resid = resp - X @ B
     dof = max(t_used - (k * p + 1), 1)
     cov = resid.T @ resid / dof
@@ -412,7 +434,7 @@ def fit_lasso_path(gram: Gram, grid: Sequence[float]) -> dict[float, np.ndarray]
     lams = np.array(sorted(map(float, grid), reverse=True))
     if np.any(lams < 0):
         raise DataError("lambda must be >= 0")
-    G, c = gram
+    G, c = gram.G, gram.c
     (k, m), L = c.shape, lams.size
     zones, steps, out = np.arange(k), np.arange(L), np.zeros((L, k, m))
     lam = np.max(np.abs(c), axis=1, initial=0.0)
@@ -484,23 +506,17 @@ def tune_lambda(
     The path of cell ``order`` is fit on its design over [0, t1) of
     ``blocks.split``; its rows for [t1, t2) give the one-step validation
     predictions from true history. Each penalty is scored by the MSPE of
-    :func:`mspe`, computed for the whole curve at once: one product of
-    zone i's validation rows with its coefficients at every penalty gives
-    that zone's residuals, so no k x L x n block is built. Ties break
-    toward the largest penalty. Returns (lambda*, [(lambda, mspe), ...])
-    with the curve in descending lambda order.
+    those predictions, which :func:`sse` reads for the whole curve from the
+    Gram of the validation rows: no row is multiplied. Ties break toward
+    the largest penalty. Returns (lambda*, [(lambda, mspe), ...]) with the
+    curve in descending lambda order.
     """
-    split, gram = blocks.split, blocks.fit_design(order, blocks.split.t1).gram()
+    split, gram = blocks.split, blocks.rows(order, (order.p, blocks.split.t1)).gram()
     grid = config.grid(lambda_max(gram))
     path = fit_lasso_path(gram, grid)
     coefs = np.stack(list(path.values()), axis=-1)         # k x m x L, descending lambda
     val = blocks.rows(order, (split.t1, split.t2))
-    sse = np.zeros(coefs.shape[-1])
-    for i, (y, C) in enumerate(zip(val.y, coefs)):
-        err = val.own(i) @ C        # the zone's n x L predictions, one column per penalty
-        err -= y[:, None]           # minus its residuals
-        sse += np.square(err, out=err).sum(axis=0)
-    score = dict(zip(path, sse / val.y.size))
+    score = dict(zip(path, sse(val, coefs).sum(axis=0) / val.y.size))
     curve = [(lam, float(score[lam])) for lam in grid]
     # descending grid: min keeps the first minimum, the largest lambda
     return min(curve, key=lambda c: c[1])[0], curve

@@ -2,8 +2,10 @@
 
 Test predictions are rolling one-step: the prediction at bin t always
 conditions on the true observed history at bins < t, never on earlier
-predictions. A STAR scenario reads its fits, validation and test rows
-from a :class:`StarBlocks`: its own, or in the grid the one of its stack.
+predictions. A STAR scenario reads its fits and its validation and test
+scores from the Gram blocks of a :class:`StarBlocks`, its own or in the
+grid the one of its stack, so it multiplies no design rows: a residual
+sum of squares is the quadratic form of :func:`sse`.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from .errors import DataError, NumericalError
 from .panel import DemandPanel, ModelOrder, SplitSpec
 from .weights import WeightStack
 from .estimators import (
-    LassoConfig, StarBlocks, StarModel, VarModel,
+    DesignMatrix, LassoConfig, StarBlocks, StarModel, VarModel,
     build_design, check_stack, fit_lasso_star, fit_star_ols, fit_var_ols, fitted,
-    lag_regressors, mspe, star_blocks, tune_lambda,
+    lag_regressors, mspe, sse, star_blocks, tune_lambda,
 )
 
 MODEL_VAR = "var"
@@ -33,19 +35,15 @@ MODEL_LASSO_STAR = "lasso_star"
 
 
 def predict_range(model, panel: DemandPanel, t_range: tuple[int, int],
-                  stack: WeightStack | None = None,
-                  blocks: StarBlocks | None = None) -> np.ndarray:
+                  stack: WeightStack | None = None) -> np.ndarray:
     """Rolling one-step predictions for t in [t_range.start, t_range.end).
 
     Column t - start is the prediction of bin t from the true history at
-    bins < t; the range may end one past the panel (bin T). A STAR model
-    given the ``blocks`` its scenario was fit on reads its rows from them.
+    bins < t; the range may end one past the panel (bin T).
     """
     start, end = t_range
     if end <= start:
         raise DataError(f"empty prediction range {t_range}")
-    if isinstance(model, StarModel) and blocks is not None:
-        return blocks.rows(model.order, t_range).predict(model.coefficients)
     if isinstance(model, StarModel):
         check_stack(panel, stack, model.order.eta)
         p = model.order.p
@@ -96,6 +94,11 @@ def _report(model_kind: str, order: ModelOrder, stack: WeightStack | None,
                       split=split, **fields)
 
 
+def _gram_mspe(rows: DesignMatrix, coefs: np.ndarray) -> float:
+    """The MSPE of a STAR model's coefficients on ``rows`` (:func:`sse`)."""
+    return float(np.sum(sse(rows, coefs))) / rows.y.size
+
+
 def scenario_blocks(panel: DemandPanel, stack: WeightStack | None, order: ModelOrder,
                     split: SplitSpec) -> StarBlocks:
     """One design of ``order`` for the cells up to it, and its blocks for ``split``."""
@@ -137,11 +140,12 @@ def fit_scenario_model(
     if model_kind == MODEL_LASSO_STAR:
         lam, curve = tune_lambda(blocks, order, config)
         fit_end = split.t2 if config.refit_after_tuning else split.t1
-        return fit_lasso_star(blocks.fit_design(order, fit_end), lam, scheme=stack.scheme), curve
-    val_model = fit_star_ols(blocks.fit_design(order, split.t1), scheme=stack.scheme)
-    val_mspe = mspe(panel, blocks.rows(order, val_range).predict(val_model.coefficients),
-                    val_range)
-    return fit_star_ols(blocks.fit_design(order, split.t2), scheme=stack.scheme), [(None, val_mspe)]
+        return fit_lasso_star(blocks.rows(order, (order.p, fit_end)), lam,
+                              scheme=stack.scheme), curve
+    val_model = fit_star_ols(blocks.rows(order, (order.p, split.t1)), scheme=stack.scheme)
+    val_mspe = _gram_mspe(blocks.rows(order, val_range), val_model.coefficients)
+    model = fit_star_ols(blocks.rows(order, (order.p, split.t2)), scheme=stack.scheme)
+    return model, [(None, val_mspe)]
 
 
 def run_scenario(
@@ -156,8 +160,9 @@ def run_scenario(
     """Fit and evaluate one scenario through :func:`fit_scenario_model`.
 
     The validation MSPE and lambda* (None for VAR and STAR) are the
-    curve's first minimum; the test model is scored on [t2, t_end), a
-    STAR model's from the rows of ``blocks`` (built here if not given).
+    curve's first minimum; the test model is scored on [t2, t_end), a VAR
+    model's from :func:`predict_range`, a STAR model's from the Gram of its
+    test rows in ``blocks`` (built here if not given).
     """
     t0 = time.perf_counter()
     if blocks is None and model_kind in (MODEL_STAR, MODEL_LASSO_STAR):
@@ -165,7 +170,10 @@ def run_scenario(
     model, curve = fit_scenario_model(panel, stack, model_kind, order, split, config, blocks)
     lam, val_mspe = min(curve, key=lambda c: c[1])
     test_range = (split.t2, split.t_end)
-    test = mspe(panel, predict_range(model, panel, test_range, stack, blocks), test_range)
+    if model_kind == MODEL_VAR:
+        test = mspe(panel, predict_range(model, panel, test_range), test_range)
+    else:
+        test = _gram_mspe(blocks.rows(order, test_range), model.coefficients)
     return _report(model_kind, order, stack, split, val_mspe=val_mspe, test_mspe=test,
                    lambda_=lam, seconds=time.perf_counter() - t0)
 

@@ -257,7 +257,7 @@ def read_panel_csv(path, bin_minutes: int = 15, origin: datetime | None = None,
                             f"the header names {len(rows[0]) - 1} bins")
         zone_ids.append(r[0])
         try:
-            data.append([float(x) for x in r[1:]])
+            data.append(list(map(float, r[1:])))
         except ValueError as e:
             raise DataError(f"{path}: bad value in row {r[0]}: {e}") from None
     if not data:

@@ -9,7 +9,9 @@ import yaml
 from stardemand import ingest as ingest_mod
 from stardemand.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from stardemand.estimators import read_model_json
-from stardemand.panel import read_panel_csv
+from stardemand.forecast import mspe, predict_range, run_scenario
+from stardemand.panel import ModelOrder, SplitSpec, read_panel_csv
+from stardemand.weights import read_stack
 
 from conftest import replace_first_cell
 
@@ -290,6 +292,29 @@ class TestFit:
         assert echoed["n_lambdas"] == 10 and echoed["refit_after_tuning"] is True
         curve = json.loads((out / "lambda_curve.json").read_text())
         assert curve["lambda"] >= 0 and len(curve["curve"]) >= 10
+
+    @pytest.mark.parametrize("kind", ["star", "lasso_star"])
+    def test_model_json_rebuilds_test_mspe(self, tmp_path, synth_run, kind):
+        """model.json, with the panel and stack it was fit on, gives through
+        predict_range (design rows times coefficients) the test MSPE that
+        run_scenario reads from the Gram of its test rows."""
+        out, order = tmp_path / "fit", ModelOrder(p=2, eta=2)
+        cfg = write_yaml(tmp_path / "f.yaml", {
+            "output_dir": str(out),
+            "panel": str(synth_run / "panel.csv"),
+            "stacks": {"rings": str(synth_run / "stack")},
+            "split": {"t1": 30, "t2": 60},
+            "fit": {"model": kind, "p": order.p, "eta": order.eta, "stack": "rings"},
+        })
+        assert main(["fit", "-c", str(cfg)]) == EXIT_OK
+        model = read_model_json(out / "model.json")
+        panel, stack = read_panel_csv(synth_run / "panel.csv"), read_stack(synth_run / "stack")
+        split = SplitSpec(30, 60, panel.T)
+        test = (split.t2, split.t_end)
+        rebuilt = mspe(panel, predict_range(model, panel, test, stack), test)
+        report = run_scenario(panel, stack, kind, order, split)
+        assert model.lambda_ == report.lambda_
+        assert rebuilt == pytest.approx(report.test_mspe, rel=1e-10, abs=0)
 
     def test_var_fit(self, tmp_path, synth_run):
         out = tmp_path / "fitvar"

@@ -6,7 +6,7 @@ from stardemand.estimators import (
     DesignMatrix, LassoConfig,
     build_design, fit_lasso_path, fit_lasso_star, fit_star_ols,
     fit_var_ols, fitted, lambda_max, model_from_dict, model_to_dict, mspe,
-    read_model_json, solve_lasso_batch, tune_lambda, write_model_json,
+    read_model_json, solve_lasso_batch, sse, tune_lambda, write_model_json,
 )
 from stardemand.forecast import MODEL_LASSO_STAR, run_scenario, scenario_blocks
 from stardemand.panel import ModelOrder, SplitSpec, make_panel
@@ -189,6 +189,27 @@ class TestVarOls:
         expected = np.linalg.pinv(X) @ resp
         assert np.max(np.abs(model.intercept - expected[0])) < 1e-8
         assert np.max(np.abs(model.lag_matrices[0] - expected[1:3].T)) < 1e-8
+
+    @pytest.mark.parametrize("T,calls", [(60, 0), (5, 1)])
+    def test_lstsq_only_when_underdetermined(self, T, calls, monkeypatch):
+        """k=2, p=2: a tall system is solved from the Cholesky factor of X'X
+        and agrees with lstsq; with fewer rows than its 5 columns it takes
+        lstsq's minimum-norm answer itself."""
+        lstsq, got = np.linalg.lstsq, []
+
+        def counting_lstsq(*args, **kwargs):
+            got.append(1)
+            return lstsq(*args, **kwargs)
+
+        panel = random_panel(2, T, seed=20)
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        model = fit_var_ols(panel, 2, (0, T))
+        assert len(got) == calls
+        Y = panel.values
+        X = np.column_stack([np.ones(T - 2), Y[:, 1:T - 1].T, Y[:, 0:T - 2].T])
+        want = lstsq(X, Y[:, 2:].T, rcond=None)[0]
+        coefs = np.vstack([model.intercept, model.lag_matrices[0].T, model.lag_matrices[1].T])
+        assert np.max(np.abs(coefs - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_parameter_count(self):
         panel = random_panel(3, 40, seed=19)
@@ -373,6 +394,49 @@ def _fewer_rows_design():
     return panel, stack, design
 
 
+class TestSse:
+    """Each zone's residual sum of squares from the Gram, against the rows'."""
+
+    @pytest.mark.parametrize("case", ["tall", "fewer_rows_than_columns", "near_collinear"])
+    def test_matches_row_residuals(self, case):
+        """Per zone, for the OLS fit and every penalty of a LASSO path (only
+        lambda = 0 where the rows are fewer than the columns, so every fit
+        interpolates and the quadratic form rounds below 0 in some zones),
+        sse >= 0 and |sse - row RSS| <= 1e-10 * y'y, both for k x m x L
+        coefficients and one k x m column at a time. In the near-collinear
+        zone 0 the quadratic form alone misses by more, so sse reads that
+        zone's rows; at cond(Z) about 1e9 no float64 sum holds 1e-10 y'y."""
+        if case == "fewer_rows_than_columns":
+            design, grid = _fewer_rows_design()[2], [0.0]
+        else:
+            design = build_design(random_panel(5, 90, seed=18), random_centroid_stack(5, 3, 18),
+                                  ModelOrder(p=3, eta=3), (0, 90))
+            if case == "near_collinear":
+                Z = design.Z.copy()
+                noise = np.random.default_rng(19).normal(size=Z.shape[1])
+                Z[0, :, 1] = Z[0, :, 0] + 1e-5 * noise     # cond(Z_0) about 2e5
+                Z[1, :, 1] = Z[1, :, 0] + 1e-3 * noise     # cond(Z_1) about 2e3
+                design = DesignMatrix(Z=Z, y=design.y, order=design.order,
+                                      fit_range=design.fit_range)
+            grid = LassoConfig(n_lambdas=10).grid(lambda_max(design.gram()))
+        gram = design.gram()
+        coefs = np.stack([fit_star_ols(design).coefficients,
+                          *fit_lasso_path(gram, grid).values()], axis=-1)
+        want = np.stack([np.sum(np.square(design.y - fitted(design.Z, coefs[..., n])), axis=1)
+                         for n in range(coefs.shape[-1])], axis=-1)
+        if case == "fewer_rows_than_columns":
+            assert np.all(want <= 1e-20 * gram.yy[:, None])
+        if case == "near_collinear":
+            G, c, yy, phi = gram.G[0], gram.c[0], gram.yy[0], coefs[0, :, 0]
+            assert abs(yy - 2.0 * c @ phi + phi @ G @ phi - want[0, 0]) > 1e-10 * yy
+        got = sse(design, coefs)
+        assert got.shape == want.shape == (len(design.y), len(grid) + 1)
+        for n in range(coefs.shape[-1]):
+            for rss in (got[:, n], sse(design, coefs[..., n])):
+                assert np.all(rss >= 0.0), n
+                assert np.all(np.abs(rss - want[:, n]) <= 1e-10 * gram.yy), n
+
+
 class TestLassoPathCertificate:
     """KKT certificates of the production path itself, every zone and penalty."""
 
@@ -412,8 +476,8 @@ class TestLassoPathCertificate:
 def _oracle_paths(design, lams):
     """Each zone's scalar walk, on the production path's own G and c:
     [(len(lams) x m coefficients, number of solves), ...]."""
-    G, c = design.gram()
-    return G, [zone_path(G_i, c_i, lams) for G_i, c_i in zip(G, c)]
+    gram = design.gram()
+    return gram.G, [zone_path(G_i, c_i, lams) for G_i, c_i in zip(gram.G, gram.c)]
 
 
 def _assert_matches_oracle(design, grid):
@@ -451,7 +515,7 @@ class TestLockstepPath:
             # a cell's fit design and rows, read from a shared design of higher order
             blocks = scenario_blocks(panel, stack, ModelOrder(p=3, eta=3), SplitSpec(60, 90, 120))
             if case == "head":
-                design = blocks.fit_design(order, 60)
+                design = blocks.rows(order, (order.p, 60))
             elif case == "rows":
                 design = blocks.rows(order, (50, 120))
         _assert_matches_oracle(design, LassoConfig().grid(lambda_max(design.gram())))

@@ -311,6 +311,38 @@ class TestRunGrid:
                                   ("centroid", ModelOrder(p=3, eta=2))]
         assert lags == [True, True]
 
+    def test_cells_scored_from_gram_blocks(self, monkeypatch):
+        # no STAR or LASSO-STAR cell multiplies or reads design rows: no
+        # fitted call and no DesignMatrix.own, and per stack P + 2 Gram
+        # builds, of [p, t1) for p = 1..P, [t1, t2) and [t2, t_end)
+        fitted_calls, own_calls, grams = [], [], []
+        gram, own = estimators._gram, estimators.DesignMatrix.own
+
+        def counting_fitted(Z, coefs):
+            fitted_calls.append(1)
+            return estimators.fitted(Z, coefs)
+
+        def counting_own(self, zone=slice(None)):
+            own_calls.append(1)
+            return own(self, zone)
+
+        def counting_gram(Z, y):
+            grams.append(Z.shape[1])
+            return gram(Z, y)
+
+        for module in (estimators, forecast):
+            monkeypatch.setattr(module, "fitted", counting_fitted)
+        monkeypatch.setattr(estimators.DesignMatrix, "own", counting_own)
+        monkeypatch.setattr(estimators, "_gram", counting_gram)
+        panel = random_panel(6, 60, seed=56)
+        stacks = (random_centroid_stack(6, 3, seed=56), paired_adjacency_stack(6, 2))
+        reports = run_grid(panel, self._grid(stacks, SplitSpec(20, 40, 60), p_values=(1, 2, 3),
+                                             eta_values=(1, 2), include_var=False))
+        assert len(reports) == 24 and not any(r.error for r in reports)
+        assert fitted_calls == [] and own_calls == []
+        # rows per Gram: the validation and test spans, then [p, 20) for p = 1, 2, 3
+        assert grams == 2 * [20, 20, 19, 18, 17]
+
     def test_failures_recorded_in_row(self):
         panel = random_panel(3, 60, seed=55)
         s1 = random_centroid_stack(3, 2, seed=55)
