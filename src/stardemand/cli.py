@@ -44,8 +44,11 @@ def load_config(path) -> dict:
     return cfg
 
 
-# the keys each config section may hold
+# the keys each config section may hold; "" is the top level, where a run's
+# config.yaml echo also holds its command
 SECTION_KEYS = {
+    "": ("output_dir", "panel", "stacks", "split", "standardize", "lasso", "timings", "seed",
+         "ingest", "weights", "fit", "grid", "synth", "command"),
     "ingest": ("trips", "zones", "zones_csv", "columns", "timestamp_format", "bin_minutes",
                "parse_policy", "assign_policy", "day_range"),
     "ingest.columns": ("time", "lat", "lon"),
@@ -85,7 +88,8 @@ class Section:
         if name in SECTION_KEYS:
             unknown = sorted(str(k) for k in values if k not in SECTION_KEYS[name])
             if unknown:
-                raise ConfigError(f"unknown key(s) in {name}: {', '.join(unknown)}")
+                where = f"key(s) in {name}" if name else "top-level key(s)"
+                raise ConfigError(f"unknown {where}: {', '.join(unknown)}")
         self.values, self.name, self.cfg_path = values, name, cfg_path
         self.echo: dict = {}
 
@@ -296,6 +300,8 @@ def cmd_weights(args) -> int:
     scheme = wcfg.choice("scheme", (weights.SCHEME_CENTROID, weights.SCHEME_ADJACENCY))
     eta_max = wcfg.number("eta_max", minimum=1)
     adj_path = wcfg.path("adjacency") if scheme == weights.SCHEME_ADJACENCY else None
+    if adj_path is None and "adjacency" in wcfg.values:
+        raise ConfigError(f"weights.adjacency is not read under scheme: {scheme}")
     zones = _load_zones(wcfg)
     if adj_path is None:
         stack = weights.centroid_rings(zones, eta_max)
@@ -319,12 +325,18 @@ def cmd_weights(args) -> int:
 
 def _load_panel(cfg: Section) -> tuple[panel_mod.DemandPanel, SplitSpec]:
     """The configured panel and its split, echoed as the resolved bins; with
-    ``standardize: true`` the panel is standardized over the bins [0, t1)."""
+    ``standardize: true`` the panel is standardized over the bins [0, t1).
+    A split is given by t2 (with t1 and t_end) or by the fractions, not both."""
     scfg = cfg.section("split")
+    by_bins = "t2" in scfg.values
+    stray = sorted(set(scfg.values) & ({"t2_fraction", "t1_fraction_of_t2"} if by_bins
+                                       else {"t1", "t_end"}))
+    if stray:
+        raise ConfigError(f"split: {', '.join(stray)} given {'with' if by_bins else 'without'} t2")
     standardize = cfg.flag("standardize", False)
     pn = panel_mod.read_panel_csv(cfg.path("panel"))
     try:
-        if "t2" in scfg.values:
+        if by_bins:
             t2 = scfg.number("t2")
             t_end = scfg.number("t_end", pn.T)
             t1 = scfg.number("t1", (t2 + 1) // 2)

@@ -249,14 +249,6 @@ class StarModel:
     fit_range: tuple[int, int]
     lambda_: float | None = None
 
-    @property
-    def k(self) -> int:
-        return self.coefficients.shape[0]
-
-    @property
-    def n_parameters(self) -> int:
-        return self.coefficients.size
-
     def __post_init__(self):
         k, m = self.coefficients.shape
         if m != self.order.eta * self.order.p:
@@ -275,15 +267,6 @@ class VarModel:
     lag_matrices: tuple[np.ndarray, ...]   # p matrices, each k x k
     residual_cov: np.ndarray    # k x k
     fit_range: tuple[int, int]
-
-    @property
-    def k(self) -> int:
-        return self.intercept.shape[0]
-
-    @property
-    def n_parameters(self) -> int:
-        k = self.k
-        return k * (k * self.p + 1)
 
 
 @dataclass(frozen=True)
@@ -412,11 +395,12 @@ def lambda_max(gram: Gram) -> float:
     return float(np.max(np.abs(gram.c), initial=0.0))
 
 
-def fit_lasso_path(gram: Gram, grid: Sequence[float]) -> dict[float, np.ndarray]:
+def fit_lasso_path(gram: Gram, grid: Sequence[float]) -> np.ndarray:
     """Exact LASSO solutions of 0.5||y_i - Z_i phi||^2 + lam * ||phi||_1
-    for every zone i at every penalty of ``grid``: {lambda: k x (eta*p)
-    coefficient matrix}, row i for zone i. Penalties at or above a zone's
-    ||Z_i' y_i||_inf give its exact zero vector.
+    for every zone i at every penalty of ``grid``, as one contiguous
+    k x (eta*p) x L array in descending penalty order: [i, :, n] is zone i's
+    coefficient vector at the n-th largest penalty. Penalties at or above a
+    zone's ||Z_i' y_i||_inf give its exact zero vector.
 
     Covariance-form homotopy (Osborne, Presnell & Turlach 2000; the LASSO
     variant of LARS, Efron et al. 2004) on each zone's G and c of ``gram``:
@@ -436,7 +420,7 @@ def fit_lasso_path(gram: Gram, grid: Sequence[float]) -> dict[float, np.ndarray]
         raise DataError("lambda must be >= 0")
     G, c = gram.G, gram.c
     (k, m), L = c.shape, lams.size
-    zones, steps, out = np.arange(k), np.arange(L), np.zeros((L, k, m))
+    zones, steps, out = np.arange(k), np.arange(L), np.zeros((k, m, L))
     lam = np.max(np.abs(c), axis=1, initial=0.0)
     floor, joinable = 1e-12 * lam, np.diagonal(G, axis1=1, axis2=2) > 0.0
     i = np.count_nonzero(lams >= lam[:, None], axis=1)     # each zone's next grid index
@@ -475,19 +459,19 @@ def fit_lasso_path(gram: Gram, grid: Sequence[float]) -> dict[float, np.ndarray]
         zs, ls = np.nonzero((steps >= i[:, None]) & (steps < n[:, None]))
         phi = u[zs] - lams[ls, None] * w[zs]
         # a coefficient at its leaving kink may sit a rounding error past zero
-        out[ls, zs] = np.where(phi * signs[zs] > 0.0, phi, 0.0)
+        out[zs, :, ls] = np.where(phi * signs[zs] > 0.0, phi, 0.0)
         i, live = n, live & (n < L)
         signs[zones[live], j[live]] = np.array([1.0, -1.0, 0.0])[kind[live]]
     if live.any():
         raise NumericalError(f"LASSO path of zone {np.flatnonzero(live)[0]} did not "
                              f"reach lambda={lams[-1]}")
-    return {float(g): out[n] for n, g in enumerate(lams)}
+    return out
 
 
 def solve_lasso_batch(gram: Gram, lam: float) -> np.ndarray:
     """Every zone's LASSO solution at one penalty: the path walked down to
     ``lam``. Returns the k x m coefficient matrix, row i for zone i."""
-    return fit_lasso_path(gram, [lam])[float(lam)]
+    return fit_lasso_path(gram, [lam])[..., 0]
 
 
 def fit_lasso_star(design: DesignMatrix, lam: float, scheme: str = "") -> StarModel:
@@ -512,12 +496,10 @@ def tune_lambda(
     curve in descending lambda order.
     """
     split, gram = blocks.split, blocks.rows(order, (order.p, blocks.split.t1)).gram()
-    grid = config.grid(lambda_max(gram))
-    path = fit_lasso_path(gram, grid)
-    coefs = np.stack(list(path.values()), axis=-1)         # k x m x L, descending lambda
+    grid = config.grid(lambda_max(gram))            # descending, as the path's columns
     val = blocks.rows(order, (split.t1, split.t2))
-    score = dict(zip(path, sse(val, coefs).sum(axis=0) / val.y.size))
-    curve = [(lam, float(score[lam])) for lam in grid]
+    scores = sse(val, fit_lasso_path(gram, grid)).sum(axis=0) / val.y.size
+    curve = [(lam, float(score)) for lam, score in zip(grid, scores)]
     # descending grid: min keeps the first minimum, the largest lambda
     return min(curve, key=lambda c: c[1])[0], curve
 

@@ -191,10 +191,6 @@ class Standardization:
         vals = (panel.values - self.mean[:, None]) / self.sd[:, None]
         return panel.with_values(vals, kind=KIND_STANDARDIZED)
 
-    def invert(self, panel: DemandPanel, kind: str = KIND_REAL) -> DemandPanel:
-        vals = panel.values * self.sd[:, None] + self.mean[:, None]
-        return panel.with_values(vals, kind=kind)
-
 
 def standardize(
     panel: DemandPanel, fit_range: tuple[int, int]

@@ -1,6 +1,6 @@
 """Scalar references for one zone's LASSO system, which the production
-all-zone solver (``estimators.fit_lasso_path`` and ``solve_lasso_batch``)
-is compared against.
+all-zone solver (``estimators.fit_lasso_path``, whose k x m x L array
+``solve_lasso_batch`` slices at one penalty) is compared against.
 
 :func:`lasso_cd` is cyclic coordinate descent. It works on the residual
 y - Z phi, one column at a time, with a Python soft-threshold, so it shares

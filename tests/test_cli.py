@@ -560,9 +560,16 @@ class TestConfigValidation:
         {"t1": 30, "t2": 60, "t_end": 60},
         {"t2_fraction": 1.5},
         5,
+        {"t1": 5, "t_end": 30},
+        {"t_end": 30},
+        {"t1": 5, "t2_fraction": 0.5},
+        {"t2": 60, "t2_fraction": 0.5},
+        {"t1": 30, "t2": 60, "t1_fraction_of_t2": 0.5},
     ], ids=["t_end_past_panel", "t2_str", "t1_after_t2", "t1_zero", "t_end_at_t2",
-            "fraction_above_1", "not_mapping"])
+            "fraction_above_1", "not_mapping", "t1_t_end_without_t2", "t_end_without_t2",
+            "t1_with_fraction", "t2_with_fraction", "bins_with_t1_fraction"])
     def test_bad_split(self, tmp_path, synth_run, command, split):
+        # a bin without t2, or bins with fractions, would be silently dropped
         cfg = self._config(tmp_path, synth_run, split=split)
         assert main([command, "-c", str(cfg)]) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
@@ -652,19 +659,43 @@ class TestConfigValidation:
         ("fit", "lasso", "tolerance", 1e-8),
         ("grid", "lasso", "max_sweeps", 10_000),
         ("fit", "lasso", "max_sweeps", 10_000),
+        ("grid", "", "standardise", True),
+        ("grid", "", "timing", False),
+        ("fit", "", "standardise", True),
+        ("fit", "", "splits", {"t2": 60}),
+        ("synth", "", "seeds", 1),
+        ("ingest", "", "outputdir", "out"),
+        ("weights", "", "eta_max", 2),
     ], ids=["lasso", "split", "grid", "fit", "synth", "ingest", "ingest_columns", "weights",
-            "tolerance-grid", "tolerance-fit", "max_sweeps-grid", "max_sweeps-fit"])
+            "tolerance-grid", "tolerance-fit", "max_sweeps-grid", "max_sweeps-fit",
+            "top_standardise-grid", "top_timing-grid", "top_standardise-fit", "top_splits-fit",
+            "top_seeds-synth", "top_outputdir-ingest", "top_section_key-weights"])
     def test_unknown_key(self, tmp_path, synth_run, capsys, command, section, key, value):
-        # the retired solver keys tolerance and max_sweeps are unknown keys too
+        # the retired solver keys tolerance and max_sweeps are unknown keys too; a
+        # misspelt top-level key ("") would leave its setting at the default
         cfg = yaml.safe_load(self._config(tmp_path, synth_run).read_text())
         cfg["synth"] = {"kind": "star", "k": 4, "length": 40, "p": 1, "eta": 1}
         cfg["ingest"] = {"trips": "trips.csv", "zones_csv": "zones.csv", "columns": {}}
         node = cfg
-        for part in section.split("."):
+        for part in section.split(".") if section else []:
             node = node[part]
         node[key] = value
         assert main([command, "-c", str(write_yaml(tmp_path / "c.yaml", cfg))]) == EXIT_CONFIG
-        assert f"unknown key(s) in {section}: {key}" in capsys.readouterr().err
+        where = f"key(s) in {section}" if section else "top-level key(s)"
+        assert f"unknown {where}: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_adjacency_under_centroid_scheme(self, tmp_path, capsys):
+        # the centroid scheme builds its rings from distances and reads no adjacency
+        (tmp_path / "zones.csv").write_text("zone_id,lon,lat\nA,0,0\nB,1,0\nC,3,0\n")
+        (tmp_path / "adj.csv").write_text("zone_a,zone_b\nA,B\n")
+        cfg = write_yaml(tmp_path / "w.yaml", {
+            "output_dir": str(tmp_path / "out"),
+            "weights": {"scheme": "centroid", "eta_max": 2, "zones_csv": "zones.csv",
+                        "adjacency": "adj.csv"},
+        })
+        assert main(["weights", "-c", str(cfg)]) == EXIT_CONFIG
+        assert "config error: weights.adjacency" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_bad_weights_eta_max(self, tmp_path):

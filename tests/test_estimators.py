@@ -156,7 +156,7 @@ class TestStarOls:
         stack = random_centroid_stack(4, 3, seed=16)
         order = ModelOrder(p=2, eta=3)
         model = fit_star_ols(build_design(panel, stack, order, (0, 50)))
-        assert model.n_parameters == 4 * 3 * 2
+        assert model.coefficients.size == 4 * 3 * 2
 
 
 class TestVarOls:
@@ -214,7 +214,8 @@ class TestVarOls:
     def test_parameter_count(self):
         panel = random_panel(3, 40, seed=19)
         model = fit_var_ols(panel, 2, (0, 40))
-        assert model.n_parameters == 3 * (3 * 2 + 1)
+        n_parameters = model.intercept.size + sum(A.size for A in model.lag_matrices)
+        assert n_parameters == 3 * (3 * 2 + 1)
 
 
 class TestSoftThreshold:
@@ -373,13 +374,13 @@ class TestLassoCd:
         d = _design(q, y, eta=6)
         grid = LassoConfig().grid(lambda_max(d.gram()))
         path = fit_lasso_path(d.gram(), grid)
-        active = [int(np.count_nonzero(path[lam])) for lam in grid]  # descending lam
+        active = [int(np.count_nonzero(path[..., n])) for n in range(len(grid))]  # descending lam
         assert all(a <= b for a, b in zip(active, active[1:]))
 
 
-def _worst_kkt(design, path):
-    return max(_kkt_violation(Z, y, coefs[i], lam)
-               for lam, coefs in path.items()
+def _worst_kkt(design, path, grid):
+    return max(_kkt_violation(Z, y, path[i, :, n], lam)
+               for n, lam in enumerate(sorted(grid, reverse=True))
                for i, (Z, y) in enumerate(zip(design.Z, design.y)))
 
 
@@ -420,8 +421,8 @@ class TestSse:
                                       fit_range=design.fit_range)
             grid = LassoConfig(n_lambdas=10).grid(lambda_max(design.gram()))
         gram = design.gram()
-        coefs = np.stack([fit_star_ols(design).coefficients,
-                          *fit_lasso_path(gram, grid).values()], axis=-1)
+        coefs = np.concatenate([fit_star_ols(design).coefficients[..., None],
+                                fit_lasso_path(gram, grid)], axis=-1)
         want = np.stack([np.sum(np.square(design.y - fitted(design.Z, coefs[..., n])), axis=1)
                          for n in range(coefs.shape[-1])], axis=-1)
         if case == "fewer_rows_than_columns":
@@ -444,14 +445,16 @@ class TestLassoPathCertificate:
         panel = random_panel(6, 90, seed=61)
         stack = random_centroid_stack(6, 3, seed=61)
         design = build_design(panel, stack, ModelOrder(p=3, eta=3), (0, 90))
-        path = fit_lasso_path(design.gram(), LassoConfig().grid(lambda_max(design.gram())))
-        assert len(path) == 51
-        assert _worst_kkt(design, path) <= 1e-10
+        grid = LassoConfig().grid(lambda_max(design.gram()))
+        path = fit_lasso_path(design.gram(), grid)
+        assert path.shape[-1] == 51
+        assert _worst_kkt(design, path, grid) <= 1e-10
 
     def test_fewer_rows_than_columns(self):
         panel, stack, design = _fewer_rows_design()
-        path = fit_lasso_path(design.gram(), LassoConfig().grid(lambda_max(design.gram())))
-        assert _worst_kkt(design, path) <= 1e-10
+        grid = LassoConfig().grid(lambda_max(design.gram()))
+        path = fit_lasso_path(design.gram(), grid)
+        assert _worst_kkt(design, path, grid) <= 1e-10
         report = run_scenario(panel, stack, MODEL_LASSO_STAR, design.order,
                               SplitSpec(32, 64, 96))
         assert report.error is None and report.test_mspe > 0
@@ -490,7 +493,7 @@ def _assert_matches_oracle(design, grid):
     G, oracle = _oracle_paths(design, lams)
     eps = np.finfo(float).eps
     for i, (want, _) in enumerate(oracle):
-        got = np.array([path[float(lam)][i] for lam in lams])
+        got = path[i].T
         assert np.array_equal(got == 0, want == 0), f"zone {i}"
         scale = np.max(np.abs(want), initial=0.0)
         for n, row in enumerate(want):
@@ -533,8 +536,8 @@ class TestLockstepPath:
         steps = [s for _, s in _oracle_paths(design, np.array(grid))[1]]
         assert steps[0] == 0 and steps[3] == 1 and steps[2] >= 6
         path = fit_lasso_path(design.gram(), grid)
-        assert all(not coefs[0].any() and coefs[1, 2] == 0.0 for coefs in path.values())
-        assert _worst_kkt(design, path) <= 1e-10
+        assert all(not coefs[0].any() and coefs[1, 2] == 0.0 for coefs in path.transpose(2, 0, 1))
+        assert _worst_kkt(design, path, grid) <= 1e-10
         _assert_matches_oracle(design, grid)
 
     def test_one_batched_solve_per_step_of_the_longest_zone(self, monkeypatch):
@@ -576,9 +579,9 @@ def test_path_on_views_matches_contiguous_copies(p, eta, part):
                         fit_range=view.fit_range)
     grid = LassoConfig().grid(lambda_max(view.gram()))
     got, want = fit_lasso_path(view.gram(), grid), fit_lasso_path(copy.gram(), grid)
-    for lam in grid:
-        np.testing.assert_allclose(got[lam], want[lam], rtol=1e-12, atol=0)
-        assert np.array_equal(got[lam] == 0, want[lam] == 0)
+    for n in range(len(grid)):
+        np.testing.assert_allclose(got[..., n], want[..., n], rtol=1e-12, atol=0)
+        assert np.array_equal(got[..., n] == 0, want[..., n] == 0)
 
 
 class TestLassoConfig:
@@ -654,7 +657,7 @@ class TestTuneLambda:
         path = fit_lasso_path(train.gram(), grid)
         val = (split.t1, split.t2)
         val_rows = design.Z[:, split.t1 - p:]
-        ref = [(g, mspe(panel, fitted(val_rows, path[g]), val)) for g in grid]
+        ref = [(g, mspe(panel, fitted(val_rows, path[..., n]), val)) for n, g in enumerate(grid)]
         assert [g for g, _ in curve] == grid
         np.testing.assert_allclose([v for _, v in curve], [v for _, v in ref],
                                    rtol=1e-12, atol=0)
