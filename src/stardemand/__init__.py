@@ -3,7 +3,7 @@ spatio-temporal (STAR, LASSO-STAR) autoregressive models."""
 
 from .panel import (
     DemandPanel, ModelOrder, SplitSpec, Standardization,
-    make_panel, read_panel_csv, split, standardize, write_panel_csv,
+    make_panel, read_panel_csv, standardize, write_panel_csv,
 )
 from .weights import (
     AdjacencyGraph, WeightStack,

@@ -53,13 +53,12 @@ SECTION_KEYS = {
                "parse_policy", "assign_policy", "day_range"),
     "ingest.columns": ("time", "lat", "lon"),
     "weights": ("scheme", "eta_max", "zones", "zones_csv", "adjacency"),
-    "split": ("t1", "t2", "t_end", "t2_fraction", "t1_fraction_of_t2"),
+    "split": ("t1", "t2", "t_end"),
     "lasso": ("n_lambdas", "lambda_min_ratio", "include_zero", "grid", "refit_after_tuning"),
     "fit": ("model", "p", "eta", "stack"),
     "grid": ("models", "p", "eta", "include_var"),
-    "synth": ("kind", "k", "length", "sigma", "burn_in", "require_stable", "seed", "p", "eta",
-              "stack", "eta_max", "coefficients", "density", "target_radius", "intercept",
-              "lag_matrices"),
+    "synth": ("kind", "k", "length", "sigma", "burn_in", "require_stable", "p", "eta", "stack",
+              "eta_max", "coefficients", "density", "target_radius", "intercept", "lag_matrices"),
 }
 
 _REQUIRED = object()
@@ -324,31 +323,24 @@ def cmd_weights(args) -> int:
 
 
 def _load_panel(cfg: Section) -> tuple[panel_mod.DemandPanel, SplitSpec]:
-    """The configured panel and its split, echoed as the resolved bins; with
+    """The configured panel and its split in bins, echoed as resolved; with
     ``standardize: true`` the panel is standardized over the bins [0, t1).
-    A split is given by t2 (with t1 and t_end) or by the fractions, not both."""
+    A ``split:`` that names any bin names t2; with none, the split is in
+    thirds, t2 the bin nearest 2T/3."""
     scfg = cfg.section("split")
-    by_bins = "t2" in scfg.values
-    stray = sorted(set(scfg.values) & ({"t2_fraction", "t1_fraction_of_t2"} if by_bins
-                                       else {"t1", "t_end"}))
-    if stray:
-        raise ConfigError(f"split: {', '.join(stray)} given {'with' if by_bins else 'without'} t2")
+    if scfg.values and "t2" not in scfg.values:
+        raise ConfigError(f"split: {', '.join(sorted(scfg.values))} given without t2")
     standardize = cfg.flag("standardize", False)
     pn = panel_mod.read_panel_csv(cfg.path("panel"))
+    t2 = scfg.number("t2", (4 * pn.T + 3) // 6)
+    t_end = scfg.number("t_end", pn.T)
+    t1 = scfg.number("t1", (t2 + 1) // 2)
+    if t_end > pn.T:
+        raise ConfigError(f"split.t_end={t_end} runs past the panel's {pn.T} bins")
     try:
-        if by_bins:
-            t2 = scfg.number("t2")
-            t_end = scfg.number("t_end", pn.T)
-            t1 = scfg.number("t1", (t2 + 1) // 2)
-            if t_end > pn.T:
-                raise ConfigError(f"split.t_end={t_end} runs past the panel's {pn.T} bins")
-            spl = SplitSpec(t1=t1, t2=t2, t_end=t_end)
-        else:
-            spl = panel_mod.split(pn, scfg.number("t2_fraction", 2 / 3, float),
-                                  scfg.number("t1_fraction_of_t2", 0.5, float))
+        spl = SplitSpec(t1=t1, t2=t2, t_end=t_end)
     except DataError as e:
         raise ConfigError(f"split: {e}") from None
-    cfg.echo["split"] = {"t1": spl.t1, "t2": spl.t2, "t_end": spl.t_end}
     if standardize:
         pn, _ = panel_mod.standardize(pn, (0, spl.t1))
     return pn, spl
@@ -364,13 +356,21 @@ def _stack_dirs(cfg: Section) -> dict[str, Path]:
 
 
 def _lasso_from_config(cfg: Section) -> LassoConfig:
+    """The penalty grid is explicit (``grid``) or generated from n_lambdas,
+    lambda_min_ratio and include_zero, never both."""
     lcfg = cfg.section("lasso")
+    explicit_grid = lcfg.numbers("grid", None, float)
+    refit_after_tuning = lcfg.flag("refit_after_tuning", True)
+    if explicit_grid is not None:
+        mixed = sorted(set(lcfg.values) & {"n_lambdas", "lambda_min_ratio", "include_zero"})
+        if mixed:
+            raise ConfigError(f"lasso: {', '.join(mixed)} given with an explicit grid")
+        return LassoConfig(explicit_grid=explicit_grid, refit_after_tuning=refit_after_tuning)
     return LassoConfig(
         n_lambdas=lcfg.number("n_lambdas", 50),
         lambda_min_ratio=lcfg.number("lambda_min_ratio", 1e-4, float),
         include_zero=lcfg.flag("include_zero", True),
-        explicit_grid=lcfg.numbers("grid", None, float),
-        refit_after_tuning=lcfg.flag("refit_after_tuning", True),
+        refit_after_tuning=refit_after_tuning,
     )
 
 
@@ -442,7 +442,7 @@ def cmd_grid(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg, scfg, out_dir = _read_config(args, "synth")
-    seed = cfg.number("seed") if "seed" in cfg.values else scfg.number("seed", 0)
+    seed = cfg.number("seed", 0)
     kind = scfg.choice("kind", (synth.KIND_STAR, synth.KIND_VAR))
     k = scfg.number("k", minimum=1)
     length = scfg.number("length", minimum=1)

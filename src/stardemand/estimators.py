@@ -171,6 +171,9 @@ class StarBlocks:
         """Cell ``order``'s rows of the targets [start, end), with their Gram
         as ``normal`` where ``grams`` holds the range."""
         (start, end), design = t_range, self.design
+        if order.p > design.order.p or order.eta > design.order.eta:
+            raise DataError(f"cell order (p={order.p}, eta={order.eta}) exceeds the shared "
+                            f"design's (p={design.order.p}, eta={design.order.eta})")
         if not order.p <= start <= end <= self.split.t_end:
             raise DataError(f"no shared rows for targets {t_range} at p={order.p}")
         # column (j - 1) * eta + l of the cell is (j - 1) * E + l of the design
@@ -557,8 +560,11 @@ def write_model_json(model, path) -> None:
 
 
 def read_model_json(path):
+    """The model in ``path``; a file that is not JSON, or that lacks,
+    mistypes or misstates a field, is a DataError naming it."""
     with open(path) as fh:
         try:
             return model_from_dict(json.load(fh))
-        except json.JSONDecodeError as e:
-            raise DataError(f"{path}: invalid model file: {e}") from None
+        # JSONDecodeError is a ValueError; a document that is not a mapping has no .get
+        except (AttributeError, KeyError, TypeError, ValueError, DataError) as e:
+            raise DataError(f"{path}: invalid model file: {type(e).__name__}: {e}") from None

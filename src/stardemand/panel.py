@@ -8,7 +8,6 @@ workers.
 from __future__ import annotations
 
 import csv
-import math
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
@@ -145,24 +144,6 @@ class SplitSpec:
                 f"invalid split ({self.t1}, {self.t2}, {self.t_end}): "
                 "need 0 < t1 < t2 < t_end"
             )
-
-
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
-def split(panel: DemandPanel, t2_fraction: float, t1_fraction_of_t2: float) -> SplitSpec:
-    """Split a panel's time axis into train / validation / test parts.
-
-    t2 = round(t2_fraction * T), t1 = round(t1_fraction_of_t2 * t2),
-    rounding half-up, then clamped to the legal range.
-    """
-    if not (0 < t2_fraction < 1 and 0 < t1_fraction_of_t2 < 1):
-        raise DataError("split fractions must lie in (0, 1)")
-    T = panel.T
-    t2 = min(max(_round_half_up(t2_fraction * T), 2), T - 1)
-    t1 = min(max(_round_half_up(t1_fraction_of_t2 * t2), 1), t2 - 1)
-    return SplitSpec(t1=t1, t2=t2, t_end=T)
 
 
 @dataclass(frozen=True)

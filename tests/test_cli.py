@@ -10,7 +10,9 @@ from stardemand import ingest as ingest_mod
 from stardemand.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from stardemand.estimators import read_model_json
 from stardemand.forecast import mspe, predict_range, run_scenario
-from stardemand.panel import ModelOrder, SplitSpec, read_panel_csv
+from stardemand.panel import (
+    ModelOrder, SplitSpec, make_panel, read_panel_csv, write_panel_csv,
+)
 from stardemand.weights import read_stack
 
 from conftest import replace_first_cell
@@ -414,8 +416,7 @@ class TestGrid:
         assert main(["grid", "-c", str(cfg)]) == EXIT_NUMERICAL
 
     def test_echoed_config_reruns_identically(self, tmp_path, monkeypatch, synth_run):
-        lasso = {"grid": [1.0, 0.1, 0.01], "include_zero": False,
-                 "refit_after_tuning": False}
+        lasso = {"grid": [1.0, 0.1, 0.01], "refit_after_tuning": False}
         cfg = write_yaml(tmp_path / "g.yaml", {
             "panel": "synth/panel.csv",
             "stacks": {"rings": "synth/stack"},
@@ -428,7 +429,7 @@ class TestGrid:
         for relative_c in (False, True):
             runs = tmp_path / "runs" / str(relative_c)
             echoed = run_twice(monkeypatch, "grid", cfg, runs, relative_c)
-            assert echoed["lasso"] == {**lasso, "n_lambdas": 50, "lambda_min_ratio": 1e-4}
+            assert echoed["lasso"] == lasso
             assert echoed["panel"] == str(synth_run / "panel.csv")
             assert echoed["stacks"] == {"rings": str(synth_run / "stack")}
             assert ((runs / "first" / "reports.csv").read_bytes()
@@ -544,11 +545,23 @@ class TestConfigValidation:
         {"grid": []},
         {"include_zero": "no"},
         {"refit_after_tuning": "false"},
+        {"grid": [1.0, 0.0], "n_lambdas": 5},
+        {"grid": [1.0, 0.0], "lambda_min_ratio": 0.01},
+        {"grid": [1.0, 0.0], "include_zero": False},
     ], ids=["min_ratio_0", "n_lambdas_0", "grid_str", "grid_empty", "include_zero_str",
-            "refit_str"])
+            "refit_str", "grid_with_n_lambdas", "grid_with_min_ratio", "grid_with_include_zero"])
     def test_bad_lasso_value(self, tmp_path, synth_run, command, lasso):
         cfg = self._config(tmp_path, synth_run, lasso=lasso)
         assert main([command, "-c", str(cfg)]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    def test_explicit_grid_with_generated_keys_names_them(self, tmp_path, synth_run, capsys):
+        # the explicit grid would be run and the generated-grid keys silently ignored
+        cfg = self._config(tmp_path, synth_run, lasso={"grid": [1.0, 0.5, 0.0], "n_lambdas": 5,
+                                                       "include_zero": False})
+        assert main(["fit", "-c", str(cfg)]) == EXIT_CONFIG
+        assert ("config error: lasso: include_zero, n_lambdas given with an explicit grid"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["grid", "fit"])
@@ -569,7 +582,7 @@ class TestConfigValidation:
             "fraction_above_1", "not_mapping", "t1_t_end_without_t2", "t_end_without_t2",
             "t1_with_fraction", "t2_with_fraction", "bins_with_t1_fraction"])
     def test_bad_split(self, tmp_path, synth_run, command, split):
-        # a bin without t2, or bins with fractions, would be silently dropped
+        # a bin without t2 would be silently dropped; a fraction key is an unknown key
         cfg = self._config(tmp_path, synth_run, split=split)
         assert main([command, "-c", str(cfg)]) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
@@ -649,6 +662,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize("command,section,key,value", [
         ("grid", "lasso", "n_lambda", 5),
         ("fit", "split", "t3", 70),
+        ("fit", "split", "t2_fraction", 0.5),
+        ("grid", "split", "t1_fraction_of_t2", 0.5),
+        ("synth", "synth", "seed", 1),
         ("grid", "grid", "etas", [1]),
         ("fit", "fit", "order", 1),
         ("synth", "synth", "sigma2", 1.0),
@@ -666,7 +682,8 @@ class TestConfigValidation:
         ("synth", "", "seeds", 1),
         ("ingest", "", "outputdir", "out"),
         ("weights", "", "eta_max", 2),
-    ], ids=["lasso", "split", "grid", "fit", "synth", "ingest", "ingest_columns", "weights",
+    ], ids=["lasso", "split", "split_t2_fraction", "split_t1_fraction", "synth_seed", "grid",
+            "fit", "synth", "ingest", "ingest_columns", "weights",
             "tolerance-grid", "tolerance-fit", "max_sweeps-grid", "max_sweeps-fit",
             "top_standardise-grid", "top_timing-grid", "top_standardise-fit", "top_splits-fit",
             "top_seeds-synth", "top_outputdir-ingest", "top_section_key-weights"])
@@ -711,6 +728,28 @@ class TestConfigValidation:
     def test_split_to_last_bin_runs(self, tmp_path, synth_run):
         cfg = self._config(tmp_path, synth_run, split={"t1": 30, "t2": 60, "t_end": 80})
         assert main(["grid", "-c", str(cfg)]) == EXIT_OK
+
+    @pytest.mark.parametrize("T,split,code", [
+        (96, {"t1": 32, "t2": 64, "t_end": 96}, EXIT_OK),
+        # the smallest legal split: bin 0 trains no p >= 1 model, so the fit is a data error
+        (3, {"t1": 1, "t2": 2, "t_end": 3}, EXIT_DATA),
+        (2, None, EXIT_CONFIG),
+    ])
+    @pytest.mark.parametrize("given", ["absent", "empty"])
+    def test_default_split_in_thirds(self, tmp_path, T, split, code, given):
+        # with no bins named, t2 is the bin nearest 2T/3 and t1 = (t2 + 1) // 2
+        values = np.random.default_rng(T).normal(size=(2, T))
+        write_panel_csv(make_panel(["A", "B"], values, kind="real"), tmp_path / "panel.csv")
+        cfg = {"panel": "panel.csv", "fit": {"model": "var", "p": 1}}
+        if given == "empty":
+            cfg["split"] = {}
+        out = tmp_path / "out"
+        assert main(["fit", "-c", str(write_yaml(tmp_path / "c.yaml", cfg)),
+                     "--out", str(out)]) == code
+        if split is None:
+            assert not out.exists()
+        else:
+            assert yaml.safe_load((out / "config.yaml").read_text())["split"] == split
 
 
 def test_config_echo_reruns_identically(tmp_path, monkeypatch, synth_run):

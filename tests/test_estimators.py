@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -706,3 +709,16 @@ class TestSerialization:
         assert np.array_equal(back.intercept, model.intercept)
         for a, b in zip(back.lag_matrices, model.lag_matrices):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "star", "p": 1},
+        {"kind": "var", "p": 1, "intercept": [0.0], "lag_matrices": [[[0.5]]],
+         "residual_cov": [[1.0]], "fit_range": 5},
+        ["star"],
+        {"kind": "arima"},
+    ], ids=["star_without_eta", "var_fit_range_int", "not_mapping", "unknown_kind"])
+    def test_malformed_model_is_data_error(self, tmp_path, doc):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=re.escape(f"{path}: invalid model file")):
+            read_model_json(path)

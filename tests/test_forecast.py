@@ -249,6 +249,17 @@ class TestRunScenario:
         lasso = run_scenario(panel, stack, MODEL_LASSO_STAR, order, split, cfg)
         assert abs(star.test_mspe - lasso.test_mspe) < 1e-6
 
+    @pytest.mark.parametrize("p,eta", [(1, 3), (2, 3), (4, 1)])
+    def test_blocks_of_a_lower_order_rejected(self, p, eta):
+        # the cell would read the wrong columns of the order (3, 2) design, or past them
+        panel = random_panel(6, 90, seed=1)
+        stack = random_centroid_stack(6, 3, seed=1)
+        split = SplitSpec(30, 60, 90)
+        blocks = forecast.scenario_blocks(panel, stack, ModelOrder(p=3, eta=2), split)
+        with pytest.raises(DataError, match=rf"\(p={p}, eta={eta}\) exceeds .* \(p=3, eta=2\)"):
+            run_scenario(panel, stack, MODEL_STAR, ModelOrder(p=p, eta=eta), split,
+                         blocks=blocks)
+
     def test_unknown_kind(self):
         panel = random_panel(2, 30, seed=52)
         with pytest.raises(DataError):

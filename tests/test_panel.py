@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from stardemand.errors import DataError
 from stardemand.panel import (
-    KIND_REAL, SplitSpec, make_panel, read_panel_csv, split, standardize,
+    KIND_REAL, SplitSpec, make_panel, read_panel_csv, standardize,
     write_panel_csv,
 )
 
@@ -43,24 +43,6 @@ class TestMakePanel:
 
 
 class TestSplit:
-    def test_default_thirds(self):
-        p = make_panel(["a"], [list(range(96))])
-        assert split(p, 2 / 3, 1 / 2) == SplitSpec(32, 64, 96)
-
-    def test_smallest_legal(self):
-        p = make_panel(["a"], [[0, 0, 0]])
-        assert split(p, 2 / 3, 1 / 2) == SplitSpec(1, 2, 3)
-
-    def test_too_short(self):
-        p = make_panel(["a"], [[0, 0]])
-        with pytest.raises(DataError):
-            split(p, 2 / 3, 1 / 2)
-
-    def test_bad_fractions(self):
-        p = make_panel(["a"], [[0] * 10])
-        with pytest.raises(DataError):
-            split(p, 1.5, 0.5)
-
     def test_invariant(self):
         with pytest.raises(DataError):
             SplitSpec(t1=5, t2=5, t_end=10)
