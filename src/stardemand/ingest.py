@@ -1,10 +1,13 @@
 """Raw trip ingestion: parse trip records, assign them to zones, bin counts.
 
-Trips are held as columns (:class:`Trips`). Parsing runs ``strptime`` once
-per distinct timestamp string; range checks, zone assignment and binning
-are vectorized over all trips, and counting is a commutative reduction, so
-the resulting panel is independent of input row order. The scalar
-reference the columnar code is tested against is ``tests/ingest_oracle.py``.
+Trips are held as columns (:class:`Trips`). Parsing tokenizes with
+``csv.reader`` and converts a block of rows at a time, column by column;
+each distinct timestamp string is parsed once, by a regex compiled from the
+format when it holds only numeric date and time directives, else by
+``strptime``. Range checks, zone assignment and binning are vectorized over
+all trips, and counting is a commutative reduction, so the resulting panel
+is independent of input row order. The scalar reference the columnar code
+is tested against is ``tests/ingest_oracle.py``.
 """
 
 from __future__ import annotations
@@ -12,9 +15,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from array import array
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
+from itertools import islice
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -155,6 +161,70 @@ class TripFormat:
     timestamp_format: str = DEFAULT_TS_FORMAT
 
 
+# Rows converted at a time. A few hundred keeps tokenizing cheap: holding
+# 16k rows at once doubled its cost in cyclic-GC work, and 512 cost more
+# than 256 on a 564k-row file.
+_BLOCK_ROWS = 256
+
+# Microseconds marking a timestamp that does not parse; no datetime has them.
+_BAD_US = int(np.iinfo(np.int64).min)
+
+# CPython's own regexes for these strptime directives, copied from
+# ``TimeRE.__init__`` in Lib/_strptime.py. Their ``\d`` matches any Unicode
+# decimal digit, which ``int`` reads, as strptime does.
+_STAMP_DIRECTIVES = {
+    "Y": r"(?P<Y>\d\d\d\d)",
+    "m": r"(?P<m>1[0-2]|0[1-9]|[1-9])",
+    "d": r"(?P<d>3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9])",
+    "H": r"(?P<H>2[0-3]|[0-1]\d|\d)",
+    "M": r"(?P<M>[0-5]\d|\d)",
+    "S": r"(?P<S>6[0-1]|[0-5]\d|\d)",
+}
+# datetime() arguments in order, with strptime's default for an absent one
+_STAMP_FIELDS = (("Y", 1900), ("m", 1), ("d", 1), ("H", 0), ("M", 0), ("S", 0))
+
+
+def _compile_stamp_format(ts_format: str):
+    """A parser of timestamps in ``ts_format`` to microseconds (as
+    ``_to_us``), or None when the format holds a directive other than
+    ``%Y %m %d %H %M %S`` or repeats one.
+
+    The parser returns ``_to_us`` of what ``datetime.strptime`` returns, or
+    None for a stamp that its regex or ``datetime()`` rejects. The regex is
+    built as strptime builds it: regex characters escaped, each whitespace
+    run matching ``\\s+``, case ignored, and the match must end with the
+    stamp.
+    """
+    rest = re.sub(r"([\\.^$*+?\(\){}\[\]|])", r"\\\1", ts_format)
+    rest = re.sub(r"\s+", r"\\s+", rest)
+    pattern, keys = "", []
+    while "%" in rest:
+        i = rest.index("%")
+        key = rest[i + 1:i + 2]
+        if key not in _STAMP_DIRECTIVES or key in keys:
+            return None
+        keys.append(key)
+        pattern += rest[:i] + _STAMP_DIRECTIVES[key]
+        rest = rest[i + 2:]
+    regex = re.compile(pattern + rest, re.IGNORECASE)
+    # the groups in format order, then the defaults: pick the datetime() args
+    defaults = tuple(default for _, default in _STAMP_FIELDS)
+    pick = itemgetter(*[keys.index(key) if key in keys else len(keys) + j
+                        for j, (key, _) in enumerate(_STAMP_FIELDS)])
+
+    def to_us(stamp: str) -> int | None:
+        found = regex.match(stamp)
+        if found is None or found.end() != len(stamp):
+            return None
+        try:
+            t = datetime(*pick(tuple(map(int, found.groups())) + defaults))
+        except ValueError:
+            return None
+        return (t - _EPOCH) // _US
+
+    return to_us
+
+
 def parse_trips(
     stream,
     fmt: TripFormat = TripFormat(),
@@ -163,11 +233,16 @@ def parse_trips(
 ) -> Trips:
     """Parse a trips CSV into columns, preserving input order.
 
-    ``stream`` is a text file object or path. Unparsable rows are
-    reported with their line numbers; policy ``strict`` aborts on the
-    first bad row, ``skip`` drops it. Each distinct timestamp string is
-    parsed once. A UTC offset read by ``%z`` is dropped: times keep their
-    wall-clock reading.
+    ``stream`` is a text file object or path; a file opened from a path may
+    start with a UTF-8 byte-order mark. Unparsable rows are reported with
+    their line numbers; policy ``strict`` aborts on the first bad row (the
+    good rows before it are counted as parsed), ``skip`` drops it.
+
+    Rows are converted ``_BLOCK_ROWS`` at a time, column by column. Each
+    distinct timestamp string is parsed once, by the regex
+    :func:`_compile_stamp_format` builds when the format allows, else by
+    ``datetime.strptime``; strptime also words every error. A UTC offset
+    read by ``%z`` is dropped: times keep their wall-clock reading.
     """
     if policy not in PARSE_POLICIES:
         raise DataError(f"unknown parse policy {policy!r}")
@@ -177,7 +252,7 @@ def parse_trips(
     times, lats, lons = array("q"), array("d"), array("d")
     close = False
     if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
-        stream = open_input(stream, "trips", newline="")
+        stream = open_input(stream, "trips", newline="", encoding="utf-8-sig")
         close = True
     try:
         reader = csv.reader(stream)
@@ -187,51 +262,100 @@ def parse_trips(
     finally:
         if close:
             stream.close()
-    return Trips(time=np.array(times).view("datetime64[us]"), lat=np.array(lats),
-                 lon=np.array(lons))
+    # the columns are views of the buffers, not copies
+    return Trips(time=np.frombuffer(times, dtype=np.int64).view("datetime64[us]"),
+                 lat=np.frombuffer(lats), lon=np.frombuffer(lons))
 
 
 def _read_rows(reader, header, fmt, policy, report, times, lats, lons) -> None:
-    """Append each good row of ``reader`` to the column buffers."""
+    """Append each good row of ``reader`` to the column buffers, a block of
+    rows at a time."""
     # a repeated column name reads its last occurrence, like csv.DictReader
     col = {name: i for i, name in enumerate(header)}
     for name in (fmt.time_column, fmt.lat_column, fmt.lon_column):
         if name not in col:
             raise DataError(f"trips CSV missing column {name!r}")
-    t_col, lat_col, lon_col = col[fmt.time_column], col[fmt.lat_column], col[fmt.lon_column]
+    fields = itemgetter(col[fmt.time_column], col[fmt.lat_column], col[fmt.lon_column])
     width = len(header)
-    stamp_us: dict[str, int] = {}
-    add_time, add_lat, add_lon = times.append, lats.append, lons.append
+    ts_format = fmt.timestamp_format
+    compiled = _compile_stamp_format(ts_format)
+    stamp_us: dict[str | None, int] = {}
     try:
-        for row in reader:
-            if not row:
+        while True:
+            first = reader.line_num
+            rows, lines = [], []
+            for row in islice(reader, _BLOCK_ROWS):
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
+            if reader.line_num == first:
+                return
+            if not rows:
                 continue
-            if len(row) < width:
-                row += [None] * (width - len(row))
             try:
-                stamp = row[t_col]
-                us = stamp_us.get(stamp)
-                if us is None:
-                    us = stamp_us[stamp] = _to_us(datetime.strptime(stamp, fmt.timestamp_format))
-                lat = float(row[lat_col])
-                lon = float(row[lon_col])
-            except (ValueError, TypeError) as e:
-                err = f"unparsable row: {e}"
-            else:
-                if -90 <= lat <= 90 and -180 <= lon <= 180:
-                    add_time(us)
-                    add_lat(lat)
-                    add_lon(lon)
-                    continue
-                err = (f"lat out of range: {lat}" if not -90 <= lat <= 90
-                       else f"lon out of range: {lon}")
-            line = reader.line_num
-            report.row_errors.append(RowError(line=line, message=err))
-            report.dropped_parse += 1
-            if policy == POLICY_STRICT:
-                raise DataError(f"line {line}: {err}")
+                stamps, lat_text, lon_text = zip(*map(fields, rows))
+            except IndexError:
+                # a short row reads None in its missing fields, like csv.DictReader
+                stamps, lat_text, lon_text = zip(
+                    *(fields(r + [None] * (width - len(r))) for r in rows))
+            for stamp in set(stamps).difference(stamp_us):
+                stamp_us[stamp] = _stamp_to_us(stamp, compiled, ts_format)
+            t = np.fromiter(map(stamp_us.__getitem__, stamps), np.int64, len(rows))
+            lat, lon = _floats(lat_text), _floats(lon_text)
+            good = (t != _BAD_US) & (lat >= -90) & (lat <= 90) & (lon >= -180) & (lon <= 180)
+            bad = np.flatnonzero(~good).tolist()
+            if bad and policy == POLICY_STRICT:
+                good[bad[0]:] = False
+                del bad[1:]
+            times.frombytes(t[good].tobytes())
+            lats.frombytes(lat[good].tobytes())
+            lons.frombytes(lon[good].tobytes())
+            for i in bad:
+                err = _row_error(stamps[i], lat_text[i], lon_text[i], ts_format)
+                report.row_errors.append(RowError(line=lines[i], message=err))
+                report.dropped_parse += 1
+                if policy == POLICY_STRICT:
+                    raise DataError(f"line {lines[i]}: {err}")
     finally:
         report.parsed += len(times)
+
+
+def _stamp_to_us(stamp, compiled, ts_format: str) -> int:
+    """Microseconds of a stamp by the compiled format where it takes the
+    stamp, else by strptime; ``_BAD_US`` where strptime raises."""
+    us = compiled(stamp) if compiled is not None and isinstance(stamp, str) else None
+    if us is not None:
+        return us
+    try:
+        return _to_us(datetime.strptime(stamp, ts_format))
+    except (ValueError, TypeError):
+        return _BAD_US
+
+
+def _floats(text) -> np.ndarray:
+    """``float`` of each field, NaN (in no coordinate range) where it raises."""
+    try:
+        return np.fromiter(map(float, text), float, len(text))
+    except (ValueError, TypeError):
+        return np.array([_float_or_nan(x) for x in text])
+
+
+def _float_or_nan(x) -> float:
+    try:
+        return float(x)
+    except (ValueError, TypeError):
+        return math.nan
+
+
+def _row_error(stamp, lat, lon, ts_format: str) -> str:
+    """The message for a rejected row, from the first of its fields that
+    fails in the order stamp, lat, lon."""
+    try:
+        datetime.strptime(stamp, ts_format)
+        lat, lon = float(lat), float(lon)
+    except (ValueError, TypeError) as e:
+        return f"unparsable row: {e}"
+    return f"lat out of range: {lat}" if not -90 <= lat <= 90 else f"lon out of range: {lon}"
 
 
 # -- zone assignment ----------------------------------------------------

@@ -1,11 +1,15 @@
 import io
 import math
+import re
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ingest_oracle
+from stardemand import ingest
 from stardemand.errors import DataError
 from stardemand.ingest import (
     IngestReport, TripFormat, Trips,
@@ -54,6 +58,17 @@ class TestParseTrips:
         with pytest.raises(DataError, match="line 2"):
             parse_trips(_csv(["garbage,1,2"]), policy="strict")
 
+    def test_strict_keeps_the_rows_before(self):
+        text = _csv(['"4/16/2014 0:01:00",40.7,-74.0', '"4/16/2014 0:02:00",40.7,-74.0',
+                     "bad,1,2", '"4/16/2014 0:03:00",40.7,-74.0']).getvalue()
+        report, want_report = IngestReport(), IngestReport()
+        with pytest.raises(DataError, match="line 4"):
+            parse_trips(io.StringIO(text), policy="strict", report=report)
+        with pytest.raises(DataError, match="line 4"):
+            ingest_oracle.parse_trips(io.StringIO(text), policy="strict", report=want_report)
+        assert report.to_dict() == want_report.to_dict()
+        assert report.parsed == 2 and report.dropped_parse == 1
+
     def test_skip_keeps_order(self):
         trips = parse_trips(_csv([
             '"4/16/2014 0:05:00",40.7,-74.0',
@@ -73,6 +88,100 @@ class TestParseTrips:
                          lon_column="longitude",
                          timestamp_format="%Y-%m-%d %H:%M:%S")
         assert len(parse_trips(stream, fmt)) == 1
+
+    def test_byte_order_mark(self, tmp_path):
+        path = tmp_path / "trips.csv"
+        path.write_text('\ufeffDate/Time,Lat,Lon\n"4/16/2014 0:03:00",40.75,-73.99\n',
+                        encoding="utf-8")
+        assert _records(parse_trips(path)) == [(datetime(2014, 4, 16, 0, 3), 40.75, -73.99)]
+
+
+def _strptime_us(stamp, fmt):
+    """Microseconds of ``datetime.strptime(stamp, fmt)``, or None where it raises."""
+    try:
+        return ingest._to_us(datetime.strptime(stamp, fmt))
+    except ValueError:
+        return None
+
+
+_DIGITS = ("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+           "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")
+_STAMP_CHANGES = ("unpadded", "space-padded", "digits", "value", "separator", "trailing")
+
+
+@st.composite
+def _stamps(draw, fmt):
+    """A datetime written in ``fmt`` (zero-padded), then up to three changes:
+    a field unpadded, space-padded, in other decimal digits or set to any
+    number to 99 (a year to 99,999); a separator dropped, doubled or
+    replaced by whitespace or other text; trailing text."""
+    t = draw(st.datetimes(min_value=datetime(1000, 1, 1)))
+    text = [t.strftime(part) for part in re.split(r"(%[YmdHMS])", fmt) if part]
+    fields = [i for i, part in enumerate(text) if part.isdigit()]
+    seps = [i for i, part in enumerate(text) if not part.isdigit()]
+    for _ in range(draw(st.integers(0, 3))):
+        change = draw(st.sampled_from(_STAMP_CHANGES))
+        i, j = draw(st.sampled_from(fields)), draw(st.sampled_from(seps))
+        if change == "unpadded":
+            text[i] = str(int(text[i]))
+        elif change == "space-padded":
+            text[i] = f"{int(text[i]):2d}"
+        elif change == "digits":
+            text[i] = text[i].translate(str.maketrans(_DIGITS[0], draw(st.sampled_from(_DIGITS))))
+        elif change == "value":
+            text[i] = str(draw(st.integers(0, 99_999 if len(text[i]) == 4 else 99)))
+        elif change == "separator":
+            text[j] = draw(st.sampled_from(["", " ", "\t\n ", "x", text[j] * 2]))
+        else:
+            text.append(draw(st.sampled_from([" ", "\n", "0", "x"])))
+    return "".join(text)
+
+
+class TestCompiledStampFormat:
+    """The compiled timestamp format gives strptime's value, or None where
+    strptime raises."""
+
+    formats = ("%m/%d/%Y %H:%M:%S", "%Y-%m-%d %H:%M:%S")
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_strptime(self, data):
+        fmt = data.draw(st.sampled_from(self.formats))
+        stamp = data.draw(_stamps(fmt))
+        assert ingest._compile_stamp_format(fmt)(stamp) == _strptime_us(stamp, fmt)
+
+    @pytest.mark.parametrize("fmt, stamp", [
+        ("%m/%d/%Y %H:%M:%S", "4/6/2014 0:3:0"),             # single digits
+        ("%m/%d/%Y %H:%M:%S", "4/ 6/2014 0:03:00"),          # space-padded day
+        ("%m/%d/%Y %H:%M:%S", " 4/16/2014 0:03:00"),         # space before the month
+        ("%m/%d/%Y %H:%M:%S", "2/29/2013 0:00:00"),          # Feb 29, not a leap year
+        ("%m/%d/%Y %H:%M:%S", "2/29/2012 0:00:00"),
+        ("%m/%d/%Y %H:%M:%S", "4/16/2014 0:00:60"),          # leap seconds
+        ("%m/%d/%Y %H:%M:%S", "4/16/2014 0:00:61"),
+        ("%m/%d/%Y %H:%M:%S", "4/16/2014 24:00:00"),
+        ("%m/%d/%Y %H:%M:%S", "4/16/2014 0:03:00 UTC"),      # trailing text
+        ("%m/%d/%Y %H:%M:%S", "4/16/2014 \t\n 0:03:00"),     # whitespace run
+        ("%m/%d/%Y %H:%M:%S", "4/16/20140:03:00"),           # whitespace missing
+        ("%m/%d/%Y %H:%M:%S", "4/1\u0666/\u0662\u0660\u0661\u0664 \u0660:03:00"),
+        ("%m/%d/%Y %H:%M:%S", "\u0664/16/2014 0:03:00"),    # not in %m's pattern
+        ("%Y-%m-%d %H:%M:%S", "2014-04-16 00:03:00"),
+        ("%Y-%m-%d %H:%M:%S", "2014-4-6 0:3:0"),
+        ("%Y-%m-%d %H:%M:%S", "2014-04-31 00:00:00"),
+        ("%Y-%m-%d %H:%M:%S", "0000-01-01 00:00:00"),
+        ("%Y-%m-%d %H:%M:%S", "12014-04-16 00:03:00"),
+        ("%Y-%m-%dT%H:%M:%S", "2014-04-16t00:03:00"),        # case ignored
+        ("%d.%m.%Y (%H|%M)", "16.04.2014 (00|03)"),           # regex characters
+        ("%d.%m.%Y (%H|%M)", "16x04.2014 (00|03)"),
+        ("%H:%M", "23:59"),                                   # absent fields default
+        ("%m/%d", "2/29"),
+    ])
+    def test_cases(self, fmt, stamp):
+        assert ingest._compile_stamp_format(fmt)(stamp) == _strptime_us(stamp, fmt)
+
+    @pytest.mark.parametrize("fmt", ["%Y-%m-%d %H:%M:%S%z", "%y-%m-%d", "%Y %Y",
+                                     "%Y%%", "%Y %", "%d %b %Y"])
+    def test_other_directives_take_strptime(self, fmt):
+        assert ingest._compile_stamp_format(fmt) is None
 
 
 class TestAssignZone:
@@ -355,6 +464,15 @@ class TestOracleEquivalence:
             ingest_oracle.parse_trips(io.StringIO(text), policy="strict", report=want_report)
         assert str(got.value) == str(want.value)
         assert report.to_dict() == want_report.to_dict()
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 7])
+    def test_block_edges(self, monkeypatch, block_rows):
+        """Bad rows, blank lines and multi-line records on block edges."""
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+        for seed in (0, 1, 2):
+            self.test_parse_matches_oracle(seed)
+        for seed in (0, 1):
+            self.test_strict_aborts_at_the_same_line(seed)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("assign_policy", ["drop", "nearest"])
