@@ -4,7 +4,9 @@ The CLI maps these onto exit codes: usage/config problems -> 1,
 data problems -> 2, numerical failures -> 3.
 """
 
+import csv
 import json
+from contextlib import contextmanager
 
 
 class ConfigError(Exception):
@@ -19,13 +21,20 @@ class NumericalError(Exception):
     """A numerical routine failed to produce a usable result."""
 
 
-def open_input(path, what: str, **kwargs):
-    """``open(path, **kwargs)`` for reading an input file; a file that
-    cannot be opened is a DataError naming ``what`` it was to hold."""
+@contextmanager
+def open_input(source, what: str, **kwargs):
+    """``open(source, **kwargs)`` for reading an input file, as a context
+    manager; an already open text file is used as it is and left open. An
+    OSError, UnicodeDecodeError, csv.Error or JSONDecodeError raised in
+    opening or reading it is a DataError, ``cannot read <what> <path>: ...``."""
     try:
-        return open(path, **kwargs)
-    except OSError as e:
-        raise DataError(f"cannot read {what}: {e}") from None
+        if hasattr(source, "read"):
+            yield source
+        else:
+            with open(source, **kwargs) as fh:
+                yield fh
+    except (OSError, UnicodeDecodeError, csv.Error, json.JSONDecodeError) as e:
+        raise DataError(f"cannot read {what} {source}: {e}") from None
 
 
 def write_json(path, obj) -> None:

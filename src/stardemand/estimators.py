@@ -38,7 +38,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError, NumericalError, write_json
+from .errors import ConfigError, DataError, NumericalError, open_input, write_json
 from .panel import DemandPanel, ModelOrder, SplitSpec
 from .weights import WeightStack
 
@@ -560,9 +560,9 @@ def write_model_json(model, path) -> None:
 
 
 def read_model_json(path):
-    """The model in ``path``; a file that is not JSON, or that lacks,
-    mistypes or misstates a field, is a DataError naming it."""
-    with open(path) as fh:
+    """The model in ``path``. A file that cannot be read, is not JSON, or
+    lacks, mistypes or misstates a field is a DataError naming it."""
+    with open_input(path, "model") as fh:
         try:
             return model_from_dict(json.load(fh))
         # JSONDecodeError is a ValueError; a document that is not a mapping has no .get

@@ -234,9 +234,11 @@ def parse_trips(
     """Parse a trips CSV into columns, preserving input order.
 
     ``stream`` is a text file object or path; a file opened from a path may
-    start with a UTF-8 byte-order mark. Unparsable rows are reported with
-    their line numbers; policy ``strict`` aborts on the first bad row (the
-    good rows before it are counted as parsed), ``skip`` drops it.
+    start with a UTF-8 byte-order mark. A file that cannot be opened, decoded
+    or tokenized is a DataError, as :func:`open_input` words it. Unparsable
+    rows are reported with their line numbers; policy ``strict`` aborts on
+    the first bad row (the good rows before it are counted as parsed),
+    ``skip`` drops it.
 
     Rows are converted ``_BLOCK_ROWS`` at a time, column by column. Each
     distinct timestamp string is parsed once, by the regex
@@ -250,18 +252,11 @@ def parse_trips(
         report = IngestReport()
 
     times, lats, lons = array("q"), array("d"), array("d")
-    close = False
-    if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
-        stream = open_input(stream, "trips", newline="", encoding="utf-8-sig")
-        close = True
-    try:
-        reader = csv.reader(stream)
+    with open_input(stream, "trips", newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
         header = next(reader, None)
         if header is not None:
             _read_rows(reader, header, fmt, policy, report, times, lats, lons)
-    finally:
-        if close:
-            stream.close()
     # the columns are views of the buffers, not copies
     return Trips(time=np.frombuffer(times, dtype=np.int64).view("datetime64[us]"),
                  lat=np.frombuffer(lats), lon=np.frombuffer(lons))
@@ -537,10 +532,7 @@ def load_zones_geojson(path) -> list[ZoneGeometry]:
     first polygon.
     """
     with open_input(path, "zones") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise DataError(f"{path}: invalid GeoJSON: {e}") from None
+        doc = json.load(fh)
     if doc.get("type") != "FeatureCollection":
         raise DataError(f"{path}: expected a FeatureCollection")
     zones = []

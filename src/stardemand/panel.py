@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime
 from typing import Iterable, Sequence
 
@@ -53,18 +53,6 @@ class DemandPanel:
     def T(self) -> int:
         return self.values.shape[1]
 
-    def with_values(self, values: np.ndarray, kind: str | None = None) -> "DemandPanel":
-        """Copy of this panel with replaced values (shape must match)."""
-        if values.shape != self.values.shape:
-            raise DataError("replacement values have mismatched shape")
-        return DemandPanel(
-            zone_ids=self.zone_ids,
-            values=_frozen(values),
-            bin_minutes=self.bin_minutes,
-            origin=self.origin,
-            kind=self.kind if kind is None else kind,
-        )
-
 
 def unique_zone_ids(zone_ids: Iterable, where: str) -> tuple[str, ...]:
     """The zone ids as strings; an id given twice is a DataError."""
@@ -77,15 +65,17 @@ def unique_zone_ids(zone_ids: Iterable, where: str) -> tuple[str, ...]:
 
 def make_panel(
     zone_ids: Sequence[str],
-    values: Iterable[Iterable[float]] | np.ndarray,
+    values: Sequence[Sequence[float]] | np.ndarray,
     bin_minutes: int = 15,
     origin: datetime | None = None,
     kind: str = KIND_RAW,
 ) -> DemandPanel:
     """Validate inputs and build an immutable demand panel.
 
-    Raises DataError on ragged rows, duplicate zone ids, or (in raw mode)
-    negative or non-integer counts.
+    ``values`` (a k x T matrix, or k rows of T numbers) is converted to one
+    read-only float array. Raises DataError on ragged or non-numeric rows,
+    duplicate zone ids, non-finite values, or (in raw mode) negative or
+    non-integer counts.
     """
     zone_ids = unique_zone_ids(zone_ids, "panel")
     if len(zone_ids) == 0:
@@ -95,14 +85,10 @@ def make_panel(
     if kind not in _KINDS:
         raise DataError(f"unknown panel kind {kind!r}")
 
-    if not isinstance(values, np.ndarray):
-        rows = [list(r) for r in values]
-        lengths = {len(r) for r in rows}
-        if len(lengths) > 1:
-            raise DataError("ragged rows: all zones must cover the same bins")
-        values = np.array(rows, dtype=float)
-    else:
-        values = np.array(values, dtype=float)
+    try:
+        values = _frozen(values)
+    except (TypeError, ValueError) as e:
+        raise DataError(f"ragged or non-numeric rows: {e}") from None
     if values.ndim != 2:
         raise DataError("values must be a 2-D zone x bin matrix")
     if values.shape[0] != len(zone_ids):
@@ -120,7 +106,7 @@ def make_panel(
 
     return DemandPanel(
         zone_ids=zone_ids,
-        values=_frozen(values),
+        values=values,
         bin_minutes=bin_minutes,
         origin=origin,
         kind=kind,
@@ -170,7 +156,7 @@ class Standardization:
 
     def apply(self, panel: DemandPanel) -> DemandPanel:
         vals = (panel.values - self.mean[:, None]) / self.sd[:, None]
-        return panel.with_values(vals, kind=KIND_STANDARDIZED)
+        return replace(panel, values=_frozen(vals), kind=KIND_STANDARDIZED)
 
 
 def standardize(
@@ -213,12 +199,13 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def read_panel_csv(path, bin_minutes: int = 15, origin: datetime | None = None,
-                   kind: str | None = None) -> DemandPanel:
+def read_panel_csv(path) -> DemandPanel:
     """Read a panel written by :func:`write_panel_csv`.
 
-    ``kind`` defaults to raw when all values are non-negative integers,
-    real otherwise.
+    The file holds no metadata, so the panel gets the defaults: 15-minute
+    bins, no origin, and kind real (any finite values). A file that cannot
+    be read, a row whose length differs from the header's, or a cell that
+    is not a number is a DataError naming the file.
     """
     with open_input(path, "panel", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -234,13 +221,9 @@ def read_panel_csv(path, bin_minutes: int = 15, origin: datetime | None = None,
                             f"the header names {len(rows[0]) - 1} bins")
         zone_ids.append(r[0])
         try:
-            data.append(list(map(float, r[1:])))
+            data.append(np.array(r[1:], dtype=float))
         except ValueError as e:
             raise DataError(f"{path}: bad value in row {r[0]}: {e}") from None
     if not data:
         raise DataError(f"{path}: empty panel")
-    arr = np.array(data, dtype=float)
-    if kind is None:
-        raw_like = np.all(arr >= 0) and np.all(arr == np.round(arr))
-        kind = KIND_RAW if raw_like else KIND_REAL
-    return make_panel(zone_ids, arr, bin_minutes=bin_minutes, origin=origin, kind=kind)
+    return make_panel(zone_ids, data, kind=KIND_REAL)

@@ -206,22 +206,19 @@ def read_stack(directory) -> WeightStack:
     """Read a stack written by :func:`write_stack`; raises DataError when
     the files are malformed or the stack fails :func:`validate_stack`."""
     directory = Path(directory)
-    try:
-        with open(directory / "manifest.json") as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataError(f"cannot read stack manifest in {directory}: {e}") from None
+    with open_input(directory / "manifest.json", "stack manifest") as fh:
+        manifest = json.load(fh)
     try:
         mats = []
         for name in manifest["files"]:
-            with open(directory / name, newline="") as fh:
+            with open_input(directory / name, "weight matrix", newline="") as fh:
                 mats.append(np.array([[float(x) for x in row] for row in csv.reader(fh)]))
         stack = WeightStack(
             matrices=tuple(_frozen(m) for m in mats),
             scheme=manifest["scheme"],
             zone_ids=unique_zone_ids(manifest["zone_ids"], f"weight stack in {directory}"),
         )
-    except (OSError, KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"malformed weight stack in {directory}: {e!r}") from None
     if not mats:
         raise DataError(f"weight stack in {directory} lists no matrices")

@@ -492,14 +492,20 @@ class TestExitCodes:
         assert main(["fit", "-c", str(cfg)]) == EXIT_DATA
         assert f"{panel}: row of zone A has 3 values" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command,section,key", [
-        ("fit", None, "panel"),
-        ("weights", "weights", "zones"),
-        ("weights", "weights", "zones_csv"),
-        ("weights", "weights", "adjacency"),
-        ("ingest", "ingest", "trips"),
-    ], ids=["panel", "zones", "zones_csv", "adjacency", "trips"])
-    def test_unreadable_input_is_data_error(self, tmp_path, capsys, command, section, key):
+    @pytest.mark.parametrize("command,section,key,content", [
+        ("fit", None, "panel", None),
+        ("weights", "weights", "zones", None),
+        ("weights", "weights", "zones_csv", None),
+        ("weights", "weights", "adjacency", None),
+        ("ingest", "ingest", "trips", None),
+        ("ingest", "ingest", "trips", "Date/Time,Lat,Lon,Base\n4/1/2014 0:05:00,0,0,Bé\n"
+                                      .encode("latin-1")),
+        ("grid", None, "panel", b"zone_id,bin_0,bin_1,bin_2\nA\xff,1,2,3\n"),
+    ], ids=["panel", "zones", "zones_csv", "adjacency", "trips", "trips_latin1",
+            "grid_panel_undecodable"])
+    def test_unreadable_input_is_data_error(self, tmp_path, capsys, command, section, key,
+                                            content):
+        """A missing input (no content), or one that cannot be decoded."""
         zones = tmp_path / "zones.csv"
         zones.write_text("zone_id,lon,lat\nA,0,0\nB,1,0\n")
         (tmp_path / "adj.csv").write_text("A,B\n")
@@ -509,11 +515,16 @@ class TestExitCodes:
             "output_dir": str(tmp_path / "out"),
             "panel": str(tmp_path / "panel.csv"), "split": {"t1": 1, "t2": 2},
             "fit": {"model": "var", "p": 1},
+            "grid": {}, "stacks": {"rings": str(tmp_path / "stack")},
             "weights": {"scheme": "adjacency", "eta_max": 2, "zones_csv": str(zones),
                         "adjacency": str(tmp_path / "adj.csv")},
             "ingest": {"trips": str(tmp_path / "trips.csv"), "zones_csv": str(zones)},
         }
-        (cfg[section] if section else cfg)[key] = str(tmp_path / "missing" / key)
+        target = tmp_path / "missing" / key
+        if content is not None:
+            target = tmp_path / f"unreadable_{key}"
+            target.write_bytes(content)
+        (cfg[section] if section else cfg)[key] = str(target)
         assert main([command, "-c", str(write_yaml(tmp_path / "c.yaml", cfg))]) == EXIT_DATA
         assert "data error: cannot read" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -1,0 +1,36 @@
+"""Every reader of an input file reports a file it cannot open, decode,
+tokenize or parse as a DataError naming the file, never a traceback."""
+
+import re
+
+import pytest
+
+from stardemand.errors import DataError
+from stardemand.estimators import read_model_json
+from stardemand.ingest import load_zones_centroid_csv, load_zones_geojson, parse_trips
+from stardemand.panel import read_panel_csv
+from stardemand.weights import read_adjacency_csv, read_stack
+
+TRIPS_HEADER = b"Date/Time,Lat,Lon,Base\n4/1/2014 0:11:00,40.769,-73.9549,B02512\n"
+
+
+@pytest.mark.parametrize("name,content,read", [
+    ("trips.csv", TRIPS_HEADER + "4/1/2014 0:17:00,40.7267,-74.0345,Bé\n".encode("latin-1"),
+     parse_trips),
+    ("trips.csv", TRIPS_HEADER + b'4/1/2014 0:17:00,40.7267,-74.0345,"' + b"x" * 200_000 + b'"\n',
+     parse_trips),
+    ("panel.csv", b"zone_id,bin_0,bin_1\nA\xff,1,2\n", read_panel_csv),
+    ("zones.geojson", b'{"type": "FeatureCollection", "name": "\xe9", "features": []}',
+     load_zones_geojson),
+    ("zones.csv", b"zone_id,lon,lat\nA\xe9,0,0\n", load_zones_centroid_csv),
+    ("adj.csv", b"zone_a,zone_b\nA,B\xe9\n", lambda path: read_adjacency_csv(path, ["A", "B"])),
+    ("manifest.json", b'{"files": ["w\xe9.csv"]}', lambda path: read_stack(path.parent)),
+    ("model.json", None, read_model_json),
+], ids=["trips_latin1", "trips_huge_field", "panel", "zones_geojson", "zones_csv", "adjacency",
+        "stack_manifest", "model_missing"])
+def test_unreadable_input_is_data_error(tmp_path, name, content, read):
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(DataError, match=f"^cannot read .*{re.escape(str(path))}"):
+        read(path)

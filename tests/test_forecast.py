@@ -99,7 +99,7 @@ class TestPredictOneStep:
         base = _predict_bin(model, panel, t, stack=stack)
         vals = panel.values.copy()
         vals[:, t:] = vals[:, t:][:, ::-1] + 99.0
-        mutated = panel.with_values(vals)
+        mutated = make_panel(panel.zone_ids, vals, kind=panel.kind)
         assert np.array_equal(_predict_bin(model, panel, t, stack=stack), base)
         assert np.array_equal(_predict_bin(model, mutated, t, stack=stack), base)
 

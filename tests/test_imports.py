@@ -3,6 +3,8 @@ every module-level private function or class is referenced in its own
 module, so a refactor cannot leave an orphaned helper behind. No module
 calls ``einsum``: numpy's default einsum does not use BLAS, and on the
 grid-month designs an einsum Gram build is 12 times slower than ``matmul``.
+No module opens a file for reading except through ``errors.open_input``,
+so every unreadable input is reported the same way.
 
 ``__init__.py`` is skipped for imports: they are the public re-exports.
 """
@@ -82,3 +84,49 @@ def test_helper_flags_einsum_calls():
 def test_no_einsum_calls():
     found = {path.name: einsum_calls(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def reading_opens(source: str) -> list[str]:
+    """Calls of anything named ``open`` (``open``, ``io.open``, ``Path.open``)
+    without a constant write mode such as ``"w"``, and calls of
+    ``read_text`` or ``read_bytes``, each as ``<enclosing function> (line n)``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call):
+                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                mode = child.args[1] if len(child.args) > 1 else next(
+                    (k.value for k in child.keywords if k.arg == "mode"), None)
+                writes = isinstance(mode, ast.Constant) and "w" in str(mode.value)
+                if (name == "open" and not writes) or name in ("read_text", "read_bytes"):
+                    found.append(f"{scope or '<module>'} (line {child.lineno})")
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_helper_flags_reading_opens():
+    src = ("import io\n"
+           "def reader(p):\n    return open(p).read()\n"
+           "class C:\n    def load(self, p):\n        return io.open(p, 'r')\n"
+           "def writer(p):\n    open(p, 'w').close()\n    open(p, mode='wb').close()\n"
+           "text = p.read_text()\n"
+           "def both(p):\n    with p.open(mode='r') as fh, open(p, 'w') as out:\n        pass\n")
+    assert reading_opens(src) == ["reader (line 3)", "C.load (line 6)", "<module> (line 10)",
+                                  "both (line 12)"]
+
+
+# the helper itself, and the config loader, whose failures are config errors
+OPENS_ALLOWED = {"errors.py": ("open_input",), "cli.py": ("load_config",)}
+
+
+def test_inputs_are_opened_by_open_input():
+    found = {path.name: [f for f in reading_opens(path.read_text())
+                         if f.split(" (")[0] not in OPENS_ALLOWED.get(path.name, ())]
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {}

@@ -21,8 +21,9 @@ class TestMakePanel:
         assert p.values.sum() == 0
 
     def test_ragged_rows(self):
-        with pytest.raises(DataError, match="ragged"):
-            make_panel(["a", "b"], [[0] * 96, [0] * 95])
+        for zone_ids, rows in ((["a", "b"], [[0] * 96, [0] * 95]), (["a"], [["x", 1]])):
+            with pytest.raises(DataError, match="ragged"):
+                make_panel(zone_ids, rows)
 
     def test_duplicate_zone_ids(self):
         with pytest.raises(DataError, match="duplicate"):
