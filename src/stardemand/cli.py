@@ -33,7 +33,8 @@ EXIT_NUMERICAL = 3
 
 def load_config(path) -> dict:
     try:
-        with open(path) as fh:
+        # read as bytes, so that an undecodable byte is a YAMLError
+        with open(path, "rb") as fh:
             cfg = yaml.safe_load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
@@ -267,6 +268,7 @@ def cmd_ingest(args) -> int:
         day_range = (_parse_dt(str(bounds[0])), _parse_dt(str(bounds[1])))
         icfg.echo["day_range"] = [str(d) for d in day_range]
     try:
+        ingest.check_timestamp_format(fmt.timestamp_format)
         ingest.check_bin_minutes(bin_minutes)
         if day_range is not None:
             ingest.count_bins(*day_range, bin_minutes)

@@ -1,13 +1,14 @@
 """Raw trip ingestion: parse trip records, assign them to zones, bin counts.
 
 Trips are held as columns (:class:`Trips`). Parsing tokenizes with
-``csv.reader`` and converts a block of rows at a time, column by column;
-each distinct timestamp string is parsed once, by a regex compiled from the
-format when it holds only numeric date and time directives, else by
-``strptime``. Range checks, zone assignment and binning are vectorized over
-all trips, and counting is a commutative reduction, so the resulting panel
-is independent of input row order. The scalar reference the columnar code
-is tested against is ``tests/ingest_oracle.py``.
+``csv.reader`` and converts a block of rows at a time, column by column.
+Every timestamp comes from ``strptime``: each distinct date half and time
+half once where the format splits into date, separator and time, else (and
+for a stamp whose halves fail) each distinct stamp whole. Range checks, zone
+assignment and binning are vectorized over all trips, and counting is a
+commutative reduction, so the resulting panel is independent of input row
+order. The scalar reference the columnar code is tested against is
+``tests/ingest_oracle.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import math
 import re
 from array import array
 from dataclasses import asdict, dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
+from functools import cache, partial
 from itertools import islice
 from operator import itemgetter
 from typing import Sequence
@@ -38,14 +40,15 @@ ASSIGN_POLICIES = (POLICY_NEAREST, POLICY_DROP)
 DEFAULT_TS_FORMAT = "%m/%d/%Y %H:%M:%S"
 
 _EPOCH = datetime(1970, 1, 1)
+_MIDNIGHT = datetime(1900, 1, 1)  # strptime's date when a format has none
 _US = timedelta(microseconds=1)
 _DAY_US = 86_400_000_000
 
 
-def _to_us(t: datetime) -> int:
-    """Microseconds since 1970-01-01, the integer behind ``datetime64[us]``,
-    of the wall-clock reading (a UTC offset is dropped)."""
-    return (t.replace(tzinfo=None) - _EPOCH) // _US
+def _to_us(t: datetime, since: datetime = _EPOCH) -> int:
+    """Microseconds from ``since`` (1970-01-01: the integer behind
+    ``datetime64[us]``) to the wall-clock reading (a UTC offset is dropped)."""
+    return (t.replace(tzinfo=None) - since) // _US
 
 
 def _from_us(us: int) -> datetime:
@@ -169,58 +172,57 @@ _BLOCK_ROWS = 256
 # Microseconds marking a timestamp that does not parse; no datetime has them.
 _BAD_US = int(np.iinfo(np.int64).min)
 
-# CPython's own regexes for these strptime directives, copied from
-# ``TimeRE.__init__`` in Lib/_strptime.py. Their ``\d`` matches any Unicode
-# decimal digit, which ``int`` reads, as strptime does.
-_STAMP_DIRECTIVES = {
-    "Y": r"(?P<Y>\d\d\d\d)",
-    "m": r"(?P<m>1[0-2]|0[1-9]|[1-9])",
-    "d": r"(?P<d>3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9])",
-    "H": r"(?P<H>2[0-3]|[0-1]\d|\d)",
-    "M": r"(?P<M>[0-5]\d|\d)",
-    "S": r"(?P<S>6[0-1]|[0-5]\d|\d)",
-}
-# datetime() arguments in order, with strptime's default for an absent one
-_STAMP_FIELDS = (("Y", 1900), ("m", 1), ("d", 1), ("H", 0), ("M", 0), ("S", 0))
+_SPLIT_FORMAT = r"(%[Ymd](?:[^\w\s%]*%[Ymd])*)(\s+|[^\W\d_]+)(%[HMS](?:[^\w\s%]*%[HMS])*)"
 
 
-def _compile_stamp_format(ts_format: str):
-    """A parser of timestamps in ``ts_format`` to microseconds (as
-    ``_to_us``), or None when the format holds a directive other than
-    ``%Y %m %d %H %M %S`` or repeats one.
+def check_timestamp_format(ts_format: str) -> None:
+    """Reject a format that cannot read back its own rendering of a fixed
+    time, as strptime then rejects every stamp in it."""
+    probe = datetime(2014, 4, 16, 9, 5, 7, tzinfo=timezone.utc)
+    try:
+        datetime.strptime(probe.strftime(ts_format), ts_format)
+    except (ValueError, re.error) as e:
+        raise DataError(f"timestamp_format {ts_format!r} is malformed: {e}") from None
 
-    The parser returns ``_to_us`` of what ``datetime.strptime`` returns, or
-    None for a stamp that its regex or ``datetime()`` rejects. The regex is
-    built as strptime builds it: regex characters escaped, each whitespace
-    run matching ``\\s+``, case ignored, and the match must end with the
-    stamp.
+
+def _strptime_us(text: str, fmt: str, since: datetime = _EPOCH) -> int:
+    """``_to_us`` of ``datetime.strptime``, or ``_BAD_US`` where it raises."""
+    try:
+        return _to_us(datetime.strptime(text, fmt), since)
+    except ValueError:
+        return _BAD_US
+
+
+def _stamp_parser(ts_format: str):
+    """``_strptime_us`` of a stamp in ``ts_format``; a malformed format is a
+    DataError.
+
+    A format of date directives, a separator (a whitespace run, or letters
+    such as ISO's T) and time directives, with only punctuation within each
+    half (``_SPLIT_FORMAT``), is read a half at a time. A stamp is cut at the
+    separator's first match (``\\s+``, or the letters in any case, as strptime
+    matches them), and each distinct half is parsed once on its half of the
+    format. No half matches the separator but a space-padded ``%d``, which
+    fails the date half, so where both halves parse, the whole format parses
+    with the same cut. Any other stamp or format is parsed whole.
     """
-    rest = re.sub(r"([\\.^$*+?\(\){}\[\]|])", r"\\\1", ts_format)
-    rest = re.sub(r"\s+", r"\\s+", rest)
-    pattern, keys = "", []
-    while "%" in rest:
-        i = rest.index("%")
-        key = rest[i + 1:i + 2]
-        if key not in _STAMP_DIRECTIVES or key in keys:
-            return None
-        keys.append(key)
-        pattern += rest[:i] + _STAMP_DIRECTIVES[key]
-        rest = rest[i + 2:]
-    regex = re.compile(pattern + rest, re.IGNORECASE)
-    # the groups in format order, then the defaults: pick the datetime() args
-    defaults = tuple(default for _, default in _STAMP_FIELDS)
-    pick = itemgetter(*[keys.index(key) if key in keys else len(keys) + j
-                        for j, (key, _) in enumerate(_STAMP_FIELDS)])
+    check_timestamp_format(ts_format)
+    whole = partial(_strptime_us, fmt=ts_format)
+    split = re.fullmatch(_SPLIT_FORMAT, ts_format)
+    if split is None:
+        return whole
+    date_fmt, sep, time_fmt = split.groups()
+    cut = re.compile(r"\s+" if sep.isspace() else sep, re.IGNORECASE).search
+    date_us = cache(partial(_strptime_us, fmt=date_fmt))
+    time_us = cache(partial(_strptime_us, fmt=time_fmt, since=_MIDNIGHT))
 
-    def to_us(stamp: str) -> int | None:
-        found = regex.match(stamp)
-        if found is None or found.end() != len(stamp):
-            return None
-        try:
-            t = datetime(*pick(tuple(map(int, found.groups())) + defaults))
-        except ValueError:
-            return None
-        return (t - _EPOCH) // _US
+    def to_us(stamp: str) -> int:
+        found = cut(stamp)
+        if found:
+            day, tod = date_us(stamp[:found.start()]), time_us(stamp[found.end():])
+            if _BAD_US not in (day, tod):
+                return day + tod
+        return whole(stamp)
 
     return to_us
 
@@ -238,16 +240,18 @@ def parse_trips(
     or tokenized is a DataError, as :func:`open_input` words it. Unparsable
     rows are reported with their line numbers; policy ``strict`` aborts on
     the first bad row (the good rows before it are counted as parsed),
-    ``skip`` drops it.
+    ``skip`` drops it. A malformed ``fmt.timestamp_format`` is one DataError,
+    raised before the file is opened.
 
     Rows are converted ``_BLOCK_ROWS`` at a time, column by column. Each
-    distinct timestamp string is parsed once, by the regex
-    :func:`_compile_stamp_format` builds when the format allows, else by
-    ``datetime.strptime``; strptime also words every error. A UTC offset
-    read by ``%z`` is dropped: times keep their wall-clock reading.
+    distinct stamp is parsed once by ``datetime.strptime``: as a date half
+    and a time half where :func:`_stamp_parser` splits the format and both
+    halves parse, else whole; strptime words every error. A UTC offset read
+    by ``%z`` is dropped: times keep their wall-clock reading.
     """
     if policy not in PARSE_POLICIES:
         raise DataError(f"unknown parse policy {policy!r}")
+    to_us = _stamp_parser(fmt.timestamp_format)
     if report is None:
         report = IngestReport()
 
@@ -256,15 +260,15 @@ def parse_trips(
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is not None:
-            _read_rows(reader, header, fmt, policy, report, times, lats, lons)
+            _read_rows(reader, header, fmt, to_us, policy, report, times, lats, lons)
     # the columns are views of the buffers, not copies
     return Trips(time=np.frombuffer(times, dtype=np.int64).view("datetime64[us]"),
                  lat=np.frombuffer(lats), lon=np.frombuffer(lons))
 
 
-def _read_rows(reader, header, fmt, policy, report, times, lats, lons) -> None:
+def _read_rows(reader, header, fmt, to_us, policy, report, times, lats, lons) -> None:
     """Append each good row of ``reader`` to the column buffers, a block of
-    rows at a time."""
+    rows at a time; ``to_us`` parses a timestamp."""
     # a repeated column name reads its last occurrence, like csv.DictReader
     col = {name: i for i, name in enumerate(header)}
     for name in (fmt.time_column, fmt.lat_column, fmt.lon_column):
@@ -272,9 +276,7 @@ def _read_rows(reader, header, fmt, policy, report, times, lats, lons) -> None:
             raise DataError(f"trips CSV missing column {name!r}")
     fields = itemgetter(col[fmt.time_column], col[fmt.lat_column], col[fmt.lon_column])
     width = len(header)
-    ts_format = fmt.timestamp_format
-    compiled = _compile_stamp_format(ts_format)
-    stamp_us: dict[str | None, int] = {}
+    stamp_us: dict[str | None, int] = {None: _BAD_US}  # a short row's stamp reads None
     try:
         while True:
             first = reader.line_num
@@ -294,7 +296,7 @@ def _read_rows(reader, header, fmt, policy, report, times, lats, lons) -> None:
                 stamps, lat_text, lon_text = zip(
                     *(fields(r + [None] * (width - len(r))) for r in rows))
             for stamp in set(stamps).difference(stamp_us):
-                stamp_us[stamp] = _stamp_to_us(stamp, compiled, ts_format)
+                stamp_us[stamp] = to_us(stamp)
             t = np.fromiter(map(stamp_us.__getitem__, stamps), np.int64, len(rows))
             lat, lon = _floats(lat_text), _floats(lon_text)
             good = (t != _BAD_US) & (lat >= -90) & (lat <= 90) & (lon >= -180) & (lon <= 180)
@@ -306,25 +308,13 @@ def _read_rows(reader, header, fmt, policy, report, times, lats, lons) -> None:
             lats.frombytes(lat[good].tobytes())
             lons.frombytes(lon[good].tobytes())
             for i in bad:
-                err = _row_error(stamps[i], lat_text[i], lon_text[i], ts_format)
+                err = _row_error(stamps[i], lat_text[i], lon_text[i], fmt.timestamp_format)
                 report.row_errors.append(RowError(line=lines[i], message=err))
                 report.dropped_parse += 1
                 if policy == POLICY_STRICT:
                     raise DataError(f"line {lines[i]}: {err}")
     finally:
         report.parsed += len(times)
-
-
-def _stamp_to_us(stamp, compiled, ts_format: str) -> int:
-    """Microseconds of a stamp by the compiled format where it takes the
-    stamp, else by strptime; ``_BAD_US`` where strptime raises."""
-    us = compiled(stamp) if compiled is not None and isinstance(stamp, str) else None
-    if us is not None:
-        return us
-    try:
-        return _to_us(datetime.strptime(stamp, ts_format))
-    except (ValueError, TypeError):
-        return _BAD_US
 
 
 def _floats(text) -> np.ndarray:

@@ -258,9 +258,12 @@ class TestIngest:
         {"columns": ["Date/Time", "Lat", "Lon"]},
         {"columns": {"time": 5}},
         {"trips": 5},
+        {"timestamp_format": "%Y %Y"},
+        {"timestamp_format": "%Q"},
+        {"timestamp_format": "%Y %m %"},
     ], ids=["bin_str", "bin_7", "bin_0", "range_one", "range_reversed", "range_part_bin",
             "range_str", "parse_lenient", "assign_closest", "columns_list", "columns_time_int",
-            "trips_int"])
+            "trips_int", "ts_repeated", "ts_bad_directive", "ts_stray_percent"])
     def test_bad_setting_is_config_error(self, tmp_path, monkeypatch, setting):
         trips, zones = self._trips(tmp_path)
         cfg = write_yaml(tmp_path / "i.yaml", {

@@ -1,11 +1,13 @@
 """Every reader of an input file reports a file it cannot open, decode,
-tokenize or parse as a DataError naming the file, never a traceback."""
+tokenize or parse as a DataError naming the file, never a traceback; a config
+file is a ConfigError."""
 
 import re
 
 import pytest
 
-from stardemand.errors import DataError
+from stardemand.cli import load_config
+from stardemand.errors import ConfigError, DataError
 from stardemand.estimators import read_model_json
 from stardemand.ingest import load_zones_centroid_csv, load_zones_geojson, parse_trips
 from stardemand.panel import read_panel_csv
@@ -34,3 +36,10 @@ def test_unreadable_input_is_data_error(tmp_path, name, content, read):
         path.write_bytes(content)
     with pytest.raises(DataError, match=f"^cannot read .*{re.escape(str(path))}"):
         read(path)
+
+
+def test_undecodable_config_is_config_error(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_bytes(b"ingest:\n  trips: trips\xff.csv\n")
+    with pytest.raises(ConfigError, match=f"^invalid YAML in {re.escape(str(path))}"):
+        load_config(path)

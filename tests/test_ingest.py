@@ -1,7 +1,7 @@
 import io
 import math
 import re
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -97,11 +97,12 @@ class TestParseTrips:
 
 
 def _strptime_us(stamp, fmt):
-    """Microseconds of ``datetime.strptime(stamp, fmt)``, or None where it raises."""
+    """Microseconds of ``datetime.strptime(stamp, fmt)``, or ``_BAD_US`` where
+    it raises."""
     try:
         return ingest._to_us(datetime.strptime(stamp, fmt))
     except ValueError:
-        return None
+        return ingest._BAD_US
 
 
 _DIGITS = ("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
@@ -138,17 +139,18 @@ def _stamps(draw, fmt):
 
 
 class TestCompiledStampFormat:
-    """The compiled timestamp format gives strptime's value, or None where
-    strptime raises."""
+    """The parser :func:`ingest._stamp_parser` builds from a format, which
+    reads split formats a half at a time, gives the value of strptime on the
+    whole stamp, or ``_BAD_US`` where strptime raises."""
 
-    formats = ("%m/%d/%Y %H:%M:%S", "%Y-%m-%d %H:%M:%S")
+    formats = ("%m/%d/%Y %H:%M:%S", "%Y-%m-%d %H:%M:%S", "%Y-%m-%dT%H:%M:%S")
 
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_matches_strptime(self, data):
         fmt = data.draw(st.sampled_from(self.formats))
         stamp = data.draw(_stamps(fmt))
-        assert ingest._compile_stamp_format(fmt)(stamp) == _strptime_us(stamp, fmt)
+        assert ingest._stamp_parser(fmt)(stamp) == _strptime_us(stamp, fmt)
 
     @pytest.mark.parametrize("fmt, stamp", [
         ("%m/%d/%Y %H:%M:%S", "4/6/2014 0:3:0"),             # single digits
@@ -170,18 +172,51 @@ class TestCompiledStampFormat:
         ("%Y-%m-%d %H:%M:%S", "0000-01-01 00:00:00"),
         ("%Y-%m-%d %H:%M:%S", "12014-04-16 00:03:00"),
         ("%Y-%m-%dT%H:%M:%S", "2014-04-16t00:03:00"),        # case ignored
+        ("%Y-%m-%dT%H:%M:%S", " 2014-04-16T00:03:00"),       # leading whitespace
+        ("%Y-%m-%d %H:%M", "2014-04- 1 9:05"),               # first whitespace in the date
+        ("%d %b %Y %H:%M", "16 Apr 2014 9:05"),              # not split
         ("%d.%m.%Y (%H|%M)", "16.04.2014 (00|03)"),           # regex characters
         ("%d.%m.%Y (%H|%M)", "16x04.2014 (00|03)"),
         ("%H:%M", "23:59"),                                   # absent fields default
         ("%m/%d", "2/29"),
     ])
     def test_cases(self, fmt, stamp):
-        assert ingest._compile_stamp_format(fmt)(stamp) == _strptime_us(stamp, fmt)
+        assert ingest._stamp_parser(fmt)(stamp) == _strptime_us(stamp, fmt)
 
-    @pytest.mark.parametrize("fmt", ["%Y-%m-%d %H:%M:%S%z", "%y-%m-%d", "%Y %Y",
-                                     "%Y%%", "%Y %", "%d %b %Y"])
+    @pytest.mark.parametrize("ts_format, date_fmt, stamps", [
+        ("%m/%d/%Y %H:%M:%S", "%m/%d/%Y",
+         ["4/16/2014 0:03:00", "4/16/2014 \t\n 0:04:00", "4/17/2014 0:03:00"]),
+        ("%Y-%m-%dT%H:%M:%S", "%Y-%m-%d",
+         ["2014-04-16T00:03:00", "2014-04-16t00:04:00", "2014-04-17T00:03:00"]),
+    ], ids=["default", "iso"])
+    def test_split_formats_parse_each_half_once(self, monkeypatch, ts_format, date_fmt, stamps):
+        strptime_us, calls = ingest._strptime_us, []
+
+        def spy(text, fmt, since=ingest._EPOCH):
+            calls.append(fmt)
+            return strptime_us(text, fmt, since)
+
+        monkeypatch.setattr(ingest, "_strptime_us", spy)
+        parse = ingest._stamp_parser(ts_format)
+        assert [parse(s) for s in stamps] == [_strptime_us(s, ts_format) for s in stamps]
+        assert sorted(calls) == sorted([date_fmt] * 2 + ["%H:%M:%S"] * 2)
+
+    @pytest.mark.parametrize("fmt", ["%Y-%m-%d %H:%M:%S%z", "%y-%m-%d", "%Y%%", "%d %b %Y"])
     def test_other_directives_take_strptime(self, fmt):
-        assert ingest._compile_stamp_format(fmt) is None
+        parse = ingest._stamp_parser(fmt)
+        written = datetime(2014, 4, 16, 9, 5, 7, tzinfo=timezone(timedelta(hours=-4))).strftime(fmt)
+        for stamp in (written, written + "x", "4/16/2014 9:05:07"):
+            assert parse(stamp) == _strptime_us(stamp, fmt)
+
+    @pytest.mark.parametrize("fmt", ["%Y %Y", "%Y %", "%Q"])
+    def test_malformed_format_raises(self, fmt):
+        with pytest.raises(DataError, match="^timestamp_format .* is malformed"):
+            ingest._stamp_parser(fmt)
+        report = IngestReport()
+        with pytest.raises(DataError, match="^timestamp_format"):
+            parse_trips(_csv(["2014 2014,40.75,-73.99"]), TripFormat(timestamp_format=fmt),
+                        report=report)
+        assert report.row_errors == []
 
 
 class TestAssignZone:
