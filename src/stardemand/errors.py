@@ -8,6 +8,8 @@ import csv
 import json
 from contextlib import contextmanager
 
+import numpy as np
+
 
 class ConfigError(Exception):
     """Bad configuration or usage."""
@@ -35,6 +37,29 @@ def open_input(source, what: str, **kwargs):
                 yield fh
     except (OSError, UnicodeDecodeError, csv.Error, json.JSONDecodeError) as e:
         raise DataError(f"cannot read {what} {source}: {e}") from None
+
+
+# Characters on which numpy's reader parts ways with csv.reader and float:
+# numpy's ``U`` dtype drops a string's trailing NULs, and its float parser
+# strips \x1c-\x1f as whitespace, which ``float`` rejects.
+_NUMPY_UNSAFE = "\0\x1c\x1d\x1e\x1f"
+
+
+def loadtxt_csv(lines: list[str], longest: int, **kwargs) -> np.ndarray | None:
+    """``np.loadtxt(lines, **kwargs)`` of comma-separated, double-quoted
+    ``lines``, the longest of which is ``longest`` characters; or None where
+    numpy might read them otherwise than ``csv.reader`` and ``float`` do:
+    where it raises ValueError, where a line is longer than
+    ``csv.field_size_limit()`` (csv.reader raises on a longer field), or
+    where a character of ``_NUMPY_UNSAFE`` occurs."""
+    text = "".join(lines)
+    if longest > csv.field_size_limit() or any(c in text for c in _NUMPY_UNSAFE):
+        return None
+    try:
+        # comments=None: the default "#" would cut a field short
+        return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, **kwargs)
+    except ValueError:
+        return None
 
 
 def write_json(path, obj) -> None:

@@ -1,8 +1,9 @@
 """Raw trip ingestion: parse trip records, assign them to zones, bin counts.
 
-Trips are held as columns (:class:`Trips`). Parsing tokenizes with
-``csv.reader`` and converts a block of rows at a time, column by column.
-Every timestamp comes from ``strptime``: each distinct date half and time
+Trips are held as columns (:class:`Trips`). Parsing reads a block of
+lines at a time with numpy's C reader, or with ``csv.reader`` where numpy's
+might read the block differently, and converts it column by column. Every
+timestamp comes from ``strptime``: each distinct date half and time
 half once where the format splits into date, separator and time, else (and
 for a stamp whose halves fail) each distinct stamp whole. Range checks, zone
 assignment and binning are vectorized over all trips, and counting is a
@@ -21,13 +22,13 @@ from array import array
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import cache, partial
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, open_input
+from .errors import DataError, loadtxt_csv, open_input
 from .panel import DemandPanel, make_panel, unique_zone_ids
 
 POLICY_STRICT = "strict"
@@ -164,9 +165,10 @@ class TripFormat:
     timestamp_format: str = DEFAULT_TS_FORMAT
 
 
-# Rows converted at a time. A few hundred keeps tokenizing cheap: holding
-# 16k rows at once doubled its cost in cyclic-GC work, and 512 cost more
-# than 256 on a 564k-row file.
+# Lines read at a time. A block with one line numpy's reader declines goes
+# whole to csv.reader, whose cost grows with the rows it holds (16k rows at
+# once doubled it in cyclic-GC work); on a 564k-row file 384 and 512 cost
+# more than 256.
 _BLOCK_ROWS = 256
 
 # Microseconds marking a timestamp that does not parse; no datetime has them.
@@ -243,11 +245,13 @@ def parse_trips(
     ``skip`` drops it. A malformed ``fmt.timestamp_format`` is one DataError,
     raised before the file is opened.
 
-    Rows are converted ``_BLOCK_ROWS`` at a time, column by column. Each
-    distinct stamp is parsed once by ``datetime.strptime``: as a date half
-    and a time half where :func:`_stamp_parser` splits the format and both
-    halves parse, else whole; strptime words every error. A UTC offset read
-    by ``%z`` is dropped: times keep their wall-clock reading.
+    The rows after the header are read ``_BLOCK_ROWS`` lines at a time, by
+    numpy's C reader where it reads a block as ``csv.reader`` would, else by
+    ``csv.reader`` (see :func:`_read_rows`). Each distinct stamp is parsed
+    once by ``datetime.strptime``: as a date half and a time half where
+    :func:`_stamp_parser` splits the format and both halves parse, else
+    whole; strptime words every error. A UTC offset read by ``%z`` is
+    dropped: times keep their wall-clock reading.
     """
     if policy not in PARSE_POLICIES:
         raise DataError(f"unknown parse policy {policy!r}")
@@ -260,61 +264,112 @@ def parse_trips(
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is not None:
-            _read_rows(reader, header, fmt, to_us, policy, report, times, lats, lons)
+            _read_rows(fh, reader.line_num, header, fmt, to_us, policy, report,
+                       times, lats, lons)
     # the columns are views of the buffers, not copies
     return Trips(time=np.frombuffer(times, dtype=np.int64).view("datetime64[us]"),
                  lat=np.frombuffer(lats), lon=np.frombuffer(lons))
 
 
-def _read_rows(reader, header, fmt, to_us, policy, report, times, lats, lons) -> None:
-    """Append each good row of ``reader`` to the column buffers, a block of
-    rows at a time; ``to_us`` parses a timestamp."""
+def _read_rows(fh, line, header, fmt, to_us, policy, report, times, lats, lons) -> None:
+    """Append each good row of ``fh``, whose first ``line`` lines are read,
+    to the column buffers; ``to_us`` parses a timestamp.
+
+    ``fh`` is read ``_BLOCK_ROWS`` physical lines at a time. A block that
+    :func:`_numpy_block` reads is numbered line by line, and only the first
+    stamp of each run of equal stamps is looked up. Any other block goes
+    through ``csv.reader``, which reads on past the block's last line to
+    finish a record that spans it.
+    """
     # a repeated column name reads its last occurrence, like csv.DictReader
     col = {name: i for i, name in enumerate(header)}
     for name in (fmt.time_column, fmt.lat_column, fmt.lon_column):
         if name not in col:
             raise DataError(f"trips CSV missing column {name!r}")
-    fields = itemgetter(col[fmt.time_column], col[fmt.lat_column], col[fmt.lon_column])
+    cols = (col[fmt.time_column], col[fmt.lat_column], col[fmt.lon_column])
+    fields = itemgetter(*cols)
     width = len(header)
     stamp_us: dict[str | None, int] = {None: _BAD_US}  # a short row's stamp reads None
+
+    def stamps_us(stamps: list) -> np.ndarray:
+        for stamp in set(stamps).difference(stamp_us):
+            stamp_us[stamp] = to_us(stamp)
+        return np.fromiter(map(stamp_us.__getitem__, stamps), np.int64, len(stamps))
+
     try:
-        while True:
-            first = reader.line_num
-            rows, lines = [], []
-            for row in islice(reader, _BLOCK_ROWS):
-                if row:
-                    rows.append(row)
-                    lines.append(reader.line_num)
-            if reader.line_num == first:
-                return
-            if not rows:
-                continue
-            try:
-                stamps, lat_text, lon_text = zip(*map(fields, rows))
-            except IndexError:
-                # a short row reads None in its missing fields, like csv.DictReader
-                stamps, lat_text, lon_text = zip(
-                    *(fields(r + [None] * (width - len(r))) for r in rows))
-            for stamp in set(stamps).difference(stamp_us):
-                stamp_us[stamp] = to_us(stamp)
-            t = np.fromiter(map(stamp_us.__getitem__, stamps), np.int64, len(rows))
-            lat, lon = _floats(lat_text), _floats(lon_text)
-            good = (t != _BAD_US) & (lat >= -90) & (lat <= 90) & (lon >= -180) & (lon <= 180)
+        while lines := list(islice(fh, _BLOCK_ROWS)):
+            block = _numpy_block(lines, cols)
+            if block is not None:
+                stamps, lat, lon = block
+                lat_text, lon_text = lat, lon  # float() gives numpy's values back
+                numbers = range(line + 1, line + 1 + len(lines))
+                line += len(lines)
+                head = np.ones(len(stamps), dtype=bool)  # first of a run of equal stamps
+                head[1:] = stamps[1:] != stamps[:-1]
+                t = stamps_us(stamps[head].tolist())[np.cumsum(head) - 1]
+            else:
+                reader, block_end = csv.reader(chain(lines, fh)), len(lines)
+                rows, numbers = [], []
+                for row in reader:
+                    if row:
+                        rows.append(row)
+                        numbers.append(line + reader.line_num)
+                    if reader.line_num >= block_end:
+                        break
+                line += reader.line_num
+                if not rows:
+                    continue
+                try:
+                    stamps, lat_text, lon_text = zip(*map(fields, rows))
+                except IndexError:
+                    # a short row reads None in its missing fields, like csv.DictReader
+                    stamps, lat_text, lon_text = zip(
+                        *(fields(r + [None] * (width - len(r))) for r in rows))
+                t = stamps_us(stamps)
+                lat, lon = _floats(lat_text), _floats(lon_text)
+            good = (t != _BAD_US) & (np.abs(lat) <= 90) & (np.abs(lon) <= 180)
             bad = np.flatnonzero(~good).tolist()
-            if bad and policy == POLICY_STRICT:
-                good[bad[0]:] = False
-                del bad[1:]
-            times.frombytes(t[good].tobytes())
-            lats.frombytes(lat[good].tobytes())
-            lons.frombytes(lon[good].tobytes())
+            if bad:
+                if policy == POLICY_STRICT:
+                    good[bad[0]:] = False
+                    del bad[1:]
+                t, lat, lon = t[good], lat[good], lon[good]
+            times.frombytes(t.tobytes())
+            lats.frombytes(lat.tobytes())
+            lons.frombytes(lon.tobytes())
             for i in bad:
-                err = _row_error(stamps[i], lat_text[i], lon_text[i], fmt.timestamp_format)
-                report.row_errors.append(RowError(line=lines[i], message=err))
+                stamp = stamps[i] if block is None else str(stamps[i])  # not numpy's repr
+                err = _row_error(stamp, lat_text[i], lon_text[i], fmt.timestamp_format)
+                report.row_errors.append(RowError(line=numbers[i], message=err))
                 report.dropped_parse += 1
                 if policy == POLICY_STRICT:
-                    raise DataError(f"line {lines[i]}: {err}")
+                    raise DataError(f"line {numbers[i]}: {err}")
     finally:
         report.parsed += len(times)
+
+
+def _numpy_block(lines: list[str], cols) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The stamp, lat and lon columns (``cols``) of ``lines`` as numpy's
+    reader reads them, or None where ``csv.reader`` and ``float`` might read
+    them otherwise.
+
+    Beyond :func:`loadtxt_csv`'s checks, numpy's reader is kept only when it
+    returns one row per line, so the block holds no blank line and no record
+    spanning lines, and when the last line does not end inside an open
+    quote, where ``csv.reader`` would read on into the next block.
+    """
+    longest = max(map(len, lines))
+    if longest < 3:  # blank lines, on which numpy warns, or one-character rows
+        return None
+    try:
+        list(csv.reader(lines[-1:], strict=True))
+    except csv.Error:
+        return None
+    rec = loadtxt_csv(lines, longest, usecols=cols, ndmin=1,
+                      dtype=[("t", f"U{longest}"), ("lat", "f8"), ("lon", "f8")])
+    if rec is None or len(rec) != len(lines):
+        return None
+    return rec["t"], rec["lat"], rec["lon"]
 
 
 def _floats(text) -> np.ndarray:
@@ -546,9 +601,10 @@ def load_zones_geojson(path) -> list[ZoneGeometry]:
 
 
 def load_zones_centroid_csv(path) -> list[ZoneGeometry]:
-    """CSV `zone_id,lon,lat` (centroids only, no polygons)."""
+    """CSV `zone_id,lon,lat` (centroids only, no polygons); the file may
+    start with a UTF-8 byte-order mark."""
     zones = []
-    with open_input(path, "zone centroids", newline="") as fh:
+    with open_input(path, "zone centroids", newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         required = {"zone_id", "lon", "lat"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, open_input
+from .errors import DataError, loadtxt_csv, open_input
 
 # How the values of a panel are to be interpreted.
 KIND_RAW = "raw"                  # non-negative integer counts
@@ -190,40 +190,63 @@ def write_panel_csv(panel: DemandPanel, path) -> None:
         w = csv.writer(fh)
         w.writerow(["zone_id"] + [f"bin_{t}" for t in range(panel.T)])
         for zid, row in zip(panel.zone_ids, panel.values):
-            w.writerow([zid] + [_fmt(v) for v in row])
+            w.writerow([zid] + [_fmt(v) for v in row.tolist()])
 
 
 def _fmt(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
+    if v.is_integer() and abs(v) < 1e15:
         return str(int(v))
-    return repr(float(v))
+    return repr(v)
 
 
 def read_panel_csv(path) -> DemandPanel:
     """Read a panel written by :func:`write_panel_csv`.
 
     The file holds no metadata, so the panel gets the defaults: 15-minute
-    bins, no origin, and kind real (any finite values). A file that cannot
-    be read, a row whose length differs from the header's, or a cell that
-    is not a number is a DataError naming the file.
+    bins, no origin, and kind real (any finite values). It may start with a
+    UTF-8 byte-order mark. A file that cannot be read, a row whose length
+    differs from the header's, or a cell that is not a number is a DataError
+    naming the file.
+
+    The header is read by ``csv.reader``, and the zone ids and values by
+    numpy's reader (:func:`loadtxt_csv`) where every line holds as many
+    commas as the header names bins. Any other file, and one numpy's reader
+    declines, is read row by row, which words the errors.
     """
-    with open_input(path, "panel", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or not rows[0] or rows[0][0] != "zone_id":
-        raise DataError(f"{path}: not a panel CSV (missing zone_id header)")
+    with open_input(path, "panel", newline="", encoding="utf-8-sig") as fh:
+        header = next(csv.reader(fh), None)
+        if not header or header[0] != "zone_id":
+            raise DataError(f"{path}: not a panel CSV (missing zone_id header)")
+        lines = fh.readlines()
+        n_bins = len(header) - 1
+        zone_ids = values = None
+        # a quoted comma or a blank or spanning line makes the count differ
+        if n_bins and lines and all(line.count(",") == n_bins for line in lines):
+            longest = max(map(len, lines))
+            zone_ids = loadtxt_csv(lines, longest, dtype=str, usecols=0, ndmin=1)
+            values = loadtxt_csv(lines, longest, usecols=range(1, n_bins + 1), ndmin=2)
+        if zone_ids is None or values is None:
+            zone_ids, values = _panel_rows(path, header, csv.reader(lines))
+        else:
+            zone_ids = zone_ids.tolist()
+    if not zone_ids:
+        raise DataError(f"{path}: empty panel")
+    return make_panel(zone_ids, values, kind=KIND_REAL)
+
+
+def _panel_rows(path, header, rows) -> tuple[list[str], list[np.ndarray]]:
+    """Zone ids and value rows of a panel CSV read row by row."""
     zone_ids = []
     data = []
-    for r in rows[1:]:
+    for r in rows:
         if not r:
             continue
-        if len(r) != len(rows[0]):
+        if len(r) != len(header):
             raise DataError(f"{path}: row of zone {r[0]} has {len(r) - 1} values, "
-                            f"the header names {len(rows[0]) - 1} bins")
+                            f"the header names {len(header) - 1} bins")
         zone_ids.append(r[0])
         try:
             data.append(np.array(r[1:], dtype=float))
         except ValueError as e:
             raise DataError(f"{path}: bad value in row {r[0]}: {e}") from None
-    if not data:
-        raise DataError(f"{path}: empty panel")
-    return make_panel(zone_ids, data, kind=KIND_REAL)
+    return zone_ids, data

@@ -204,14 +204,16 @@ def write_stack(stack: WeightStack, directory) -> None:
 
 def read_stack(directory) -> WeightStack:
     """Read a stack written by :func:`write_stack`; raises DataError when
-    the files are malformed or the stack fails :func:`validate_stack`."""
+    the files are malformed or the stack fails :func:`validate_stack`. A
+    matrix file may start with a UTF-8 byte-order mark."""
     directory = Path(directory)
     with open_input(directory / "manifest.json", "stack manifest") as fh:
         manifest = json.load(fh)
     try:
         mats = []
         for name in manifest["files"]:
-            with open_input(directory / name, "weight matrix", newline="") as fh:
+            with open_input(directory / name, "weight matrix", newline="",
+                            encoding="utf-8-sig") as fh:
                 mats.append(np.array([[float(x) for x in row] for row in csv.reader(fh)]))
         stack = WeightStack(
             matrices=tuple(_frozen(m) for m in mats),
@@ -229,9 +231,10 @@ def read_stack(directory) -> WeightStack:
 
 
 def read_adjacency_csv(path, zone_ids: Sequence[str]) -> AdjacencyGraph:
-    """Edge list CSV `zone_a,zone_b` (header optional)."""
+    """Edge list CSV `zone_a,zone_b` (header optional); the file may start
+    with a UTF-8 byte-order mark."""
     edges = []
-    with open_input(path, "adjacency", newline="") as fh:
+    with open_input(path, "adjacency", newline="", encoding="utf-8-sig") as fh:
         for row in csv.reader(fh):
             if not row or row[0].strip() == "zone_a":
                 continue

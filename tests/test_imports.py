@@ -4,7 +4,9 @@ module, so a refactor cannot leave an orphaned helper behind. No module
 calls ``einsum``: numpy's default einsum does not use BLAS, and on the
 grid-month designs an einsum Gram build is 12 times slower than ``matmul``.
 No module opens a file for reading except through ``errors.open_input``,
-so every unreadable input is reported the same way.
+so every unreadable input is reported the same way. Every ``np.loadtxt``
+call passes ``comments=None``: the default ``"#"`` silently cuts a field, so
+``a#b,1,2`` reads as one column.
 
 ``__init__.py`` is skipped for imports: they are the public re-exports.
 """
@@ -130,3 +132,26 @@ def test_inputs_are_opened_by_open_input():
                          if f.split(" (")[0] not in OPENS_ALLOWED.get(path.name, ())]
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def loadtxt_without_comments_none(source: str) -> list[str]:
+    """Calls of anything named ``loadtxt`` that do not pass ``comments=None``."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "attr", None) == "loadtxt"
+                 or getattr(node.func, "id", None) == "loadtxt")
+            and not any(k.arg == "comments" and isinstance(k.value, ast.Constant)
+                        and k.value.value is None for k in node.keywords)]
+
+
+def test_helper_flags_loadtxt_with_comments():
+    src = ("import numpy as np\nfrom numpy import loadtxt\n"
+           "a = np.loadtxt(f, delimiter=',')\nb = np.loadtxt(f, comments=None)\n"
+           "c = loadtxt(f, comments='#')\nd = np.loadtxt(f, comments=None if x else '#')\n")
+    assert loadtxt_without_comments_none(src) == ["line 3", "line 5", "line 6"]
+
+
+def test_loadtxt_reads_no_comments():
+    found = {path.name: loadtxt_without_comments_none(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import re
@@ -553,3 +554,119 @@ class TestOracleEquivalence:
         assert any(len(h) == 0 for h in hits)             # outside every polygon
         # equidistant from c_lo and c_hi: the lower id wins
         assert ingest_oracle.assign_zone((8.0, 1.0), zones, "nearest") == "c_hi"
+
+
+# -- numpy's reader against csv.reader ----------------------------------
+
+_GOOD_ROW = '"4/16/2014 0:03:00",40.7,-73.9,B0'
+_BAD_ROW = '"4/16/2014 0:03:00",95,-73.9,B0'   # numpy reads it; the lat is out of range
+
+
+def _parse_both(text, fmt=TripFormat(), policy="skip"):
+    """(records or error, report) of ``parse_trips`` and of the oracle on
+    ``text``, each read as from a file opened with ``newline=""``. A file
+    that csv cannot tokenize reads as the error "unreadable" on both sides."""
+    out = []
+    for parse in (parse_trips, ingest_oracle.parse_trips):
+        report = IngestReport()
+        try:
+            got = parse(io.StringIO(text, newline=""), fmt, policy=policy, report=report)
+        except csv.Error:
+            got = "unreadable"
+        except DataError as e:
+            got = "unreadable" if str(e).startswith("cannot read") else str(e)
+        else:
+            got = _records(got) if isinstance(got, Trips) else [tuple(r) for r in got]
+        out.append((got, report.to_dict()))
+    return out
+
+
+def _assert_reads_as_oracle(monkeypatch, text, fmt=TripFormat()):
+    for block_rows in (1, 2, 3, 256):
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+        for policy in ("skip", "strict"):
+            got, want = _parse_both(text, fmt, policy)
+            assert got == want, (block_rows, policy)
+
+
+class TestNumpyReader:
+    """A block is read by numpy's C reader only where that gives what
+    ``csv.reader`` and ``float`` give: every case reads as the oracle does,
+    at block sizes that put each line at a block's start, middle and end."""
+
+    cases = {
+        "text_after_quote": ['"4/16/2014 0:03:00"x,40.7,-73.9,B0',
+                             '"4/16/2014 0:03:00","40.7"5,-73.9,"B"0'],
+        "doubled_quotes": ['"4/16/""2014 0:03:00",40.7,-73.9,B0',
+                           '"4/16/2014 0:03:00",40.7,-73.9,"B""0"', 'a""b,40.7,-73.9,B0'],
+        "hash": ['"4/16/2014 0:03:00",40.7#1,-73.9,B0', "4/16/2014 0:03:00#,40.7,-73.9,B0",
+                 '"4/16/2014 0:03:00",40.7,-73.9,B#0', "#4/16/2014 0:03:00,40.7,-73.9,B0"],
+        "nul": ['"4/16/2014 0:03:00\0",40.7,-73.9,B0', '"4/16/2014 0:03:00",40.7\0,-73.9,B0',
+                '"4/16/2014 0:03:00",40.7,-73.9,B0\0'],
+        "underscores": ['"4/16/2014 0:03:00",4_0.7,-7_3.9,B0', '"4/16/2014 0:03:00",40_1,-73.9,B0'],
+        "fullwidth": ['"4/16/2014 0:03:00",４０.７,-73.9,B0'],
+        "spaces": ['"4/16/2014 0:03:00", 40.7 ,\xa0-73.9　,B0',
+                   '"4/16/2014 0:03:00",\x1c40.7,-73.9\x1f,B0', " 4/16/2014 0:03:00,40.7,-73.9,B0"],
+        "nan_inf": ['"4/16/2014 0:03:00",nan,-73.9,B0', '"4/16/2014 0:03:00",40.7,-inf,B0',
+                    '"4/16/2014 0:03:00",1e400,Infinity,B0'],
+        "blank_lines": ["", "", _BAD_ROW, " "],
+        "spanning_record": ['"4/16/2014 0:03:00",40.7,-73.9,"multi\nline"',
+                            '"4/16/2014\n0:03:00",40.7,-73.9,B0'],
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("case", list(cases))
+    def test_reads_as_oracle(self, monkeypatch, case, eol):
+        lines = ["Date/Time,Lat,Lon,Base", _GOOD_ROW, _GOOD_ROW]
+        for record in self.cases[case]:
+            lines += [record.replace("\n", eol), _GOOD_ROW, _BAD_ROW]
+        _assert_reads_as_oracle(monkeypatch, eol.join(lines) + eol)
+
+    def test_lat_column_is_lon_column(self, monkeypatch):
+        rows = [_GOOD_ROW, _BAD_ROW, '"4/16/2014 0:03:00",-33.5,east,B0', _GOOD_ROW]
+        _assert_reads_as_oracle(monkeypatch, "\n".join(["Date/Time,Lat,Lon,Base"] + rows) + "\n",
+                                TripFormat(lon_column="Lat"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_files(self, data):
+        field = st.sampled_from
+        stamp = field(['"4/16/2014 0:03:00"', "4/16/2014 0:04:00", '"4/16/2014 0:03:00\0"',
+                       "4/16/2014 0:03:00#", '"4/1""6/2014 0:03:00"', '"4/16/2014\n0:03:00"',
+                       "\x1c4/16/2014 0:03:00", '""', '"', ""])
+        coord = field(["40.7", '"-73.9"', "120", " 40.7 ", "4_0.7", "４０", "nan", "-inf",
+                       "1e400", "\x1c40.7", "40.7\x1f", "40.7\0", "\xa040.7", "40.7#", "", "east",
+                       '"40.7"5', '"4""0"', '"40\n.7"', "95", "-190", '"1,2"'])
+        base = field(["B0", '"B""0"', '"multi\nline"', "x#y", '"open', '"a\r\nb"', "\0", ""])
+        rows = data.draw(st.lists(st.one_of(
+            st.tuples(stamp, coord, coord, base).map(",".join),
+            field(["", " ", '"4/16/2014 0:03:00",40.7'])), max_size=8))
+        eol = data.draw(field(["\n", "\r\n", "\r"]))
+        text = eol.join(["Date/Time,Lat,Lon,Base"] + rows) + data.draw(field([eol, ""]))
+        for block_rows in (1, 2, 3, 256):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ingest, "_BLOCK_ROWS", block_rows)
+                for policy in ("skip", "strict"):
+                    got, want = _parse_both(text, policy=policy)
+                    assert got == want, (block_rows, policy)
+
+    def test_clean_block_is_read_by_numpy(self):
+        lines = [_GOOD_ROW + "\n", _BAD_ROW + "\n", '"4/16/2014 0:04:00","-33.5",120,"B""1"\n']
+        stamps, lat, lon = ingest._numpy_block(lines, (0, 1, 2))
+        assert stamps.tolist() == ["4/16/2014 0:03:00", "4/16/2014 0:03:00", "4/16/2014 0:04:00"]
+        assert lat.tolist() == [40.7, 95.0, -33.5] and lon.tolist() == [-73.9, -73.9, 120.0]
+
+    @pytest.mark.parametrize("line", [
+        "\n",                                         # a blank line
+        '"4/16/2014\n',                               # a record that goes on
+        '"4/16/2014 0:03:00\0",40.7,-73.9,B0\n',      # NUL
+        '"4/16/2014 0:03:00",\x1c40.7,-73.9,B0\n',    # a separator float() does not strip
+        '"4/16/2014 0:03:00",4_0.7,-73.9,B0\n',       # numpy raises
+    ], ids=["blank", "open_quote", "nul", "file_separator", "underscore"])
+    def test_other_blocks_go_to_csv(self, line):
+        assert ingest._numpy_block([_GOOD_ROW + "\n", line], (0, 1, 2)) is None
+
+    def test_field_over_csv_limit_goes_to_csv(self):
+        huge = f'"4/16/2014 0:03:00",40.7,-73.9,"{"x" * csv.field_size_limit()}"\n'
+        assert ingest._numpy_block([huge, _GOOD_ROW + "\n"], (0, 1, 2)) is None

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,3 +106,34 @@ def test_csv_row_length_must_match_header(tmp_path, rows, zone):
     path.write_text("zone_id,bin_0,bin_1\n" + rows)
     with pytest.raises(DataError, match=f"row of zone {zone} has"):
         read_panel_csv(path)
+
+
+@pytest.mark.parametrize("rows", [
+    "A\0,1,2\nB,3,4\n",              # NUL, which numpy drops from a string's end
+    "A,\x1c1,2\n",                    # a separator numpy strips and float() rejects
+    '"A,1",1,2\nB,3,4\n',             # a quoted comma
+    'A,1,2\n\nB,3,4\n',               # a blank line
+    '"A\nB",1,2\n',                   # a record spanning lines
+    "A,1#,2\n#B,3,4\n",               # comment characters
+    'A,"1",2\nB,"3"4,5\n',            # quotes, text after a closing quote
+    "A,1_0,2\nB,４, 5 \n",            # underscores, fullwidth digits, spaces
+    "A,1,2\r\nB,3,4\r\n",
+    "A,1,2\rB,3,4\r",
+], ids=["nul", "file_separator", "quoted_comma", "blank_line", "spanning", "hash", "quotes",
+        "float_forms", "crlf", "cr"])
+def test_csv_reads_as_rows(tmp_path, rows):
+    """Each row reads as ``csv.reader`` and ``np.array(..., dtype=float)``
+    read it, where numpy's reader would read it alone or not at all."""
+    path = tmp_path / "panel.csv"
+    text = "zone_id,bin_0,bin_1\n" + rows
+    path.write_text(text, newline="")
+    records = [r for r in csv.reader(io.StringIO(text, newline=""))][1:]
+    try:
+        want = [(r[0], np.array(r[1:], dtype=float)) for r in records if r]
+    except ValueError:
+        with pytest.raises(DataError, match="bad value in row A"):
+            read_panel_csv(path)
+        return
+    got = read_panel_csv(path)
+    assert got.zone_ids == tuple(z for z, _ in want)
+    assert np.array_equal(got.values, np.array([v for _, v in want]))
