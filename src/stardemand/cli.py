@@ -203,15 +203,19 @@ def _read_config(args, command: str) -> tuple[Section, Section, Path]:
 
 
 class RunDir:
-    """Output directory with a manifest and the echo of the config it read."""
+    """Output directory with a manifest and the echo of the config it read.
+    A directory that cannot be made, or its echo written, is a config error."""
 
     def __init__(self, path, command: str, echo: dict):
         self.path = Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
         self.outputs: list[str] = []
         self.command = command
-        with open(self.path / "config.yaml", "w") as fh:
-            yaml.safe_dump({"command": command, **echo}, fh, sort_keys=True)
+        try:
+            self.path.mkdir(parents=True, exist_ok=True)
+            with open(self.path / "config.yaml", "w") as fh:
+                yaml.safe_dump({"command": command, **echo}, fh, sort_keys=True)
+        except OSError as e:
+            raise ConfigError(f"cannot make run directory {self.path}: {e}") from None
 
     def file(self, name: str) -> Path:
         self.outputs.append(name)
@@ -390,12 +394,11 @@ def cmd_fit(args) -> int:
     stack = {name: weights.read_stack(d) for name, d in stack_dirs.items()}.get(stack_name)
     run = RunDir(out_dir, "fit", cfg.echo)
 
-    model, curve = forecast.fit_scenario_model(
-        pn, stack, kind, ModelOrder(p=p, eta=eta), spl, lasso)
+    report = forecast.run_scenario(pn, stack, kind, ModelOrder(p=p, eta=eta), spl, lasso)
     if kind == MODEL_LASSO_STAR:
         write_json(run.file("lambda_curve.json"),
-                   {"lambda": model.lambda_, "curve": [[l, m] for l, m in curve]})
-    estimators.write_model_json(model, run.file("model.json"))
+                   {"lambda": report.fit.lambda_, "curve": [[l, m] for l, m in report.curve]})
+    estimators.write_model_json(report.fit, run.file("model.json"))
     run.finish()
     print(f"fitted {kind} (p={p}) -> {run.path / 'model.json'}")
     return EXIT_OK
@@ -407,6 +410,8 @@ def cmd_grid(args) -> int:
     p_values = gcfg.numbers("p", [1, 2, 3, 4], minimum=1)
     eta_values = gcfg.numbers("eta", [1, 2, 3, 4, 5, 6], minimum=1)
     include_var = gcfg.flag("include_var", True)
+    if not models and not include_var:
+        raise ConfigError("grid: no scenarios to run, models is empty and include_var false")
     timings = cfg.flag("timings", True)
     lasso = _lasso_from_config(cfg)
     stack_dirs = _stack_dirs(cfg)

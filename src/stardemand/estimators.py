@@ -22,10 +22,10 @@ sub-blocks. The fits read only the Gram: OLS (VAR's too) by Cholesky,
 LASSO by path. So do the scores: :func:`sse` reads each zone's residual
 sum of squares as the quadratic form y'y - 2 c'phi + phi'G phi, for the
 sigma2 of a STAR model, the validation and test MSPEs of a STAR scenario
-and the whole validation curve of :func:`tune_lambda`. :func:`fitted`
-(design rows times per-zone coefficients) is the prediction kernel of
-``forecast.predict_range``. Products of design blocks, the per-zone Gram
-matrices included, go through ``matmul`` and so BLAS.
+and the whole validation curve of :func:`tune_lambda`. Predictions,
+design rows times per-zone coefficients, are ``forecast.predict_range``'s.
+Products of design blocks, the per-zone Gram matrices included, go
+through ``matmul`` and so BLAS.
 """
 
 from __future__ import annotations
@@ -196,11 +196,6 @@ def star_blocks(design: DesignMatrix, split: SplitSpec) -> StarBlocks:
     for p in range(1, P + 1):
         grams[p, t2] = Gram(*map(np.add, grams[p, t1], grams[t1, t2]))
     return StarBlocks(design, split, grams)
-
-
-def fitted(Z: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    """Design rows times per-zone coefficients: entry [i, t] is Z[i, t] . coefs[i]."""
-    return np.matmul(Z, coefs[:, :, None])[:, :, 0]
 
 
 def sse(design: DesignMatrix, coefs: np.ndarray) -> np.ndarray:

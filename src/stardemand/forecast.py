@@ -15,7 +15,7 @@ import csv
 import io
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -24,9 +24,9 @@ from .errors import DataError, NumericalError
 from .panel import DemandPanel, ModelOrder, SplitSpec
 from .weights import WeightStack
 from .estimators import (
-    DesignMatrix, LassoConfig, StarBlocks, StarModel, VarModel,
-    build_design, check_stack, fit_lasso_star, fit_star_ols, fit_var_ols, fitted,
-    lag_regressors, mspe, sse, star_blocks, tune_lambda,
+    LassoConfig, StarBlocks, StarModel, VarModel, build_design, check_stack,
+    fit_lasso_star, fit_star_ols, fit_var_ols, lag_regressors, mspe, sse, star_blocks,
+    tune_lambda,
 )
 
 MODEL_VAR = "var"
@@ -61,13 +61,14 @@ def predict_range(model, panel: DemandPanel, t_range: tuple[int, int],
         for j, A in enumerate(model.lag_matrices, start=1):
             out += A @ Y[:, start - j:end - j]
         return out
-    return fitted(lag_regressors(Y, p, t_range, stack.matrices[:model.order.eta]),
-                  model.coefficients)
+    Z = lag_regressors(Y, p, t_range, stack.matrices[:model.order.eta])
+    return np.matmul(Z, model.coefficients[:, :, None])[:, :, 0]
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-scenario evaluation outcome."""
+    """Per-scenario evaluation outcome. ``fit`` (the test model) and
+    ``curve`` (the validation curve) are left out of its equality."""
 
     model: str
     p: int
@@ -79,6 +80,9 @@ class EvalReport:
     lambda_: float | None = None
     seconds: float = 0.0
     error: str | None = None
+    fit: VarModel | StarModel | None = field(default=None, compare=False, repr=False)
+    curve: list[tuple[float | None, float]] | None = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for v in (self.val_mspe, self.test_mspe):
@@ -94,11 +98,6 @@ def _report(model_kind: str, order: ModelOrder, stack: WeightStack | None,
                       split=split, **fields)
 
 
-def _gram_mspe(rows: DesignMatrix, coefs: np.ndarray) -> float:
-    """The MSPE of a STAR model's coefficients on ``rows`` (:func:`sse`)."""
-    return float(np.sum(sse(rows, coefs))) / rows.y.size
-
-
 def scenario_blocks(panel: DemandPanel, stack: WeightStack | None, order: ModelOrder,
                     split: SplitSpec) -> StarBlocks:
     """One design of ``order`` for the cells up to it, and its blocks for ``split``."""
@@ -107,45 +106,15 @@ def scenario_blocks(panel: DemandPanel, stack: WeightStack | None, order: ModelO
     return star_blocks(build_design(zeros, stack, order, (0, split.t_end + lead)), split)
 
 
-def fit_scenario_model(
-    panel: DemandPanel,
-    stack: WeightStack | None,
-    model_kind: str,
-    order: ModelOrder,
-    split: SplitSpec,
-    config: LassoConfig = LassoConfig(),
-    blocks: StarBlocks | None = None,
-) -> tuple[VarModel | StarModel, list[tuple[float | None, float]]]:
-    """Fit the model that a scenario scores on its test span [t2, t_end),
-    and its validation curve on [t1, t2).
-
-    VAR and STAR are least-squares fits on [0, t2); their one-point curve
-    [(None, validation MSPE)] scores a fit on [0, t1). LASSO-STAR tunes
-    the penalty on the validation span (see :func:`tune_lambda`), then
-    fits at lambda* on [0, t2), or on [0, t1) with
-    ``config.refit_after_tuning`` off; its curve is [(lambda, validation
-    MSPE), ...]. A STAR or LASSO-STAR scenario takes every fit design and
-    validation row from ``blocks`` of a design of its order or higher,
-    built here over (0, t_end) if not given.
-    """
-    val_range = (split.t1, split.t2)
-    if model_kind == MODEL_VAR:
-        val_model = fit_var_ols(panel, order.p, (0, split.t1))
-        val_mspe = mspe(panel, predict_range(val_model, panel, val_range), val_range)
-        return fit_var_ols(panel, order.p, (0, split.t2)), [(None, val_mspe)]
-    if model_kind not in (MODEL_STAR, MODEL_LASSO_STAR):
-        raise DataError(f"unknown model kind {model_kind!r}")
-    if blocks is None:
-        blocks = scenario_blocks(panel, stack, order, split)
-    if model_kind == MODEL_LASSO_STAR:
-        lam, curve = tune_lambda(blocks, order, config)
-        fit_end = split.t2 if config.refit_after_tuning else split.t1
-        return fit_lasso_star(blocks.rows(order, (order.p, fit_end)), lam,
-                              scheme=stack.scheme), curve
-    val_model = fit_star_ols(blocks.rows(order, (order.p, split.t1)), scheme=stack.scheme)
-    val_mspe = _gram_mspe(blocks.rows(order, val_range), val_model.coefficients)
-    model = fit_star_ols(blocks.rows(order, (order.p, split.t2)), scheme=stack.scheme)
-    return model, [(None, val_mspe)]
+def _mspe(model: VarModel | StarModel, panel: DemandPanel, blocks: StarBlocks | None,
+          t_range: tuple[int, int]) -> float:
+    """The MSPE of ``model`` on the targets [start, end): a VAR model's from
+    :func:`predict_range`, a STAR model's from the Gram of its rows in
+    ``blocks`` (:func:`sse`)."""
+    if isinstance(model, VarModel):
+        return mspe(panel, predict_range(model, panel, t_range), t_range)
+    rows = blocks.rows(model.order, t_range)
+    return float(np.sum(sse(rows, model.coefficients))) / rows.y.size
 
 
 def run_scenario(
@@ -157,25 +126,44 @@ def run_scenario(
     config: LassoConfig = LassoConfig(),
     blocks: StarBlocks | None = None,
 ) -> EvalReport:
-    """Fit and evaluate one scenario through :func:`fit_scenario_model`.
+    """Fit and evaluate one scenario: its test model, fit on [0, t2) and
+    scored on [t2, t_end), and its validation curve on [t1, t2).
 
-    The validation MSPE and lambda* (None for VAR and STAR) are the
-    curve's first minimum; the test model is scored on [t2, t_end), a VAR
-    model's from :func:`predict_range`, a STAR model's from the Gram of its
-    test rows in ``blocks`` (built here if not given).
+    VAR and STAR are least-squares fits; their one-point curve
+    [(None, validation MSPE)] scores a fit on [0, t1). LASSO-STAR tunes the
+    penalty on the validation span (see :func:`tune_lambda`), then fits at
+    lambda* on [0, t2), or on [0, t1) with ``config.refit_after_tuning``
+    off; its curve is [(lambda, validation MSPE), ...]. The report's
+    validation MSPE and lambda* (None for VAR and STAR) are the curve's
+    first minimum, and it carries the test model as ``fit`` and the curve
+    as ``curve``. A STAR or LASSO-STAR scenario takes every fit design and
+    scored row from ``blocks`` of a design of its order or higher, built
+    here over (0, t_end) if not given.
     """
     t0 = time.perf_counter()
-    if blocks is None and model_kind in (MODEL_STAR, MODEL_LASSO_STAR):
-        blocks = scenario_blocks(panel, stack, order, split)
-    model, curve = fit_scenario_model(panel, stack, model_kind, order, split, config, blocks)
-    lam, val_mspe = min(curve, key=lambda c: c[1])
-    test_range = (split.t2, split.t_end)
     if model_kind == MODEL_VAR:
-        test = mspe(panel, predict_range(model, panel, test_range), test_range)
+        def fit(end):
+            return fit_var_ols(panel, order.p, (0, end))
+    elif model_kind in (MODEL_STAR, MODEL_LASSO_STAR):
+        if blocks is None:
+            blocks = scenario_blocks(panel, stack, order, split)
+
+        def fit(end):
+            return fit_star_ols(blocks.rows(order, (order.p, end)), scheme=stack.scheme)
     else:
-        test = _gram_mspe(blocks.rows(order, test_range), model.coefficients)
+        raise DataError(f"unknown model kind {model_kind!r}")
+    if model_kind == MODEL_LASSO_STAR:
+        lam, curve = tune_lambda(blocks, order, config)
+        fit_end = split.t2 if config.refit_after_tuning else split.t1
+        model = fit_lasso_star(blocks.rows(order, (order.p, fit_end)), lam,
+                               scheme=stack.scheme)
+    else:
+        curve = [(None, _mspe(fit(split.t1), panel, blocks, (split.t1, split.t2)))]
+        model = fit(split.t2)
+    lam, val_mspe = min(curve, key=lambda c: c[1])
+    test = _mspe(model, panel, blocks, (split.t2, split.t_end))
     return _report(model_kind, order, stack, split, val_mspe=val_mspe, test_mspe=test,
-                   lambda_=lam, seconds=time.perf_counter() - t0)
+                   lambda_=lam, seconds=time.perf_counter() - t0, fit=model, curve=curve)
 
 
 @dataclass(frozen=True)

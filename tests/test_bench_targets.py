@@ -3,12 +3,15 @@
 ``bench/spans.py`` names its targets as (module, function) strings, and the
 other bench files import modules and read functions off them, so a renamed
 or deleted function would otherwise only show up when ``bench/run.py`` or
-``python3 -m pytest bench`` fails.
+``python3 -m pytest bench`` fails. Its span labels and counters read some
+arguments by position, so a reordered signature would mislabel spans
+without failing anything.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -36,6 +39,35 @@ def test_span_targets_resolve():
         if not callable(getattr(module, fn_name, None)):
             missing.append(f"{mod_name}.{fn_name}")
     assert spans.TARGETS and missing == []
+
+
+def positional_reads(fn) -> set[tuple[str, int]]:
+    """(name, index) of each ``kwargs.get("name", ... args[index] ...)`` in ``fn``."""
+    reads = set()
+    for node in ast.walk(ast.parse(inspect.getsource(fn))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "kwargs" and len(node.args) == 2):
+            for sub in ast.walk(node.args[1]):
+                if (isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "args"):
+                    reads.add((node.args[0].value, sub.slice.value))
+    return reads
+
+
+def test_span_positional_reads_match_signatures():
+    spans = _spans_module()
+    checked, moved = set(), []
+    for mod_name, fn_name, *hooks in spans.TARGETS:
+        target = getattr(importlib.import_module(f"{spans.PACKAGE}.{mod_name}"), fn_name)
+        params = list(inspect.signature(target).parameters)
+        for name, index in set().union(*(positional_reads(h) for h in hooks if h)):
+            checked.add((fn_name, name, index))
+            if params[index:index + 1] != [name]:
+                moved.append(f"{mod_name}.{fn_name} args[{index}] is not {name}")
+    assert checked == {("parse_trips", "report", 3), ("predict_range", "t_range", 2),
+                       ("run_scenario", "model_kind", 2)}
+    assert moved == []
 
 
 def package_uses(source: str) -> set[tuple[str, str]]:

@@ -8,7 +8,7 @@ import yaml
 
 from stardemand import ingest as ingest_mod
 from stardemand.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
-from stardemand.estimators import read_model_json
+from stardemand.estimators import LassoConfig, model_to_dict, read_model_json
 from stardemand.forecast import mspe, predict_range, run_scenario
 from stardemand.panel import (
     ModelOrder, SplitSpec, make_panel, read_panel_csv, write_panel_csv,
@@ -321,6 +321,33 @@ class TestFit:
         assert model.lambda_ == report.lambda_
         assert rebuilt == pytest.approx(report.test_mspe, rel=1e-10, abs=0)
 
+    @pytest.mark.parametrize("kind", ["var", "star", "lasso_star"])
+    def test_outputs_are_run_scenario_fit_and_curve(self, tmp_path, synth_run, kind):
+        """model.json and lambda_curve.json are the test model and the
+        validation curve of the report that run_scenario gives the cell."""
+        out, order, split = tmp_path / "fit", ModelOrder(p=2, eta=2), {"t1": 30, "t2": 60}
+        lasso = LassoConfig(n_lambdas=10)
+        cfg = write_yaml(tmp_path / "f.yaml", {
+            "output_dir": str(out),
+            "panel": str(synth_run / "panel.csv"),
+            "stacks": {"rings": str(synth_run / "stack")},
+            "split": split,
+            "lasso": {"n_lambdas": lasso.n_lambdas},
+            "fit": {"model": kind, "p": order.p, "eta": order.eta, "stack": "rings"},
+        })
+        assert main(["fit", "-c", str(cfg)]) == EXIT_OK
+        panel = read_panel_csv(synth_run / "panel.csv")
+        stack = None if kind == "var" else read_stack(synth_run / "stack")
+        report = run_scenario(panel, stack, kind, order, SplitSpec(**split, t_end=panel.T),
+                              lasso)
+        assert json.loads((out / "model.json").read_text()) == model_to_dict(report.fit)
+        curve = out / "lambda_curve.json"
+        if kind == "lasso_star":
+            assert json.loads(curve.read_text()) == {
+                "lambda": report.fit.lambda_, "curve": [list(c) for c in report.curve]}
+        else:
+            assert not curve.exists() and report.curve == [(None, report.val_mspe)]
+
     def test_var_fit(self, tmp_path, synth_run):
         out = tmp_path / "fitvar"
         cfg = write_yaml(tmp_path / "fv.yaml", {
@@ -629,11 +656,12 @@ class TestConfigValidation:
         ("fit", "fit.p", "2"),
         ("weights", "weights.eta_max", 2.5),
         ("grid", "output_dir", 5),
+        ("grid", "grid.models", []),
     ], ids=["timings_str", "include_var_str", "standardize_str-grid", "standardize_str-fit",
             "grid_p_str", "grid_eta_str", "grid_p_0", "grid_p_scalar", "fit_p_str",
             "fit_eta_str", "grid_models_int", "fit_stack_list", "grid_p_fraction",
             "grid_eta_fraction", "fit_p_fraction", "fit_p_quoted", "weights_eta_max_fraction",
-            "output_dir_int"])
+            "output_dir_int", "grid_no_cells"])
     def test_bad_value(self, tmp_path, synth_run, command, key, value):
         cfg = yaml.safe_load(self._config(tmp_path, synth_run).read_text())
         *sections, name = key.split(".")
@@ -821,3 +849,15 @@ def test_run_dir_holding_its_own_config_is_config_error(tmp_path, monkeypatch, c
     assert "echo would overwrite it" in capsys.readouterr().err
     assert cfg.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_run_dir_that_cannot_be_made_is_config_error(tmp_path, capsys, out):
+    """An ``--out`` that is a file, or lies under one, names the run
+    directory in a config error rather than ending in a traceback."""
+    (tmp_path / "file").write_text("keep\n")
+    cfg = write_yaml(tmp_path / "s.yaml", {
+        "seed": 1, "synth": {"kind": "star", "k": 4, "length": 40, "p": 1, "eta": 1}})
+    assert main(["synth", "-c", str(cfg), "--out", str(tmp_path / out)]) == EXIT_CONFIG
+    assert f"config error: cannot make run directory {tmp_path / out}" in capsys.readouterr().err
+    assert (tmp_path / "file").read_text() == "keep\n"

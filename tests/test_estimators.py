@@ -8,7 +8,7 @@ from stardemand.errors import ConfigError, DataError, NumericalError
 from stardemand.estimators import (
     DesignMatrix, LassoConfig,
     build_design, fit_lasso_path, fit_lasso_star, fit_star_ols,
-    fit_var_ols, fitted, lambda_max, model_from_dict, model_to_dict, mspe,
+    fit_var_ols, lambda_max, model_from_dict, model_to_dict, mspe,
     read_model_json, solve_lasso_batch, sse, tune_lambda, write_model_json,
 )
 from stardemand.forecast import MODEL_LASSO_STAR, run_scenario, scenario_blocks
@@ -20,6 +20,11 @@ from conftest import random_panel
 from lasso_oracle import (
     OracleConvergenceError, lasso_cd, lasso_objective, soft_threshold, zone_path,
 )
+
+
+def fitted(Z, coefs):
+    """Design rows times per-zone coefficients: entry [i, t] is Z[i, t] . coefs[i]."""
+    return np.einsum("itm,im->it", Z, coefs)
 
 
 def naive_design(panel, stack, order, fit_range):

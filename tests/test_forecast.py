@@ -323,15 +323,15 @@ class TestRunGrid:
         assert lags == [True, True]
 
     def test_cells_scored_from_gram_blocks(self, monkeypatch):
-        # no STAR or LASSO-STAR cell multiplies or reads design rows: no
-        # fitted call and no DesignMatrix.own, and per stack P + 2 Gram
-        # builds, of [p, t1) for p = 1..P, [t1, t2) and [t2, t_end)
-        fitted_calls, own_calls, grams = [], [], []
-        gram, own = estimators._gram, estimators.DesignMatrix.own
+        # no STAR or LASSO-STAR cell multiplies or reads design rows: only
+        # VAR cells call predict_range, none calls DesignMatrix.own, and per
+        # stack P + 2 Gram builds, of [p, t1) for p = 1..P, [t1, t2) and [t2, t_end)
+        predicted, own_calls, grams = [], [], []
+        predict, gram, own = forecast.predict_range, estimators._gram, estimators.DesignMatrix.own
 
-        def counting_fitted(Z, coefs):
-            fitted_calls.append(1)
-            return estimators.fitted(Z, coefs)
+        def counting_predict(model, *args, **kwargs):
+            predicted.append(type(model).__name__)
+            return predict(model, *args, **kwargs)
 
         def counting_own(self, zone=slice(None)):
             own_calls.append(1)
@@ -341,16 +341,16 @@ class TestRunGrid:
             grams.append(Z.shape[1])
             return gram(Z, y)
 
-        for module in (estimators, forecast):
-            monkeypatch.setattr(module, "fitted", counting_fitted)
+        monkeypatch.setattr(forecast, "predict_range", counting_predict)
         monkeypatch.setattr(estimators.DesignMatrix, "own", counting_own)
         monkeypatch.setattr(estimators, "_gram", counting_gram)
         panel = random_panel(6, 60, seed=56)
         stacks = (random_centroid_stack(6, 3, seed=56), paired_adjacency_stack(6, 2))
         reports = run_grid(panel, self._grid(stacks, SplitSpec(20, 40, 60), p_values=(1, 2, 3),
-                                             eta_values=(1, 2), include_var=False))
-        assert len(reports) == 24 and not any(r.error for r in reports)
-        assert fitted_calls == [] and own_calls == []
+                                             eta_values=(1, 2)))
+        assert len(reports) == 27 and not any(r.error for r in reports)
+        # a validation and a test prediction for each of the three VAR cells
+        assert predicted == 6 * ["VarModel"] and own_calls == []
         # rows per Gram: the validation and test spans, then [p, 20) for p = 1, 2, 3
         assert grams == 2 * [20, 20, 19, 18, 17]
 
