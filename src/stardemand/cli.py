@@ -279,21 +279,24 @@ def cmd_ingest(args) -> int:
     except DataError as e:
         raise ConfigError(f"ingest: {e}") from None
     zones = _load_zones(icfg)
+    try:
+        ingest.check_assign(zones, assign_policy)
+    except DataError as e:
+        raise ConfigError(f"ingest: {e}") from None
 
     report = ingest.IngestReport()
     trips = ingest.parse_trips(trips_path, fmt, policy=parse_policy, report=report)
     run = RunDir(out_dir, "ingest", cfg.echo)
-    if not trips:
-        write_json(run.file("ingest_report.json"), report.to_dict())
-        run.finish()
-        raise DataError("no trips parsed")
-    out_panel = ingest.bin_counts(
-        trips, zones, bin_minutes=bin_minutes, day_range=day_range,
-        assign_policy=assign_policy, report=report,
-    )
-    panel_mod.write_panel_csv(out_panel, run.file("panel.csv"))
+    if trips:
+        out_panel = ingest.bin_counts(
+            trips, zones, bin_minutes=bin_minutes, day_range=day_range,
+            assign_policy=assign_policy, report=report,
+        )
+        panel_mod.write_panel_csv(out_panel, run.file("panel.csv"))
     write_json(run.file("ingest_report.json"), report.to_dict())
     run.finish()
+    if not trips:
+        raise DataError("no trips parsed")
     print(f"panel: {out_panel.k} zones x {out_panel.T} bins; "
           f"assigned {report.assigned}, dropped "
           f"{report.dropped_parse + report.dropped_outside_range + report.dropped_unassigned}")
@@ -315,9 +318,8 @@ def cmd_weights(args) -> int:
         stack = weights.adjacency_rings(graph, eta_max)
 
     run = RunDir(out_dir, "weights", cfg.echo)
-    stack_dir = run.path / "stack"
+    stack_dir = run.file("stack")
     weights.write_stack(stack, stack_dir)
-    run.outputs.append("stack")
     checks = weights.validate_stack(stack)
     write_json(run.file("stack_checks.json"), checks)
     run.finish()
@@ -352,12 +354,17 @@ def _load_panel(cfg: Section) -> tuple[panel_mod.DemandPanel, SplitSpec]:
     return pn, spl
 
 
-def _stack_dirs(cfg: Section) -> dict[str, Path]:
-    """The ``stacks:`` mapping of name to stack directory, paths resolved."""
+def _stack_dirs(cfg: Section, star_models) -> dict[str, Path]:
+    """The ``stacks:`` mapping of name to stack directory, paths resolved;
+    it may be empty only when ``star_models`` (the STAR and LASSO-STAR
+    models to run) is."""
     stacks = cfg.section("stacks", required=True)
     if not all(isinstance(p, str) for p in stacks.values.values()):
         raise ConfigError(f"stacks must be a mapping of name to stack directory, "
                           f"got {stacks.values!r}")
+    if star_models and not stacks.values:
+        raise ConfigError(f"stacks is empty; a {' or '.join(star_models)} model needs a "
+                          "weight stack")
     return {name: stacks.path(name) for name in stacks.values}
 
 
@@ -388,7 +395,7 @@ def cmd_fit(args) -> int:
     eta, stack_dirs, stack_name = 1, {}, None
     if kind != MODEL_VAR:
         eta = fcfg.number("eta", minimum=1)
-        stack_dirs = _stack_dirs(cfg)
+        stack_dirs = _stack_dirs(cfg, (kind,))
         stack_name = fcfg.choice("stack", tuple(stack_dirs))
     pn, spl = _load_panel(cfg)
     stack = {name: weights.read_stack(d) for name, d in stack_dirs.items()}.get(stack_name)
@@ -398,7 +405,7 @@ def cmd_fit(args) -> int:
     if kind == MODEL_LASSO_STAR:
         write_json(run.file("lambda_curve.json"),
                    {"lambda": report.fit.lambda_, "curve": [[l, m] for l, m in report.curve]})
-    estimators.write_model_json(report.fit, run.file("model.json"))
+    write_json(run.file("model.json"), estimators.model_to_dict(report.fit))
     run.finish()
     print(f"fitted {kind} (p={p}) -> {run.path / 'model.json'}")
     return EXIT_OK
@@ -414,7 +421,7 @@ def cmd_grid(args) -> int:
         raise ConfigError("grid: no scenarios to run, models is empty and include_var false")
     timings = cfg.flag("timings", True)
     lasso = _lasso_from_config(cfg)
-    stack_dirs = _stack_dirs(cfg)
+    stack_dirs = _stack_dirs(cfg, models)
     pn, spl = _load_panel(cfg)
 
     grid = ScenarioGrid(
@@ -429,10 +436,10 @@ def cmd_grid(args) -> int:
     run = RunDir(out_dir, "grid", cfg.echo)
 
     reports = forecast.run_grid(pn, grid)
-    forecast.reports_to_csv(reports, run.file("reports.csv"), include_seconds=timings)
+    run.file("reports.csv").write_text(
+        forecast.reports_to_csv(reports, include_seconds=timings), newline="")
     table = forecast.render_table(reports)
-    with open(run.file("table.txt"), "w") as fh:
-        fh.write(table)
+    run.file("table.txt").write_text(table)
     run.finish()
     print(table, end="")
     ok = [r for r in reports if r.error is None]
@@ -500,8 +507,7 @@ def cmd_synth(args) -> int:
 
     run = RunDir(out_dir, "synth", cfg.echo)
     if kind == synth.KIND_STAR:
-        weights.write_stack(stack, run.path / "stack")
-        run.outputs.append("stack")
+        weights.write_stack(stack, run.file("stack"))
     write_json(run.file("truth.json"), truth)
     panel_mod.write_panel_csv(out_panel, run.file("panel.csv"))
     run.finish()

@@ -31,14 +31,13 @@ through ``matmul`` and so BLAS.
 from __future__ import annotations
 
 import contextlib
-import json
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError, NumericalError, open_input, write_json
+from .errors import ConfigError, DataError, NumericalError
 from .panel import DemandPanel, ModelOrder, SplitSpec
 from .weights import WeightStack
 
@@ -505,6 +504,8 @@ def tune_lambda(
 # -- serialization ------------------------------------------------------
 
 def model_to_dict(model) -> dict:
+    """``model`` as lists and numbers: the schema of the ``model.json``
+    that ``stardemand fit`` writes."""
     if isinstance(model, StarModel):
         return {
             "kind": "star",
@@ -526,40 +527,3 @@ def model_to_dict(model) -> dict:
             "fit_range": list(model.fit_range),
         }
     raise DataError(f"unknown model type {type(model).__name__}")
-
-
-def model_from_dict(doc: dict):
-    kind = doc.get("kind")
-    if kind == "star":
-        return StarModel(
-            order=ModelOrder(p=doc["p"], eta=doc["eta"]),
-            coefficients=np.array(doc["coefficients"], dtype=float),
-            sigma2=float(doc["sigma2"]),
-            scheme=doc.get("scheme", ""),
-            fit_range=tuple(doc["fit_range"]),
-            lambda_=doc.get("lambda"),
-        )
-    if kind == "var":
-        return VarModel(
-            p=doc["p"],
-            intercept=np.array(doc["intercept"], dtype=float),
-            lag_matrices=tuple(np.array(m, dtype=float) for m in doc["lag_matrices"]),
-            residual_cov=np.array(doc["residual_cov"], dtype=float),
-            fit_range=tuple(doc["fit_range"]),
-        )
-    raise DataError(f"unknown model kind {kind!r}")
-
-
-def write_model_json(model, path) -> None:
-    write_json(path, model_to_dict(model))
-
-
-def read_model_json(path):
-    """The model in ``path``. A file that cannot be read, is not JSON, or
-    lacks, mistypes or misstates a field is a DataError naming it."""
-    with open_input(path, "model") as fh:
-        try:
-            return model_from_dict(json.load(fh))
-        # JSONDecodeError is a ValueError; a document that is not a mapping has no .get
-        except (AttributeError, KeyError, TypeError, ValueError, DataError) as e:
-            raise DataError(f"{path}: invalid model file: {type(e).__name__}: {e}") from None

@@ -243,9 +243,8 @@ def _cell(v, fmt=None):
     return str(v)
 
 
-def reports_to_csv(reports: Sequence[EvalReport], path=None,
-                   include_seconds: bool = True) -> str:
-    """Write the report CSV; returns the CSV text.
+def reports_to_csv(reports: Sequence[EvalReport], include_seconds: bool = True) -> str:
+    """The report CSV text.
 
     ``include_seconds=False`` drops the one wall-clock column so the
     output is byte-reproducible across runs with the same seed.
@@ -264,18 +263,15 @@ def reports_to_csv(reports: Sequence[EvalReport], path=None,
             row.append("%.3f" % r.seconds)
         row.append(r.error or "")
         w.writerow(row)
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()
 
 
 def render_table(reports: Sequence[EvalReport]) -> str:
     """Aligned text table: rows eta descending then model, columns by p,
-    one column block per weight scheme; VAR as a single trailing row."""
+    one column block per weight scheme (one unnamed block with none); VAR as
+    a single trailing row."""
     ps = sorted({r.p for r in reports})
-    schemes = sorted({r.scheme for r in reports if r.scheme is not None})
+    schemes = sorted({r.scheme for r in reports if r.scheme is not None}) or [None]
     etas = sorted({r.eta for r in reports if r.eta is not None}, reverse=True)
     kinds = [k for k in (MODEL_STAR, MODEL_LASSO_STAR)
              if any(r.model == k for r in reports)]
@@ -293,7 +289,7 @@ def render_table(reports: Sequence[EvalReport]) -> str:
     header = ["eta", "model"]
     for s in schemes:
         for p in ps:
-            header.append(f"{s}:p={p}")
+            header.append(f"p={p}" if s is None else f"{s}:p={p}")
     rows = [header]
     for eta in etas:
         for kind in kinds:
@@ -305,7 +301,7 @@ def render_table(reports: Sequence[EvalReport]) -> str:
     var_reports = {r.p: r for r in reports if r.model == MODEL_VAR}
     if var_reports:
         row = ["-", "VAR"]
-        for s in schemes or [None]:
+        for s in schemes:
             for p in ps:
                 row.append(fmt(var_reports.get(p)))
         rows.append(row)

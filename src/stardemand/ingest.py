@@ -443,11 +443,16 @@ def _ring_box(ring) -> tuple[float, float, float, float]:
     return min(xs) - margin, max(xs) + margin, min(ys) - margin, max(ys) + margin
 
 
-def _check_assign(zones: Sequence[ZoneGeometry], policy: str) -> None:
+def check_assign(zones: Sequence[ZoneGeometry], policy: str) -> None:
+    """Reject no zones, an unknown policy, and ``drop`` over zones that are
+    all centroids: with no polygon to contain a trip, it would drop every one."""
     if not zones:
         raise DataError("need at least one zone")
     if policy not in ASSIGN_POLICIES:
         raise DataError(f"unknown assignment policy {policy!r}")
+    if policy == POLICY_DROP and all(z.polygon is None for z in zones):
+        raise DataError(f"assign_policy {POLICY_DROP} assigns no trip to zones that have "
+                        f"no polygon (centroids only); use {POLICY_NEAREST}")
 
 
 def _assign(lon: np.ndarray, lat: np.ndarray, zones: Sequence[ZoneGeometry],
@@ -501,7 +506,7 @@ def assign_zone(point: tuple[float, float], zones: Sequence[ZoneGeometry],
     policy ``nearest`` picks the nearest-centroid zone (equirectangular
     Euclidean distance), ``drop`` returns None.
     """
-    _check_assign(zones, policy)
+    check_assign(zones, policy)
     lon, lat = point
     ids, zone_of = _assign(np.array([lon], dtype=float), np.array([lat], dtype=float),
                            zones, policy)
@@ -552,7 +557,7 @@ def bin_counts(
                      _from_us(t.max() // _DAY_US * _DAY_US + _DAY_US))
     start, end = day_range
     n_bins = count_bins(start, end, bin_minutes)
-    _check_assign(zones, assign_policy)
+    check_assign(zones, assign_policy)
 
     lo, hi = _to_us(start), _to_us(end)
     in_range = (t >= lo) & (t < hi)

@@ -16,8 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
+from .ingest import make_zone
 from .panel import DemandPanel, KIND_REAL, ModelOrder, make_panel
-from .weights import WeightStack
+from .weights import WeightStack, centroid_rings
 
 KIND_VAR = "var"
 KIND_STAR = "star"
@@ -208,9 +209,6 @@ def synthetic_zone_ids(k: int) -> list[str]:
 def random_centroid_stack(k: int, eta_max: int, seed: int = 0) -> WeightStack:
     """Centroid-ring stack over k random points, ids matching
     :func:`synthetic_zone_ids`."""
-    from .ingest import make_zone
-    from .weights import centroid_rings
-
     rng = np.random.Generator(np.random.PCG64(seed ^ 0xC3A7))
     zones = [
         make_zone(zid, centroid=tuple(rng.random(2) * 10.0))

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
+from stardemand.estimators import StarModel, VarModel
 from stardemand.ingest import make_zone
-from stardemand.panel import make_panel
+from stardemand.panel import ModelOrder, make_panel
 from stardemand.weights import centroid_rings
 
 
@@ -32,3 +35,19 @@ def replace_first_cell(path, cell):
     rows = path.read_text().splitlines()
     rows[0] = ",".join([cell] + rows[0].split(",")[1:])
     path.write_text("\n".join(rows) + "\n")
+
+
+def read_model(path):
+    """The StarModel or VarModel of a ``model.json`` that ``stardemand fit``
+    wrote: the inverse of ``estimators.model_to_dict``."""
+    doc = json.loads(path.read_text())
+    if doc["kind"] == "star":
+        return StarModel(order=ModelOrder(p=doc["p"], eta=doc["eta"]),
+                         coefficients=np.array(doc["coefficients"], dtype=float),
+                         sigma2=doc["sigma2"], scheme=doc["scheme"],
+                         fit_range=tuple(doc["fit_range"]), lambda_=doc["lambda"])
+    assert doc["kind"] == "var", doc["kind"]
+    return VarModel(p=doc["p"], intercept=np.array(doc["intercept"], dtype=float),
+                    lag_matrices=tuple(np.array(m, dtype=float) for m in doc["lag_matrices"]),
+                    residual_cov=np.array(doc["residual_cov"], dtype=float),
+                    fit_range=tuple(doc["fit_range"]))

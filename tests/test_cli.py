@@ -8,14 +8,14 @@ import yaml
 
 from stardemand import ingest as ingest_mod
 from stardemand.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
-from stardemand.estimators import LassoConfig, model_to_dict, read_model_json
+from stardemand.estimators import LassoConfig, model_to_dict
 from stardemand.forecast import mspe, predict_range, run_scenario
 from stardemand.panel import (
     ModelOrder, SplitSpec, make_panel, read_panel_csv, write_panel_csv,
 )
 from stardemand.weights import read_stack
 
-from conftest import replace_first_cell
+from conftest import read_model, replace_first_cell
 
 
 def write_yaml(path: Path, cfg: dict) -> Path:
@@ -177,7 +177,7 @@ class TestWeights:
             "fit": {"model": "star", "p": 1, "eta": 2, "stack": "rings"}})
         assert main(["fit", "-c", str(tmp_path / "f.yaml"), "--out",
                      str(tmp_path / "f")]) == EXIT_OK
-        assert read_model_json(tmp_path / "f" / "model.json").coefficients.shape == (4, 2)
+        assert read_model(tmp_path / "f" / "model.json").coefficients.shape == (4, 2)
 
 
 class TestIngest:
@@ -239,7 +239,7 @@ class TestIngest:
         zones.write_text("zone_id,lon,lat\nA,0,0\n")
         cfg = write_yaml(tmp_path / "i.yaml", {
             "output_dir": str(tmp_path / "out"),
-            "ingest": {"trips": str(trips), "zones_csv": str(zones)},
+            "ingest": {"trips": str(trips), "zones_csv": str(zones), "assign_policy": "nearest"},
         })
         assert main(["ingest", "-c", str(cfg)]) == EXIT_DATA
         # the report is still written before the failure surfaces
@@ -261,14 +261,17 @@ class TestIngest:
         {"timestamp_format": "%Y %Y"},
         {"timestamp_format": "%Q"},
         {"timestamp_format": "%Y %m %"},
+        {"assign_policy": "drop"},
     ], ids=["bin_str", "bin_7", "bin_0", "range_one", "range_reversed", "range_part_bin",
             "range_str", "parse_lenient", "assign_closest", "columns_list", "columns_time_int",
-            "trips_int", "ts_repeated", "ts_bad_directive", "ts_stray_percent"])
+            "trips_int", "ts_repeated", "ts_bad_directive", "ts_stray_percent",
+            "drop_with_centroid_zones"])
     def test_bad_setting_is_config_error(self, tmp_path, monkeypatch, setting):
         trips, zones = self._trips(tmp_path)
         cfg = write_yaml(tmp_path / "i.yaml", {
             "output_dir": str(tmp_path / "out"),
-            "ingest": {"trips": str(trips), "zones_csv": str(zones), **setting},
+            "ingest": {"trips": str(trips), "zones_csv": str(zones), "assign_policy": "nearest",
+                       **setting},
         })
 
         def no_read(*args, **kwargs):
@@ -291,7 +294,7 @@ class TestFit:
             "fit": {"model": "lasso_star", "p": 1, "eta": 2, "stack": "rings"},
         })
         assert main(["fit", "-c", str(cfg)]) == EXIT_OK
-        model = read_model_json(out / "model.json")
+        model = read_model(out / "model.json")
         assert model.coefficients.shape == (6, 2)
         echoed = yaml.safe_load((out / "config.yaml").read_text())["lasso"]
         assert echoed["n_lambdas"] == 10 and echoed["refit_after_tuning"] is True
@@ -312,7 +315,7 @@ class TestFit:
             "fit": {"model": kind, "p": order.p, "eta": order.eta, "stack": "rings"},
         })
         assert main(["fit", "-c", str(cfg)]) == EXIT_OK
-        model = read_model_json(out / "model.json")
+        model = read_model(out / "model.json")
         panel, stack = read_panel_csv(synth_run / "panel.csv"), read_stack(synth_run / "stack")
         split = SplitSpec(30, 60, panel.T)
         test = (split.t2, split.t_end)
@@ -357,7 +360,7 @@ class TestFit:
             "fit": {"model": "var", "p": 2},
         })
         assert main(["fit", "-c", str(cfg)]) == EXIT_OK
-        model = read_model_json(out / "model.json")
+        model = read_model(out / "model.json")
         assert model.p == 2 and len(model.lag_matrices) == 2
 
     @pytest.mark.parametrize("kind", ["var", "star", "lasso_star"])
@@ -548,7 +551,8 @@ class TestExitCodes:
             "grid": {}, "stacks": {"rings": str(tmp_path / "stack")},
             "weights": {"scheme": "adjacency", "eta_max": 2, "zones_csv": str(zones),
                         "adjacency": str(tmp_path / "adj.csv")},
-            "ingest": {"trips": str(tmp_path / "trips.csv"), "zones_csv": str(zones)},
+            "ingest": {"trips": str(tmp_path / "trips.csv"), "zones_csv": str(zones),
+                       "assign_policy": "nearest"},
         }
         target = tmp_path / "missing" / key
         if content is not None:
@@ -636,6 +640,34 @@ class TestConfigValidation:
         assert main([command, "-c", str(cfg)]) == EXIT_CONFIG
         assert "config error: stacks must be a mapping" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,section", [
+        ("grid", {"models": ["star"], "include_var": False}),
+        ("grid", {"models": ["lasso_star"], "include_var": True}),
+        ("fit", {"model": "star"}),
+        ("fit", {"model": "lasso_star"}),
+    ], ids=["grid_star", "grid_lasso_star_with_var", "fit_star", "fit_lasso_star"])
+    def test_empty_stacks_with_star_model(self, tmp_path, synth_run, capsys, command, section):
+        # a grid ran no STAR cell (exit 3, or VAR alone); a fit named no stack to choose
+        cfg = yaml.safe_load(self._config(tmp_path, synth_run, stacks={}).read_text())
+        cfg[command].update(section)
+        assert main([command, "-c", str(write_yaml(tmp_path / "c.yaml", cfg))]) == EXIT_CONFIG
+        assert "config error: stacks is empty" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,section", [
+        ("grid", {"models": [], "p": [1, 2], "include_var": True}),
+        ("fit", {"model": "var", "p": 1}),
+    ], ids=["grid_var", "fit_var"])
+    def test_empty_stacks_without_star_model(self, tmp_path, synth_run, command, section):
+        cfg = yaml.safe_load(self._config(tmp_path, synth_run, stacks={}).read_text())
+        cfg[command] = section
+        assert main([command, "-c", str(write_yaml(tmp_path / "c.yaml", cfg))]) == EXIT_OK
+        if command == "grid":
+            # with no scheme, the table keeps one column per p for the VAR row
+            header, _, var = (tmp_path / "out" / "table.txt").read_text().splitlines()
+            assert header.split() == ["eta", "model", "p=1", "p=2"]
+            assert var.split()[:2] == ["-", "VAR"] and len(var.split()) == 4
 
     @pytest.mark.parametrize("command,key,value", [
         ("grid", "timings", "no"),

@@ -8,7 +8,6 @@ import pytest
 
 from stardemand.cli import load_config
 from stardemand.errors import ConfigError, DataError
-from stardemand.estimators import read_model_json
 from stardemand.ingest import (
     load_zones_centroid_csv, load_zones_geojson, make_zone, parse_trips,
 )
@@ -31,13 +30,11 @@ TRIPS_HEADER = b"Date/Time,Lat,Lon,Base\n4/1/2014 0:11:00,40.769,-73.9549,B02512
     ("zones.csv", b"zone_id,lon,lat\nA\xe9,0,0\n", load_zones_centroid_csv),
     ("adj.csv", b"zone_a,zone_b\nA,B\xe9\n", lambda path: read_adjacency_csv(path, ["A", "B"])),
     ("manifest.json", b'{"files": ["w\xe9.csv"]}', lambda path: read_stack(path.parent)),
-    ("model.json", None, read_model_json),
 ], ids=["trips_latin1", "trips_huge_field", "trips_huge_field_mid_block", "panel",
-        "zones_geojson", "zones_csv", "adjacency", "stack_manifest", "model_missing"])
+        "zones_geojson", "zones_csv", "adjacency", "stack_manifest"])
 def test_unreadable_input_is_data_error(tmp_path, name, content, read):
     path = tmp_path / name
-    if content is not None:
-        path.write_bytes(content)
+    path.write_bytes(content)
     with pytest.raises(DataError, match=f"^cannot read .*{re.escape(str(path))}"):
         read(path)
 

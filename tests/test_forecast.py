@@ -420,6 +420,13 @@ class TestRendering:
         cells = re.findall(r"\d+\.\d+", table)
         assert cells and all(len(c.split(".")[1]) == 4 for c in cells)
 
+    def test_var_only_table_keeps_its_mspes(self):
+        # with no scheme the header still has one column per p
+        reports = [r for r in self._reports() if r.model == "var"]
+        lines = render_table(reports).splitlines()
+        assert lines[0].split() == ["eta", "model", "p=1", "p=2"]
+        assert lines[2].split() == ["-", "VAR"] + ["%.4f" % r.test_mspe for r in reports]
+
     def test_eta_rows_descending(self):
         table = render_table(self._reports())
         etas = [int(ln.split()[0]) for ln in table.splitlines()[2:]

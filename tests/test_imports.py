@@ -4,7 +4,11 @@ module, so a refactor cannot leave an orphaned helper behind. No module
 calls ``einsum``: numpy's default einsum does not use BLAS, and on the
 grid-month designs an einsum Gram build is 12 times slower than ``matmul``.
 No module opens a file for reading except through ``errors.open_input``,
-so every unreadable input is reported the same way. Every ``np.loadtxt``
+so every unreadable input is reported the same way. The numerical modules
+``estimators``, ``forecast`` and ``synth`` do no file I/O at all: they call
+no ``open`` and import neither ``json`` nor the file helpers ``open_input``
+and ``write_json``, since every run output is written by ``cli`` into its
+run directory. Every ``np.loadtxt``
 call passes ``comments=None``: the default ``"#"`` silently cuts a field, so
 ``a#b,1,2`` reads as one column.
 
@@ -155,3 +159,37 @@ def test_loadtxt_reads_no_comments():
     found = {path.name: loadtxt_without_comments_none(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+NUMERICAL_MODULES = ("estimators.py", "forecast.py", "synth.py")
+
+
+def file_io(source: str) -> list[str]:
+    """Calls of anything named ``open``, imports of ``json``, and imports of
+    the names ``open_input`` and ``write_json``, each as ``<what> (line n)``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and "open" in (getattr(node.func, "id", None),
+                                                      getattr(node.func, "attr", None)):
+            found.append(f"open (line {node.lineno})")
+        elif isinstance(node, ast.Import):
+            found += [f"{a.name} (line {node.lineno})" for a in node.names
+                      if a.name.split(".")[0] == "json"]
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"{a.name} (line {node.lineno})" for a in node.names
+                      if node.module == "json" or a.name in ("open_input", "write_json")]
+    return found
+
+
+def test_helper_flags_file_io():
+    src = ("import json\nimport numpy as np\nfrom .errors import DataError, write_json\n"
+           "from json import dumps\nfrom .errors import open_input\n"
+           "def f(p):\n    with open(p, 'w') as fh:\n        return p.open()\n"
+           "def g(x):\n    return np.matmul(x, x)\n")
+    assert file_io(src) == ["json (line 1)", "write_json (line 3)", "dumps (line 4)",
+                            "open_input (line 5)", "open (line 7)", "open (line 8)"]
+
+
+def test_numerical_modules_do_no_file_io():
+    found = {name: file_io((PACKAGE / name).read_text()) for name in NUMERICAL_MODULES}
+    assert {name: calls for name, calls in found.items() if calls} == {}

@@ -298,6 +298,16 @@ class TestBinCounts:
         with pytest.raises(DataError):
             bin_counts(_trips([_trip(0, 1)]), self.zones, bin_minutes=7)
 
+    def test_drop_over_centroid_zones_is_data_error(self):
+        # no zone has a polygon to hold a trip, so drop would assign none
+        zones = [make_zone("A", centroid=(0.5, 0.5)), make_zone("B", centroid=(2.0, 0.5))]
+        with pytest.raises(DataError, match="^assign_policy drop assigns no trip"):
+            bin_counts(_trips([_trip(0, 1)]), zones)
+        with pytest.raises(DataError, match="^assign_policy drop assigns no trip"):
+            assign_zone((0.5, 0.5), zones)
+        panel = bin_counts(_trips([_trip(0, 1)]), zones, assign_policy="nearest")
+        assert panel.values[0].sum() == 1
+
 
 class TestZoneLoaders:
     def test_geojson(self, tmp_path):
