@@ -356,9 +356,9 @@ def _load_panel(cfg: Section) -> tuple[panel_mod.DemandPanel, SplitSpec]:
 
 def _stack_dirs(cfg: Section, star_models) -> dict[str, Path]:
     """The ``stacks:`` mapping of name to stack directory, paths resolved;
-    it may be empty only when ``star_models`` (the STAR and LASSO-STAR
-    models to run) is."""
-    stacks = cfg.section("stacks", required=True)
+    it may be absent or empty only when ``star_models`` (the STAR and
+    LASSO-STAR models to run) is."""
+    stacks = cfg.section("stacks", required=bool(star_models))
     if not all(isinstance(p, str) for p in stacks.values.values()):
         raise ConfigError(f"stacks must be a mapping of name to stack directory, "
                           f"got {stacks.values!r}")

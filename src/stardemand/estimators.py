@@ -122,13 +122,19 @@ def lag_regressors(
     so ``end`` may be one past the panel; needs start >= p.
 
     The array is a read-only view: row t is the window of p * eta values
-    from bin t - 1 back in the eta averages of each bin, kept once.
+    from bin t - 1 back in the eta averages of each bin, kept once. That
+    one array is the only copy made: it is filled one average at a time,
+    each from W(l) @ Y over the whole panel, so a value rounds the same
+    whatever the range.
     """
     start, end = t_range
-    bases = [Y] if matrices is None else [W @ Y for W in matrices]
-    back = np.stack([b[:, start - p:end - 1][:, ::-1] for b in bases], axis=-1)
-    windows = sliding_window_view(back.reshape(len(back), -1), p * len(bases), axis=1)
-    return windows[:, ::len(bases)][:, ::-1]
+    matrices = [None] if matrices is None else matrices
+    eta = len(matrices)
+    back = np.empty((len(Y), end - start + p - 1, eta))
+    for l, W in enumerate(matrices):
+        back[..., l] = (Y if W is None else W @ Y)[:, start - p:end - 1][:, ::-1]
+    windows = sliding_window_view(back.reshape(len(back), -1), p * eta, axis=1)
+    return windows[:, ::eta][:, ::-1]
 
 
 def build_design(
@@ -160,6 +166,9 @@ class StarBlocks:
     [p, t2) of every p <= P, the latter as that of [p, t1) plus that of
     [t1, t2), which is what a cell's own design would give; and the
     validation and test spans [t1, t2) and [t2, t_end), which no p changes.
+
+    The design is most of a grid's memory, so ``forecast.run_grid`` keeps
+    one stack's blocks only while that stack's cells run.
     """
 
     design: DesignMatrix
@@ -371,9 +380,9 @@ def fit_var_ols(panel: DemandPanel, p: int, fit_range: tuple[int, int]) -> VarMo
     t_used = end - start - p
     X = np.empty((t_used, k * p + 1))
     X[:, 0] = 1.0
-    # lag-major columns: 1 + (j - 1) * k + z holds y_z(t - j)
-    lags = lag_regressors(Y, p, (start + p, end))          # k x t_used x p
-    X[:, 1:] = lags.transpose(1, 2, 0).reshape(t_used, k * p)
+    # lag-major columns: 1 + (j - 1) * k + z holds y_z(t - j), filled in place
+    for j in range(1, p + 1):
+        X[:, 1 + (j - 1) * k:1 + j * k] = Y[:, start + p - j:end - j].T
     resp = Y[:, start + p:end].T    # t_used x k
     B = _solve_normal((X.T @ X)[None], (X.T @ resp)[None], t_used, lambda z: (X, resp))[0]
     resid = resp - X @ B

@@ -189,40 +189,47 @@ class ScenarioGrid:
             raise DataError(f"grid stacks must have distinct schemes, got {schemes}")
 
 
-def _scenario_cells(panel: DemandPanel, grid: ScenarioGrid):
-    """(kind, stack, order, blocks) of every cell. The STAR and LASSO-STAR
-    cells of a stack share the blocks of one design, of the largest p and
-    eta among the cells that fit (p < t1, eta within the stack); a cell
-    that does not fit gets none, and so fails alone, saying why."""
-    for stack in grid.stacks:
-        ps = [p for p in grid.p_values if p < grid.split.t1]
-        etas = [eta for eta in grid.eta_values if eta <= stack.eta_max]
-        blocks = None
-        if grid.model_kinds and ps and etas:
-            with contextlib.suppress(DataError):
-                blocks = scenario_blocks(panel, stack, ModelOrder(max(ps), max(etas)), grid.split)
-        for kind, eta, p in itertools.product(grid.model_kinds, grid.eta_values, grid.p_values):
-            yield kind, stack, ModelOrder(p=p, eta=eta), (
-                blocks if p in ps and eta in etas else None)
-    if grid.include_var:
-        for p in grid.p_values:
-            yield MODEL_VAR, None, ModelOrder(p=p, eta=1), None
+def _run_cell(panel: DemandPanel, grid: ScenarioGrid, kind: str, stack: WeightStack | None,
+              order: ModelOrder, blocks: StarBlocks | None) -> EvalReport:
+    """One cell's report; a failure lands in it as its error."""
+    try:
+        return run_scenario(panel, stack, kind, order, grid.split, grid.config, blocks)
+    except (DataError, NumericalError) as e:
+        return _report(kind, order, stack, grid.split, val_mspe=None, test_mspe=None,
+                       error=str(e))
+
+
+def _stack_reports(panel: DemandPanel, grid: ScenarioGrid,
+                   stack: WeightStack) -> list[EvalReport]:
+    """The STAR and LASSO-STAR reports of one stack. Its cells share the
+    blocks of one design, of the largest p and eta among the cells that fit
+    (p < t1, eta within the stack); a cell that does not fit gets none, and
+    so fails alone, saying why. The blocks go when this returns, so a grid
+    holds one stack's design at a time."""
+    ps = [p for p in grid.p_values if p < grid.split.t1]
+    etas = [eta for eta in grid.eta_values if eta <= stack.eta_max]
+    blocks = None
+    if grid.model_kinds and ps and etas:
+        with contextlib.suppress(DataError):
+            blocks = scenario_blocks(panel, stack, ModelOrder(max(ps), max(etas)), grid.split)
+    return [_run_cell(panel, grid, kind, stack, ModelOrder(p=p, eta=eta),
+                      blocks if p in ps and eta in etas else None)
+            for kind, eta, p in itertools.product(grid.model_kinds, grid.eta_values,
+                                                  grid.p_values)]
 
 
 def run_grid(panel: DemandPanel, grid: ScenarioGrid) -> list[EvalReport]:
     """Run every scenario in the grid; failures land in-row as errors.
 
-    Reports come back in a deterministic order (scheme, model, eta
-    descending, p).
+    The cells run stack by stack (see :func:`_stack_reports`), then VAR,
+    so a grid holds at most one stack's design and its Gram blocks, and
+    none during the VAR cells. Reports come back in a deterministic order
+    (scheme, model, eta descending, p).
     """
-    reports = []
-    for kind, stack, order, blocks in _scenario_cells(panel, grid):
-        try:
-            reports.append(run_scenario(panel, stack, kind, order, grid.split, grid.config,
-                                        blocks))
-        except (DataError, NumericalError) as e:
-            reports.append(_report(kind, order, stack, grid.split, val_mspe=None,
-                                   test_mspe=None, error=str(e)))
+    reports = [r for stack in grid.stacks for r in _stack_reports(panel, grid, stack)]
+    if grid.include_var:
+        reports += [_run_cell(panel, grid, MODEL_VAR, None, ModelOrder(p=p, eta=1), None)
+                    for p in grid.p_values]
 
     model_rank = {MODEL_STAR: 0, MODEL_LASSO_STAR: 1, MODEL_VAR: 2}
     reports.sort(key=lambda r: (

@@ -669,6 +669,20 @@ class TestConfigValidation:
             assert header.split() == ["eta", "model", "p=1", "p=2"]
             assert var.split()[:2] == ["-", "VAR"] and len(var.split()) == 4
 
+    @pytest.mark.parametrize("models,code", [([], EXIT_OK), (["star"], EXIT_CONFIG)],
+                             ids=["var_only", "star"])
+    def test_grid_without_stacks_key(self, tmp_path, synth_run, capsys, models, code):
+        # only a grid that runs a STAR or LASSO-STAR model reads a stack
+        cfg = yaml.safe_load(self._config(tmp_path, synth_run).read_text())
+        del cfg["stacks"]
+        cfg["grid"] = {"models": models, "p": [1, 2], "include_var": True}
+        assert main(["grid", "-c", str(write_yaml(tmp_path / "c.yaml", cfg))]) == code
+        if code == EXIT_OK:
+            rows = (tmp_path / "out" / "reports.csv").read_text().splitlines()[1:]
+            assert [r.split(",")[:2] for r in rows] == [["var", "1"], ["var", "2"]]
+        else:
+            assert "config error: missing config key stacks" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,key,value", [
         ("grid", "timings", "no"),
         ("grid", "grid.include_var", "no"),

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from stardemand.errors import ConfigError, DataError, NumericalError, write_json
 from stardemand.estimators import (
     DesignMatrix, LassoConfig,
-    build_design, fit_lasso_path, fit_lasso_star, fit_star_ols,
-    fit_var_ols, lambda_max, model_to_dict, mspe, solve_lasso_batch, sse, tune_lambda,
+    build_design, fit_lasso_path, fit_lasso_star, fit_star_ols, fit_var_ols,
+    lag_regressors, lambda_max, model_to_dict, mspe, solve_lasso_batch, sse, tune_lambda,
 )
 from stardemand.forecast import MODEL_LASSO_STAR, run_scenario, scenario_blocks
 from stardemand.panel import ModelOrder, SplitSpec, make_panel
@@ -79,6 +80,28 @@ class TestBuildDesign:
         stack = random_centroid_stack(2, 1, seed=13)
         with pytest.raises(DataError):
             build_design(panel, stack, ModelOrder(p=3, eta=1), (0, 3))
+
+
+def stacked_lag_regressors(Y, p, t_range, matrices=None):
+    """The oracle of ``lag_regressors``, which fills its one array in place:
+    every W @ Y first, then all of them stacked into a second copy."""
+    start, end = t_range
+    bases = [Y] if matrices is None else [W @ Y for W in matrices]
+    back = np.stack([b[:, start - p:end - 1][:, ::-1] for b in bases], axis=-1)
+    windows = sliding_window_view(back.reshape(len(back), -1), p * len(bases), axis=1)
+    return windows[:, ::len(bases)][:, ::-1]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_lag_regressors_match_stacked_oracle(p):
+    panel = random_panel(7, 30, seed=14)
+    stack = random_centroid_stack(7, 6, seed=14)
+    Y = panel.values
+    # the whole panel, a middle range, one bin, and a range ending one past the panel
+    for t_range in [(p, 30), (p + 3, 21), (p + 5, p + 6), (12, 31)]:
+        for matrices in [None] + [stack.matrices[:eta] for eta in range(1, 7)]:
+            got = lag_regressors(Y, p, t_range, matrices)
+            assert np.array_equal(got, stacked_lag_regressors(Y, p, t_range, matrices))
 
 
 class TestStarOls:

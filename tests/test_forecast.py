@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -394,6 +397,72 @@ class TestGridMatchesCells:
             assert r.error is None and r.lambda_ == alone.lambda_
             np.testing.assert_allclose([r.val_mspe, r.test_mspe],
                                        [alone.val_mspe, alone.test_mspe], rtol=1e-12, atol=0)
+
+
+def _traced_peak(fn):
+    """``fn()`` and the most memory it held at once, in bytes traced above
+    what was held before the call."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestGridMemory:
+    """A grid holds one design at a time: built with no second copy and
+    released after its stack's cells, before the next stack's design is
+    built and before the VAR cells run."""
+
+    # run_grid's peak reads 1.9 times the bytes of one stack's design,
+    # k x (t_end + P - 2) x E floats, in both cases: the design, its y, its
+    # Gram blocks and a few k x T arrays. One more design-sized array alive
+    # at the peak adds 1.0.
+    RATIO = 2.2
+
+    @pytest.mark.parametrize("n_stacks,include_var", [(1, True), (2, False)],
+                             ids=["one_stack_with_var", "two_stacks"])
+    def test_peak_within_one_design(self, n_stacks, include_var):
+        # a tall design of few columns outweighs its Gram and path arrays
+        k, T, P, E = 40, 2000, 2, 3
+        panel = random_panel(k, T, seed=59)
+        stacks = (random_centroid_stack(k, E, seed=59), paired_adjacency_stack(k, E))
+        grid = ScenarioGrid(p_values=(1, P), eta_values=(1, E), stacks=stacks[:n_stacks],
+                            split=SplitSpec(700, 1400, T), include_var=include_var)
+        reports, peak = _traced_peak(lambda: run_grid(panel, grid))
+        assert len(reports) == 8 * n_stacks + 2 * include_var
+        assert not any(r.error for r in reports)
+        assert peak <= self.RATIO * k * (T + P - 2) * E * 8
+
+    def test_blocks_released_after_their_stack(self, monkeypatch):
+        # no stack's blocks are alive when the next stack's are built or a VAR cell fits
+        built, alive = [], []
+        make_blocks, fit_var = forecast.scenario_blocks, forecast.fit_var_ols
+
+        def tracked_blocks(*args):
+            alive.append(sum(ref() is not None for ref in built))
+            blocks = make_blocks(*args)
+            built.append(weakref.ref(blocks))
+            return blocks
+
+        def tracked_var(*args):
+            alive.append(sum(ref() is not None for ref in built))
+            return fit_var(*args)
+
+        monkeypatch.setattr(forecast, "scenario_blocks", tracked_blocks)
+        monkeypatch.setattr(forecast, "fit_var_ols", tracked_var)
+        panel = random_panel(6, 60, seed=56)
+        stacks = (random_centroid_stack(6, 3, seed=56), paired_adjacency_stack(6, 2))
+        reports = run_grid(panel, ScenarioGrid(p_values=(1, 2), eta_values=(1, 2), stacks=stacks,
+                                               split=SplitSpec(20, 40, 60)))
+        assert len(reports) == 18 and not any(r.error for r in reports)
+        # two block builds, then a fit on [0, t1) and one on [0, t2) per VAR cell
+        assert len(built) == 2 and alive == 6 * [0]
 
 
 class TestRendering:
