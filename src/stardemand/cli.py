@@ -368,6 +368,22 @@ def _stack_dirs(cfg: Section, star_models) -> dict[str, Path]:
     return {name: stacks.path(name) for name in stacks.values}
 
 
+def _read_stacks(stack_dirs: dict[str, Path],
+                 pn: panel_mod.DemandPanel) -> dict[str, weights.WeightStack]:
+    """Each stack of ``stack_dirs`` by name, read and held to the panel's zone
+    ids in the panel's order: a stack in another order is rejected, not
+    reordered."""
+    stacks = {}
+    for name, d in stack_dirs.items():
+        stacks[name] = weights.read_stack(d)
+        try:
+            # every stack is at least 1 deep, so only the zone rule can fail
+            estimators.check_stack(pn, stacks[name], eta=1)
+        except DataError as e:
+            raise DataError(f"stack {d}: {e}") from None
+    return stacks
+
+
 def _lasso_from_config(cfg: Section) -> LassoConfig:
     """The penalty grid is explicit (``grid``) or generated from n_lambdas,
     lambda_min_ratio and include_zero, never both."""
@@ -398,7 +414,7 @@ def cmd_fit(args) -> int:
         stack_dirs = _stack_dirs(cfg, (kind,))
         stack_name = fcfg.choice("stack", tuple(stack_dirs))
     pn, spl = _load_panel(cfg)
-    stack = {name: weights.read_stack(d) for name, d in stack_dirs.items()}.get(stack_name)
+    stack = _read_stacks(stack_dirs, pn).get(stack_name)
     run = RunDir(out_dir, "fit", cfg.echo)
 
     report = forecast.run_scenario(pn, stack, kind, ModelOrder(p=p, eta=eta), spl, lasso)
@@ -423,11 +439,12 @@ def cmd_grid(args) -> int:
     lasso = _lasso_from_config(cfg)
     stack_dirs = _stack_dirs(cfg, models)
     pn, spl = _load_panel(cfg)
+    stacks = _read_stacks(stack_dirs, pn)
 
     grid = ScenarioGrid(
         p_values=p_values,
         eta_values=eta_values,
-        stacks=tuple(weights.read_stack(stack_dirs[name]) for name in sorted(stack_dirs)),
+        stacks=tuple(stacks[name] for name in sorted(stacks)),
         model_kinds=models,
         include_var=include_var,
         split=spl,
@@ -469,7 +486,7 @@ def cmd_synth(args) -> int:
         eta = scfg.number("eta", minimum=1)
         order = ModelOrder(p=p, eta=eta)
         if scfg.raw("stack", "random") == "random":
-            stack_dir, eta_max = None, scfg.number("eta_max", eta, minimum=1)
+            stack_dir, eta_max = None, scfg.number("eta_max", eta, minimum=eta)
         else:
             stack_dir = scfg.path("stack")
         if "coefficients" in scfg.values:

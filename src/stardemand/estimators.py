@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -104,22 +105,24 @@ def check_stack(panel: DemandPanel, stack: WeightStack | None, eta: int) -> None
     if eta > stack.eta_max:
         raise DataError(f"eta={eta} exceeds stack depth {stack.eta_max}")
     if stack.zone_ids != panel.zone_ids:
-        raise DataError("weight stack zone order does not match panel")
+        pairs = list(zip_longest(stack.zone_ids, panel.zone_ids))
+        i = next(i for i, (ours, theirs) in enumerate(pairs) if ours != theirs)
+        raise DataError(f"weight stack zone order does not match panel: position {i} "
+                        f"holds {pairs[i][0]!r} in the stack, {pairs[i][1]!r} in the panel")
 
 
 def lag_regressors(
     Y: np.ndarray,
     p: int,
     t_range: tuple[int, int],
-    matrices: Sequence[np.ndarray] | None = None,
+    matrices: Sequence[np.ndarray],
 ) -> np.ndarray:
     """Lagged regressors for the target bins t in [start, end).
 
     Returns a k x (end - start) x (eta * p) array whose entry
     [i, t - start, (j - 1) * eta + l] is W(l)[i, :] . y(t - j), so slice
-    [i] is zone i's design rows. Without ``matrices`` the regressors are
-    the raw lags y_i(t - j) (eta = 1). Bin t reads only bins t - p .. t - 1,
-    so ``end`` may be one past the panel; needs start >= p.
+    [i] is zone i's design rows. Bin t reads only bins t - p .. t - 1, so
+    ``end`` may be one past the panel; needs start >= p.
 
     The array is a read-only view: row t is the window of p * eta values
     from bin t - 1 back in the eta averages of each bin, kept once. That
@@ -128,11 +131,10 @@ def lag_regressors(
     whatever the range.
     """
     start, end = t_range
-    matrices = [None] if matrices is None else matrices
     eta = len(matrices)
     back = np.empty((len(Y), end - start + p - 1, eta))
     for l, W in enumerate(matrices):
-        back[..., l] = (Y if W is None else W @ Y)[:, start - p:end - 1][:, ::-1]
+        back[..., l] = (W @ Y)[:, start - p:end - 1][:, ::-1]
     windows = sliding_window_view(back.reshape(len(back), -1), p * eta, axis=1)
     return windows[:, ::eta][:, ::-1]
 
@@ -275,6 +277,11 @@ class VarModel:
     fit_range: tuple[int, int]
 
 
+# The longest generated penalty grid, ten times glmnet's default of 100. A
+# fit's path is a k x m x n_lambdas array: 5.2 MB at k = 27 and m = 24.
+MAX_N_LAMBDAS = 1_000
+
+
 @dataclass(frozen=True)
 class LassoConfig:
     """Penalty grid of the LASSO path, and the span the test model is fit
@@ -288,8 +295,9 @@ class LassoConfig:
     refit_after_tuning: bool = True
 
     def __post_init__(self):
-        if self.n_lambdas < 1:
-            raise ConfigError(f"n_lambdas must be >= 1, got {self.n_lambdas}")
+        if not 1 <= self.n_lambdas <= MAX_N_LAMBDAS:
+            raise ConfigError(f"n_lambdas must lie in [1, {MAX_N_LAMBDAS}], "
+                              f"got {self.n_lambdas}")
         if not 0 < self.lambda_min_ratio < 1:
             raise ConfigError(
                 f"lambda_min_ratio must lie in (0, 1), got {self.lambda_min_ratio}")

@@ -245,50 +245,23 @@ def parse_trips(
     ``skip`` drops it. A malformed ``fmt.timestamp_format`` is one DataError,
     raised before the file is opened.
 
-    The rows after the header are read ``_BLOCK_ROWS`` lines at a time, by
-    numpy's C reader where it reads a block as ``csv.reader`` would, else by
-    ``csv.reader`` (see :func:`_read_rows`). Each distinct stamp is parsed
-    once by ``datetime.strptime``: as a date half and a time half where
-    :func:`_stamp_parser` splits the format and both halves parse, else
-    whole; strptime words every error. A UTC offset read by ``%z`` is
-    dropped: times keep their wall-clock reading.
+    The rows after the header are read ``_BLOCK_ROWS`` physical lines at a
+    time. A block that :func:`_numpy_block` reads with numpy's C reader is
+    numbered line by line, and only the first stamp of each run of equal
+    stamps is looked up. Any other block goes through ``csv.reader``, which
+    reads on past the block's last line to finish a record that spans it.
+    Each distinct stamp is parsed once by ``datetime.strptime``: as a date
+    half and a time half where :func:`_stamp_parser` splits the format and
+    both halves parse, else whole; strptime words every error. A UTC offset
+    read by ``%z`` is dropped: times keep their wall-clock reading.
     """
     if policy not in PARSE_POLICIES:
         raise DataError(f"unknown parse policy {policy!r}")
     to_us = _stamp_parser(fmt.timestamp_format)
     if report is None:
         report = IngestReport()
-
     times, lats, lons = array("q"), array("d"), array("d")
-    with open_input(stream, "trips", newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is not None:
-            _read_rows(fh, reader.line_num, header, fmt, to_us, policy, report,
-                       times, lats, lons)
-    # the columns are views of the buffers, not copies
-    return Trips(time=np.frombuffer(times, dtype=np.int64).view("datetime64[us]"),
-                 lat=np.frombuffer(lats), lon=np.frombuffer(lons))
-
-
-def _read_rows(fh, line, header, fmt, to_us, policy, report, times, lats, lons) -> None:
-    """Append each good row of ``fh``, whose first ``line`` lines are read,
-    to the column buffers; ``to_us`` parses a timestamp.
-
-    ``fh`` is read ``_BLOCK_ROWS`` physical lines at a time. A block that
-    :func:`_numpy_block` reads is numbered line by line, and only the first
-    stamp of each run of equal stamps is looked up. Any other block goes
-    through ``csv.reader``, which reads on past the block's last line to
-    finish a record that spans it.
-    """
-    # a repeated column name reads its last occurrence, like csv.DictReader
-    col = {name: i for i, name in enumerate(header)}
-    for name in (fmt.time_column, fmt.lat_column, fmt.lon_column):
-        if name not in col:
-            raise DataError(f"trips CSV missing column {name!r}")
-    cols = (col[fmt.time_column], col[fmt.lat_column], col[fmt.lon_column])
-    fields = itemgetter(*cols)
-    width = len(header)
+    names = (fmt.time_column, fmt.lat_column, fmt.lon_column)
     stamp_us: dict[str | None, int] = {None: _BAD_US}  # a short row's stamp reads None
 
     def stamps_us(stamps: list) -> np.ndarray:
@@ -296,56 +269,69 @@ def _read_rows(fh, line, header, fmt, to_us, policy, report, times, lats, lons) 
             stamp_us[stamp] = to_us(stamp)
         return np.fromiter(map(stamp_us.__getitem__, stamps), np.int64, len(stamps))
 
-    try:
-        while lines := list(islice(fh, _BLOCK_ROWS)):
-            block = _numpy_block(lines, cols)
-            if block is not None:
-                stamps, lat, lon = block
-                lat_text, lon_text = lat, lon  # float() gives numpy's values back
-                numbers = range(line + 1, line + 1 + len(lines))
-                line += len(lines)
-                head = np.ones(len(stamps), dtype=bool)  # first of a run of equal stamps
-                head[1:] = stamps[1:] != stamps[:-1]
-                t = stamps_us(stamps[head].tolist())[np.cumsum(head) - 1]
-            else:
-                reader, block_end = csv.reader(chain(lines, fh)), len(lines)
-                rows, numbers = [], []
-                for row in reader:
-                    if row:
-                        rows.append(row)
-                        numbers.append(line + reader.line_num)
-                    if reader.line_num >= block_end:
-                        break
-                line += reader.line_num
-                if not rows:
-                    continue
-                try:
-                    stamps, lat_text, lon_text = zip(*map(fields, rows))
-                except IndexError:
-                    # a short row reads None in its missing fields, like csv.DictReader
-                    stamps, lat_text, lon_text = zip(
-                        *(fields(r + [None] * (width - len(r))) for r in rows))
-                t = stamps_us(stamps)
-                lat, lon = _floats(lat_text), _floats(lon_text)
-            good = (t != _BAD_US) & (np.abs(lat) <= 90) & (np.abs(lon) <= 180)
-            bad = np.flatnonzero(~good).tolist()
-            if bad:
-                if policy == POLICY_STRICT:
-                    good[bad[0]:] = False
-                    del bad[1:]
-                t, lat, lon = t[good], lat[good], lon[good]
-            times.frombytes(t.tobytes())
-            lats.frombytes(lat.tobytes())
-            lons.frombytes(lon.tobytes())
-            for i in bad:
-                stamp = stamps[i] if block is None else str(stamps[i])  # not numpy's repr
-                err = _row_error(stamp, lat_text[i], lon_text[i], fmt.timestamp_format)
-                report.row_errors.append(RowError(line=numbers[i], message=err))
-                report.dropped_parse += 1
-                if policy == POLICY_STRICT:
-                    raise DataError(f"line {numbers[i]}: {err}")
-    finally:
-        report.parsed += len(times)
+    with open_input(stream, "trips", newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, names)  # an empty file has the columns and no rows
+        line = reader.line_num
+        # a repeated column name reads its last occurrence, like csv.DictReader
+        col = {name: i for i, name in enumerate(header)}
+        if missing := [name for name in names if name not in col]:
+            raise DataError(f"trips CSV missing column {missing[0]!r}")
+        cols = tuple(col[name] for name in names)
+        fields, width = itemgetter(*cols), len(header)
+        try:
+            while lines := list(islice(fh, _BLOCK_ROWS)):
+                block = _numpy_block(lines, cols)
+                if block is not None:
+                    stamps, lat, lon = block
+                    lat_text, lon_text = lat, lon  # float() gives numpy's values back
+                    numbers = range(line + 1, line + 1 + len(lines))
+                    line += len(lines)
+                    head = np.ones(len(stamps), dtype=bool)  # first of a run of equal stamps
+                    head[1:] = stamps[1:] != stamps[:-1]
+                    t = stamps_us(stamps[head].tolist())[np.cumsum(head) - 1]
+                else:
+                    reader, block_end = csv.reader(chain(lines, fh)), len(lines)
+                    rows, numbers = [], []
+                    for row in reader:
+                        if row:
+                            rows.append(row)
+                            numbers.append(line + reader.line_num)
+                        if reader.line_num >= block_end:
+                            break
+                    line += reader.line_num
+                    if not rows:
+                        continue
+                    try:
+                        stamps, lat_text, lon_text = zip(*map(fields, rows))
+                    except IndexError:
+                        # a short row reads None in its missing fields, like csv.DictReader
+                        stamps, lat_text, lon_text = zip(
+                            *(fields(r + [None] * (width - len(r))) for r in rows))
+                    t = stamps_us(stamps)
+                    lat, lon = _floats(lat_text), _floats(lon_text)
+                good = (t != _BAD_US) & (np.abs(lat) <= 90) & (np.abs(lon) <= 180)
+                bad = np.flatnonzero(~good).tolist()
+                if bad:
+                    if policy == POLICY_STRICT:
+                        good[bad[0]:] = False
+                        del bad[1:]
+                    t, lat, lon = t[good], lat[good], lon[good]
+                times.frombytes(t.tobytes())
+                lats.frombytes(lat.tobytes())
+                lons.frombytes(lon.tobytes())
+                for i in bad:
+                    stamp = stamps[i] if block is None else str(stamps[i])  # not numpy's repr
+                    err = _row_error(stamp, lat_text[i], lon_text[i], fmt.timestamp_format)
+                    report.row_errors.append(RowError(line=numbers[i], message=err))
+                    report.dropped_parse += 1
+                    if policy == POLICY_STRICT:
+                        raise DataError(f"line {numbers[i]}: {err}")
+        finally:
+            report.parsed += len(times)
+    # the columns are views of the buffers, not copies
+    return Trips(time=np.frombuffer(times, dtype=np.int64).view("datetime64[us]"),
+                 lat=np.frombuffer(lats), lon=np.frombuffer(lons))
 
 
 def _numpy_block(lines: list[str], cols) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -579,26 +565,30 @@ def load_zones_geojson(path) -> list[ZoneGeometry]:
     """FeatureCollection of Polygons with a `zone_id` property.
 
     Only the outer ring of each polygon is used; MultiPolygons take the
-    first polygon.
+    first polygon. A document of another shape, such as a geometry without
+    coordinates or a position that is not two numbers, is a DataError.
     """
     with open_input(path, "zones") as fh:
         doc = json.load(fh)
-    if doc.get("type") != "FeatureCollection":
-        raise DataError(f"{path}: expected a FeatureCollection")
     zones = []
-    for feat in doc.get("features", []):
-        props = feat.get("properties", {}) or {}
-        if "zone_id" not in props:
-            raise DataError(f"{path}: feature missing zone_id property")
-        geom = feat.get("geometry", {}) or {}
-        gtype = geom.get("type")
-        if gtype == "Polygon":
-            ring = geom["coordinates"][0]
-        elif gtype == "MultiPolygon":
-            ring = geom["coordinates"][0][0]
-        else:
-            raise DataError(f"{path}: unsupported geometry type {gtype!r}")
-        zones.append(make_zone(props["zone_id"], polygon=ring))
+    try:
+        if doc.get("type") != "FeatureCollection":
+            raise DataError(f"{path}: expected a FeatureCollection")
+        for feat in doc.get("features", []):
+            props = feat.get("properties", {}) or {}
+            if "zone_id" not in props:
+                raise DataError(f"{path}: feature missing zone_id property")
+            geom = feat.get("geometry", {}) or {}
+            gtype = geom.get("type")
+            if gtype == "Polygon":
+                ring = geom["coordinates"][0]
+            elif gtype == "MultiPolygon":
+                ring = geom["coordinates"][0][0]
+            else:
+                raise DataError(f"{path}: unsupported geometry type {gtype!r}")
+            zones.append(make_zone(props["zone_id"], polygon=ring))
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
+        raise DataError(f"{path}: malformed GeoJSON: {e!r}") from None
     if not zones:
         raise DataError(f"{path}: no zone features")
     unique_zone_ids((z.zone_id for z in zones), str(path))

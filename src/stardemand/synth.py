@@ -89,9 +89,14 @@ def _gaussian_vector(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def implied_var_matrices(spec: ProcessSpec, stack: WeightStack | None) -> list[np.ndarray]:
-    """Per-lag k x k transition matrices of the process in VAR form."""
+    """Per-lag k x k transition matrices of the process in VAR form; a STAR
+    spec reads a stack at least eta deep over its k zones."""
     if spec.kind == KIND_VAR:
         return [np.array(m, dtype=float) for m in spec.var_lag_matrices]
+    if stack.eta_max < spec.order.eta:
+        raise DataError("stack too shallow for spec eta")
+    if stack.k != spec.k:
+        raise DataError("stack size does not match spec")
     p, eta = spec.order.p, spec.order.eta
     mats = []
     for j in range(1, p + 1):
@@ -145,10 +150,6 @@ def gen_star_process(spec: ProcessSpec, stack: WeightStack) -> DemandPanel:
     through its VAR form (zero intercept); the panel's zones are the stack's."""
     if spec.kind != KIND_STAR:
         raise DataError("spec kind is not star")
-    if stack.eta_max < spec.order.eta:
-        raise DataError("stack too shallow for spec eta")
-    if stack.k != spec.k:
-        raise DataError("stack size does not match spec")
     return _iterate(spec, np.zeros(spec.k), implied_var_matrices(spec, stack), stack.zone_ids)
 
 

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -8,12 +10,15 @@ import yaml
 
 from stardemand import ingest as ingest_mod
 from stardemand.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
+from stardemand.errors import DataError
 from stardemand.estimators import LassoConfig, model_to_dict
 from stardemand.forecast import mspe, predict_range, run_scenario
+from stardemand.ingest import load_zones_geojson
 from stardemand.panel import (
     ModelOrder, SplitSpec, make_panel, read_panel_csv, write_panel_csv,
 )
-from stardemand.weights import read_stack
+from stardemand.synth import random_centroid_stack
+from stardemand.weights import read_stack, write_stack
 
 from conftest import read_model, replace_first_cell
 
@@ -80,6 +85,20 @@ class TestSynth:
             texts.append((out / "panel.csv").read_bytes())
         assert texts[0] == texts[1]
 
+    @pytest.mark.parametrize("synth,code,message", [
+        ({"eta": 3, "eta_max": 2}, EXIT_CONFIG, "config error: synth.eta_max must be >= 3"),
+        ({"eta": 1, "stack": "two"}, EXIT_DATA, "data error: stack size does not match spec"),
+    ], ids=["eta_max_below_eta", "stack_of_fewer_zones"])
+    def test_star_spec_checked_against_its_stack(self, tmp_path, capsys, synth, code, message):
+        write_stack(random_centroid_stack(2, 1, seed=5), tmp_path / "two")
+        cfg = write_yaml(tmp_path / "s.yaml", {
+            "output_dir": str(tmp_path / "out"),
+            "synth": {"kind": "star", "k": 3, "length": 40, "p": 1, **synth},
+        })
+        assert main(["synth", "-c", str(cfg)]) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestWeights:
     def test_centroid_scheme(self, tmp_path):
@@ -145,6 +164,35 @@ class TestWeights:
             assert files == sorted(f.name for f in again.iterdir())
             for name in files:
                 assert (first / name).read_bytes() == (again / name).read_bytes()
+
+    @pytest.mark.parametrize("doc", [
+        {"geometry": {"type": "Polygon"}},
+        [],
+        "A",
+        {"geometry": {"type": "Polygon", "coordinates": [[[0, 0, 0], [1, 0, 0], [1, 1, 0],
+                                                           [0, 0, 0]]]}},
+        {"geometry": {"type": "Polygon", "coordinates": [[["a", 0], [1, 0], [1, 1],
+                                                           ["a", 0]]]}},
+        {"geometry": {"type": "Polygon", "coordinates": []}},
+    ], ids=["no_coordinates", "top_level_list", "feature_str", "three_number_positions",
+            "non_numeric_position", "empty_coordinates"])
+    def test_malformed_geojson_is_data_error(self, tmp_path, capsys, doc):
+        if isinstance(doc, dict):
+            doc = {"type": "Feature", "properties": {"zone_id": "A"}, **doc}
+        if not isinstance(doc, list):
+            doc = {"type": "FeatureCollection", "features": [doc]}
+        path = tmp_path / "zones.geojson"
+        path.write_text(json.dumps(doc))
+        (tmp_path / "adj.csv").write_text("zone_a,zone_b\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: malformed GeoJSON"):
+            load_zones_geojson(path)
+        cfg = write_yaml(tmp_path / "w.yaml", {
+            "output_dir": str(tmp_path / "w"),
+            "weights": {"scheme": "adjacency", "eta_max": 2, "zones": "zones.geojson",
+                        "adjacency": "adj.csv"}})
+        assert main(["weights", "-c", str(cfg)]) == EXIT_DATA
+        assert f"data error: {path}: malformed GeoJSON" in capsys.readouterr().err
+        assert not (tmp_path / "w").exists()
 
     def test_unknown_scheme_is_config_error(self, tmp_path):
         zones = tmp_path / "zones.csv"
@@ -486,6 +534,36 @@ class TestGrid:
         assert not (tmp_path / "grid").exists()
 
 
+@pytest.mark.parametrize("command,section", [
+    ("grid", {"models": ["star", "lasso_star"], "p": [1], "eta": [1, 2], "include_var": True}),
+    ("grid", {"models": ["star"], "p": [1], "eta": [1, 2], "include_var": False}),
+    ("fit", {"model": "star", "p": 1, "eta": 1, "stack": "rings"}),
+], ids=["grid_every_model", "grid_star_only", "fit"])
+def test_stack_in_another_zone_order_is_data_error(tmp_path, synth_run, capsys, command,
+                                                   section):
+    # the panel's zones in reverse: rejected where the stack is read, before the
+    # run directory, not cell by cell
+    stack_dir = tmp_path / "reversed"
+    shutil.copytree(synth_run / "stack", stack_dir)
+    manifest = json.loads((stack_dir / "manifest.json").read_text())
+    manifest["zone_ids"].reverse()
+    (stack_dir / "manifest.json").write_text(json.dumps(manifest))
+    cfg = write_yaml(tmp_path / "c.yaml", {
+        "output_dir": str(tmp_path / "out"),
+        "panel": str(synth_run / "panel.csv"),
+        "stacks": {"rings": str(stack_dir)},
+        "split": {"t1": 30, "t2": 60},
+        "lasso": {"n_lambdas": 5},
+        command: section,
+    })
+    assert main([command, "-c", str(cfg)]) == EXIT_DATA
+    first, last = manifest["zone_ids"][0], manifest["zone_ids"][-1]
+    assert (f"data error: stack {stack_dir}: weight stack zone order does not match panel: "
+            f"position 0 holds {first!r} in the stack, {last!r} in the panel"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["grid", "-c", str(tmp_path / "nope.yaml")]) == EXIT_CONFIG
@@ -598,6 +676,18 @@ class TestConfigValidation:
     def test_bad_lasso_value(self, tmp_path, synth_run, command, lasso):
         cfg = self._config(tmp_path, synth_run, lasso=lasso)
         assert main([command, "-c", str(cfg)]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["grid", "fit"])
+    def test_n_lambdas_above_limit_is_config_error(self, tmp_path, synth_run, monkeypatch,
+                                                   capsys, command):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("np.geomspace called")
+
+        monkeypatch.setattr(np, "geomspace", no_grid)
+        cfg = self._config(tmp_path, synth_run, lasso={"n_lambdas": 10**9})
+        assert main([command, "-c", str(cfg)]) == EXIT_CONFIG
+        assert "config error: n_lambdas must lie in [1, " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_explicit_grid_with_generated_keys_names_them(self, tmp_path, synth_run, capsys):

@@ -4,7 +4,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from stardemand.errors import ConfigError, DataError, NumericalError, write_json
 from stardemand.estimators import (
-    DesignMatrix, LassoConfig,
+    MAX_N_LAMBDAS, DesignMatrix, LassoConfig,
     build_design, fit_lasso_path, fit_lasso_star, fit_star_ols, fit_var_ols,
     lag_regressors, lambda_max, model_to_dict, mspe, solve_lasso_batch, sse, tune_lambda,
 )
@@ -82,11 +82,11 @@ class TestBuildDesign:
             build_design(panel, stack, ModelOrder(p=3, eta=1), (0, 3))
 
 
-def stacked_lag_regressors(Y, p, t_range, matrices=None):
+def stacked_lag_regressors(Y, p, t_range, matrices):
     """The oracle of ``lag_regressors``, which fills its one array in place:
     every W @ Y first, then all of them stacked into a second copy."""
     start, end = t_range
-    bases = [Y] if matrices is None else [W @ Y for W in matrices]
+    bases = [W @ Y for W in matrices]
     back = np.stack([b[:, start - p:end - 1][:, ::-1] for b in bases], axis=-1)
     windows = sliding_window_view(back.reshape(len(back), -1), p * len(bases), axis=1)
     return windows[:, ::len(bases)][:, ::-1]
@@ -99,7 +99,7 @@ def test_lag_regressors_match_stacked_oracle(p):
     Y = panel.values
     # the whole panel, a middle range, one bin, and a range ending one past the panel
     for t_range in [(p, 30), (p + 3, 21), (p + 5, p + 6), (12, 31)]:
-        for matrices in [None] + [stack.matrices[:eta] for eta in range(1, 7)]:
+        for matrices in [stack.matrices[:eta] for eta in range(1, 7)]:
             got = lag_regressors(Y, p, t_range, matrices)
             assert np.array_equal(got, stacked_lag_regressors(Y, p, t_range, matrices))
 
@@ -630,6 +630,16 @@ class TestLassoConfig:
 
     def test_smallest_legal_grid(self):
         assert LassoConfig(n_lambdas=1, include_zero=False).grid(2.0) == [2.0]
+
+    def test_n_lambdas_above_limit_is_rejected_before_any_grid(self, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("np.geomspace called")
+
+        monkeypatch.setattr(np, "geomspace", no_grid)
+        for n in (10**9, MAX_N_LAMBDAS + 1):
+            with pytest.raises(ConfigError, match=rf"n_lambdas must lie in \[1, {MAX_N_LAMBDAS}\]"):
+                LassoConfig(n_lambdas=n)
+        assert LassoConfig(n_lambdas=MAX_N_LAMBDAS).n_lambdas == MAX_N_LAMBDAS
 
 
 class TestTuneLambda:

@@ -69,6 +69,17 @@ class TestGenStar:
         with pytest.raises(DataError, match="unstable"):
             gen_star_process(spec, _id_stack(1))
 
+    @pytest.mark.parametrize("stack_k,eta_max,eta,message", [
+        (3, 2, 3, "stack too shallow for spec eta"),
+        (2, 1, 1, "stack size does not match spec"),
+    ], ids=["shallow", "fewer_zones"])
+    def test_spec_checked_against_its_stack(self, stack_k, eta_max, eta, message):
+        # the sparse spec reads the stack in implied_var_matrices, before any generator
+        stack = random_centroid_stack(stack_k, eta_max, seed=7)
+        with pytest.raises(DataError, match=message):
+            random_sparse_star_spec(3, ModelOrder(p=1, eta=eta), stack, sigma=0.5, length=50,
+                                    seed=7)
+
 
 class TestGenVar:
     def _var_spec(self, v, mats, **kw):
