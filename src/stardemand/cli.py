@@ -415,9 +415,10 @@ def cmd_fit(args) -> int:
         stack_name = fcfg.choice("stack", tuple(stack_dirs))
     pn, spl = _load_panel(cfg)
     stack = _read_stacks(stack_dirs, pn).get(stack_name)
+    # fit first: a fit that fails leaves no run directory
+    report = forecast.run_scenario(pn, stack, kind, ModelOrder(p=p, eta=eta), spl, lasso)
     run = RunDir(out_dir, "fit", cfg.echo)
 
-    report = forecast.run_scenario(pn, stack, kind, ModelOrder(p=p, eta=eta), spl, lasso)
     if kind == MODEL_LASSO_STAR:
         write_json(run.file("lambda_curve.json"),
                    {"lambda": report.fit.lambda_, "curve": [[l, m] for l, m in report.curve]})

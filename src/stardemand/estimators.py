@@ -16,9 +16,10 @@ lag j:
 row t, column (j-1)*eta + l  =  W(l)[i, :] . y(t - j).
 
 A design of order (p, eta) is a column subset of one of higher order, so
-a scenario grid builds one design per weight stack and :class:`StarBlocks`
-hands each cell its rows as views and its Gram G = Z'Z, c = Z'y, y'y as
-sub-blocks. The fits read only the Gram: OLS (VAR's too) by Cholesky,
+a scenario grid forms the Gram blocks G = Z'Z, c = Z'y, y'y of one design
+per weight stack, a span of its rows at a time, and :class:`StarBlocks`
+hands each cell its Gram as sub-blocks and its rows only where they are
+asked for. The fits read only the Gram: OLS (VAR's too) by Cholesky,
 LASSO by path. So do the scores: :func:`sse` reads each zone's residual
 sum of squares as the quadratic form y'y - 2 c'phi + phi'G phi, for the
 sigma2 of a STAR model, the validation and test MSPEs of a STAR scenario
@@ -32,8 +33,9 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import zip_longest
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -68,23 +70,28 @@ def _gram(Z: np.ndarray, y: np.ndarray) -> Gram:
 class DesignMatrix:
     """All zones' regression systems: zone i regresses y[i] on Z[i].
 
-    A view of a design of higher order keeps its wider Z, of which
-    ``cols`` are its own, and may carry its Gram in ``normal``.
+    A cell's rows handed out by :class:`StarBlocks` carry their Gram in
+    ``normal`` and no ``Z``: ``form`` builds Z the first time :meth:`own`
+    is asked for rows.
     """
 
-    Z: np.ndarray          # k x T_used x (eta * p), or wider with ``cols``
+    Z: np.ndarray | None   # k x T_used x (eta * p), or None with ``form``
     y: np.ndarray          # k x T_used
     order: ModelOrder
     fit_range: tuple[int, int]
-    cols: np.ndarray | None = None
     normal: Gram | None = None
+    form: Callable[[], np.ndarray] | None = None
+
+    @cached_property
+    def _formed(self) -> np.ndarray:
+        return self.form()
 
     def own(self, zone=slice(None)) -> np.ndarray:
-        """A zone's rows (every zone's by default) in the design's own columns."""
-        return self.Z[zone] if self.cols is None else self.Z[zone][..., self.cols]
+        """A zone's rows (every zone's by default)."""
+        return (self._formed if self.Z is None else self.Z)[zone]
 
     def gram(self) -> Gram:
-        """The Gram of the rows in the design's own columns: ``normal`` if given."""
+        """The Gram of the design's rows: ``normal`` if given."""
         return _gram(self.own(), self.y) if self.normal is None else self.normal
 
 
@@ -157,55 +164,74 @@ def build_design(
 
 @dataclass(frozen=True)
 class StarBlocks:
-    """One design shared by the STAR cells of order (p, eta) <= (P, E) on
-    one split, which take their rows from it as views and their Gram
-    matrices as sub-blocks.
+    """The Gram blocks shared by the STAR cells of order (p, eta) <= (P, E)
+    on one split, from which a cell takes its Gram matrices as sub-blocks.
 
-    ``design`` is of order (P, E), built on the panel with P - 1 zero bins
-    before bin 0: its rows are the targets 1 .. t_end - 1, and a cell of
-    order p reads those at t >= p, which read no zero bin. ``grams`` maps a
-    target range to the Gram of its rows: the fit ranges [p, t1) and
-    [p, t2) of every p <= P, the latter as that of [p, t1) plus that of
-    [t1, t2), which is what a cell's own design would give; and the
-    validation and test spans [t1, t2) and [t2, t_end), which no p changes.
+    The blocks are those of the design of order (P, E) on ``zeros``, the
+    panel with P - 1 zero bins before bin 0, whose rows are the targets
+    1 .. t_end - 1; a cell of order p reads those at t >= p, which read no
+    zero bin. ``grams`` maps a target range to the Gram of its rows: the fit
+    ranges [p, t1) and [p, t2) of every p <= P, the latter as that of
+    [p, t1) plus that of [t1, t2), which is what a cell's own design would
+    give; and the validation and test spans [t1, t2) and [t2, t_end), which
+    no p changes.
 
-    The design is most of a grid's memory, so ``forecast.run_grid`` keeps
-    one stack's blocks only while that stack's cells run.
+    The design itself is not kept: it would be most of a grid's memory. A
+    cell's rows are built from ``zeros`` only where a fit or score asks for
+    them (see :meth:`rows`).
     """
 
-    design: DesignMatrix
+    zeros: DemandPanel
+    stack: WeightStack
+    order: ModelOrder
     split: SplitSpec
     grams: dict[tuple[int, int], Gram]
 
     def rows(self, order: ModelOrder, t_range: tuple[int, int]) -> DesignMatrix:
-        """Cell ``order``'s rows of the targets [start, end), with their Gram
-        as ``normal`` where ``grams`` holds the range."""
-        (start, end), design = t_range, self.design
-        if order.p > design.order.p or order.eta > design.order.eta:
+        """Cell ``order``'s system for the targets [start, end): its Gram as
+        ``normal`` where ``grams`` holds the range, ``y`` a view of the panel,
+        and Z formed by :func:`build_design` only if asked for."""
+        (start, end), (P, E) = t_range, (self.order.p, self.order.eta)
+        if order.p > P or order.eta > E:
             raise DataError(f"cell order (p={order.p}, eta={order.eta}) exceeds the shared "
-                            f"design's (p={design.order.p}, eta={design.order.eta})")
+                            f"design's (p={P}, eta={E})")
         if not order.p <= start <= end <= self.split.t_end:
             raise DataError(f"no shared rows for targets {t_range} at p={order.p}")
         # column (j - 1) * eta + l of the cell is (j - 1) * E + l of the design
-        cols = (np.arange(order.p)[:, None] * design.order.eta + np.arange(order.eta)).ravel()
+        cols = (np.arange(order.p)[:, None] * E + np.arange(order.eta)).ravel()
         gram = self.grams.get((start, end))
         if gram is not None:
             gram = Gram(gram.G[:, cols[:, None], cols], gram.c[:, cols], gram.yy)
-        return DesignMatrix(Z=design.Z[:, start - 1:end - 1], y=design.y[:, start - 1:end - 1],
-                            order=order, fit_range=(start - order.p, end), cols=cols,
-                            normal=gram)
+        lead = P - 1
+        zero_range = (start - order.p + lead, end + lead)
+        return DesignMatrix(
+            Z=None, y=self.zeros.values[:, start + lead:end + lead], order=order,
+            fit_range=(start - order.p, end), normal=gram,
+            form=lambda: build_design(self.zeros, self.stack, order, zero_range).Z)
 
 
-def star_blocks(design: DesignMatrix, split: SplitSpec) -> StarBlocks:
-    """The :class:`StarBlocks` of ``split`` on ``design``."""
-    P, (t1, t2, t_end) = design.order.p, (split.t1, split.t2, split.t_end)
+def star_blocks(zeros: DemandPanel, stack: WeightStack, order: ModelOrder, split: SplitSpec,
+                span: Callable[[int, int], DesignMatrix]) -> StarBlocks:
+    """The :class:`StarBlocks` of ``split`` on ``zeros`` for the cells up to
+    ``order``. ``span(a, b)`` builds the rows of the targets [a, b) of the
+    design of ``order``; it is called for [t1, t2), [t2, t_end), then
+    [1, t1), and each span goes once its Grams are formed, so at most one
+    span's rows are held."""
+    P, (t1, t2, t_end) = order.p, (split.t1, split.t2, split.t_end)
     _check_fit_range((0, t1), P, t_end)
-    Z, y = design.Z, design.y
-    grams = {(a, b): _gram(Z[:, a - 1:b - 1], y[:, a - 1:b - 1]) for a, b in
-             [(t1, t2), (t2, t_end)] + [(p, t1) for p in range(1, P + 1)]}
+    grams = {}
+    for a, b, starts in [(t1, t2, [t1]), (t2, t_end, [t2]), (1, t1, range(1, P + 1))]:
+        rows = span(a, b)
+        grams.update({(s, b): _gram(rows.Z[:, s - a:], rows.y[:, s - a:]) for s in starts})
+        del rows        # before the next span is built
     for p in range(1, P + 1):
         grams[p, t2] = Gram(*map(np.add, grams[p, t1], grams[t1, t2]))
-    return StarBlocks(design, split, grams)
+    return StarBlocks(zeros, stack, order, split, grams)
+
+
+# The share of y'y that sse's rounding bound may reach before a zone's
+# residual sum of squares is summed from its rows
+SSE_GRAM_TOLERANCE = 1e-10
 
 
 def sse(design: DesignMatrix, coefs: np.ndarray) -> np.ndarray:
@@ -214,15 +240,15 @@ def sse(design: DesignMatrix, coefs: np.ndarray) -> np.ndarray:
     penalty (returns k x L): the Gram form y'y - 2 c'phi + phi'G phi,
     clamped at 0 as rounding takes an interpolating fit's below. A zone
     whose rounding bound (n + m) eps s^2, s = ||y|| + sum_j |phi_j| ||z_j||
-    over n rows, exceeds 1e-10 y'y (a near-collinear fit with large
-    coefficients) is summed from its rows instead."""
+    over n rows, exceeds ``SSE_GRAM_TOLERANCE`` y'y (a near-collinear fit
+    with large coefficients) is summed from its rows instead."""
     gram, n = design.gram(), design.y.shape[1]
     C = coefs if coefs.ndim == 3 else coefs[..., None]
     rss = gram.yy[:, None] + np.sum(C * (np.matmul(gram.G, C) - 2.0 * gram.c[..., None]), axis=1)
     norms = np.sqrt(np.diagonal(gram.G, axis1=1, axis2=2))[..., None]
     s = np.sqrt(gram.yy)[:, None] + np.sum(np.abs(C) * norms, axis=1)
     bound = (n + C.shape[1]) * np.finfo(float).eps * s * s
-    loose = np.any(bound > 1e-10 * gram.yy[:, None], axis=1)
+    loose = np.any(bound > SSE_GRAM_TOLERANCE * gram.yy[:, None], axis=1)
     if loose.any():
         resid = design.y[loose][..., None] - np.matmul(design.own(loose), C[loose])
         rss[loose] = np.sum(resid * resid, axis=1)
@@ -378,25 +404,42 @@ def fit_var_ols(panel: DemandPanel, p: int, fit_range: tuple[int, int]) -> VarMo
     """Per-equation OLS with intercept on stacked lag regressors, all k
     equations from one set of normal equations by :func:`_solve_normal`.
 
-    When usable rows fall below k*p + 1 regressors, the minimum-norm
-    solution is returned rather than failing.
+    The regressors of row t are 1 and y(t - 1) .. y(t - p). Their normal
+    equations X'X and X'R are formed from lagged views of the panel, each
+    block the product of two k x T_used slices, and the residuals from the
+    panel too, so the T_used x (k * p + 1) matrix X is built only if the
+    system falls back to ``lstsq``. When usable rows fall below k*p + 1
+    regressors, the minimum-norm solution is returned rather than failing.
     """
     start, end = fit_range
     _check_fit_range(fit_range, p, panel.T)
-    Y = panel.values
-    k = panel.k
-    t_used = end - start - p
-    X = np.empty((t_used, k * p + 1))
-    X[:, 0] = 1.0
-    # lag-major columns: 1 + (j - 1) * k + z holds y_z(t - j), filled in place
+    Y, k = panel.values, panel.k
+    t_used, m = end - start - p, k * p + 1
+    lag = [Y[:, start + p - j:end - j] for j in range(p + 1)]   # y(t - j); lag[0] is R
+    # lag-major columns: 1 + (j - 1) * k + z holds y_z(t - j)
+    col = [slice(1 + (j - 1) * k, 1 + j * k) for j in range(p + 1)]
+    XX, XR = np.empty((m, m)), np.empty((m, k))
+    XX[0, 0], XR[0] = t_used, lag[0].sum(axis=1)
     for j in range(1, p + 1):
-        X[:, 1 + (j - 1) * k:1 + j * k] = Y[:, start + p - j:end - j].T
-    resp = Y[:, start + p:end].T    # t_used x k
-    B = _solve_normal((X.T @ X)[None], (X.T @ resp)[None], t_used, lambda z: (X, resp))[0]
-    resid = resp - X @ B
-    dof = max(t_used - (k * p + 1), 1)
-    cov = resid.T @ resid / dof
-    lags = tuple(B[1 + (j - 1) * k:1 + j * k, :].T.copy() for j in range(1, p + 1))
+        XX[0, col[j]] = XX[col[j], 0] = lag[j].sum(axis=1)
+        XR[col[j]] = lag[j] @ lag[0].T
+        for i in range(j, p + 1):
+            XX[col[j], col[i]] = lag[j] @ lag[i].T
+            XX[col[i], col[j]] = XX[col[j], col[i]].T
+
+    def rows(z):
+        X = np.empty((t_used, m))
+        X[:, 0] = 1.0
+        for j in range(1, p + 1):
+            X[:, col[j]] = lag[j].T
+        return X, lag[0].T
+
+    B = _solve_normal(XX[None], XR[None], t_used, rows)[0]
+    lags = tuple(B[col[j], :].T.copy() for j in range(1, p + 1))
+    resid = lag[0] - B[0][:, None]
+    for j, A in enumerate(lags, start=1):
+        resid -= A @ lag[j]
+    cov = resid @ resid.T / max(t_used - m, 1)
     return VarModel(p=p, intercept=B[0].copy(), lag_matrices=lags,
                     residual_cov=cov, fit_range=(start, end))
 

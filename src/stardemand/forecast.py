@@ -100,10 +100,12 @@ def _report(model_kind: str, order: ModelOrder, stack: WeightStack | None,
 
 def scenario_blocks(panel: DemandPanel, stack: WeightStack | None, order: ModelOrder,
                     split: SplitSpec) -> StarBlocks:
-    """One design of ``order`` for the cells up to it, and its blocks for ``split``."""
+    """The blocks of ``split`` for the cells up to ``order``, from a design of
+    ``order`` built one span of targets at a time (see :func:`star_blocks`)."""
     lead = order.p - 1      # zero bins before bin 0, see StarBlocks
     zeros = DemandPanel(panel.zone_ids, np.pad(panel.values, ((0, 0), (lead, 0))))
-    return star_blocks(build_design(zeros, stack, order, (0, split.t_end + lead)), split)
+    return star_blocks(zeros, stack, order, split,
+                       lambda a, b: build_design(zeros, stack, order, (a - 1, b + lead)))
 
 
 def _mspe(model: VarModel | StarModel, panel: DemandPanel, blocks: StarBlocks | None,
@@ -205,7 +207,7 @@ def _stack_reports(panel: DemandPanel, grid: ScenarioGrid,
     blocks of one design, of the largest p and eta among the cells that fit
     (p < t1, eta within the stack); a cell that does not fit gets none, and
     so fails alone, saying why. The blocks go when this returns, so a grid
-    holds one stack's design at a time."""
+    holds one stack's blocks at a time."""
     ps = [p for p in grid.p_values if p < grid.split.t1]
     etas = [eta for eta in grid.eta_values if eta <= stack.eta_max]
     blocks = None
@@ -222,8 +224,8 @@ def run_grid(panel: DemandPanel, grid: ScenarioGrid) -> list[EvalReport]:
     """Run every scenario in the grid; failures land in-row as errors.
 
     The cells run stack by stack (see :func:`_stack_reports`), then VAR,
-    so a grid holds at most one stack's design and its Gram blocks, and
-    none during the VAR cells. Reports come back in a deterministic order
+    so a grid holds at most one stack's Gram blocks, and none during the
+    VAR cells; no whole design is held (see :class:`StarBlocks`). Reports come back in a deterministic order
     (scheme, model, eta descending, p).
     """
     reports = [r for stack in grid.stacks for r in _stack_reports(panel, grid, stack)]

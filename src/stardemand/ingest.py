@@ -586,7 +586,10 @@ def load_zones_geojson(path) -> list[ZoneGeometry]:
                 ring = geom["coordinates"][0][0]
             else:
                 raise DataError(f"{path}: unsupported geometry type {gtype!r}")
-            zones.append(make_zone(props["zone_id"], polygon=ring))
+            try:
+                zones.append(make_zone(props["zone_id"], polygon=ring))
+            except DataError as e:
+                raise DataError(f"{path}: {e}") from None
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
         raise DataError(f"{path}: malformed GeoJSON: {e!r}") from None
     if not zones:
@@ -608,7 +611,7 @@ def load_zones_centroid_csv(path) -> list[ZoneGeometry]:
             try:
                 zones.append(make_zone(row["zone_id"],
                                        centroid=(float(row["lon"]), float(row["lat"]))))
-            except (TypeError, ValueError) as e:
+            except (DataError, TypeError, ValueError) as e:
                 raise DataError(f"{path}: bad centroid row {row}: {e}") from None
     if not zones:
         raise DataError(f"{path}: no zones")

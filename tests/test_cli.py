@@ -194,6 +194,22 @@ class TestWeights:
         assert f"data error: {path}: malformed GeoJSON" in capsys.readouterr().err
         assert not (tmp_path / "w").exists()
 
+    def test_zone_error_names_the_zones_file(self, tmp_path, capsys):
+        path = tmp_path / "zones.geojson"
+        path.write_text(json.dumps({"type": "FeatureCollection", "features": [{
+            "type": "Feature", "properties": {"zone_id": "A"},
+            "geometry": {"type": "Polygon",
+                         "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 1]]]}}]}))
+        (tmp_path / "adj.csv").write_text("zone_a,zone_b\n")
+        cfg = write_yaml(tmp_path / "w.yaml", {
+            "output_dir": str(tmp_path / "w"),
+            "weights": {"scheme": "adjacency", "eta_max": 2, "zones": "zones.geojson",
+                        "adjacency": "adj.csv"}})
+        assert main(["weights", "-c", str(cfg)]) == EXIT_DATA
+        assert (f"data error: {path}: zone A: polygon ring is not closed"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "w").exists()
+
     def test_unknown_scheme_is_config_error(self, tmp_path):
         zones = tmp_path / "zones.csv"
         zones.write_text("zone_id,lon,lat\nA,0,0\n")
@@ -914,7 +930,7 @@ class TestConfigValidation:
         (2, None, EXIT_CONFIG),
     ])
     @pytest.mark.parametrize("given", ["absent", "empty"])
-    def test_default_split_in_thirds(self, tmp_path, T, split, code, given):
+    def test_default_split_in_thirds(self, tmp_path, capsys, T, split, code, given):
         # with no bins named, t2 is the bin nearest 2T/3 and t1 = (t2 + 1) // 2
         values = np.random.default_rng(T).normal(size=(2, T))
         write_panel_csv(make_panel(["A", "B"], values, kind="real"), tmp_path / "panel.csv")
@@ -924,9 +940,12 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert main(["fit", "-c", str(write_yaml(tmp_path / "c.yaml", cfg)),
                      "--out", str(out)]) == code
-        if split is None:
+        if code != EXIT_OK:
+            # a config error, or a fit that fails, leaves no run directory
             assert not out.exists()
-        else:
+        if code == EXIT_DATA:
+            assert f"fit range (0, {split['t1']}) has no usable rows" in capsys.readouterr().err
+        elif split is not None:
             assert yaml.safe_load((out / "config.yaml").read_text())["split"] == split
 
 

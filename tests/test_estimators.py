@@ -238,6 +238,25 @@ class TestVarOls:
         coefs = np.vstack([model.intercept, model.lag_matrices[0].T, model.lag_matrices[1].T])
         assert np.max(np.abs(coefs - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_matches_regressor_matrix(self, p):
+        """The normal equations and residuals formed from lagged panel views
+        give the coefficients and residual covariance of the explicit
+        regressor matrix X, on a fit range that starts after bin 0."""
+        panel = random_panel(4, 70, seed=21)
+        start, end = 5, 66
+        model = fit_var_ols(panel, p, (start, end))
+        Y = panel.values
+        X = np.column_stack([np.ones(end - start - p)]
+                            + [Y[:, start + p - j:end - j].T for j in range(1, p + 1)])
+        resp = Y[:, start + p:end].T
+        B = np.linalg.lstsq(X, resp, rcond=None)[0]
+        resid = resp - X @ B
+        coefs = np.vstack([model.intercept] + [A.T for A in model.lag_matrices])
+        np.testing.assert_allclose(coefs, B, rtol=0, atol=1e-12 * np.max(np.abs(B)))
+        np.testing.assert_allclose(model.residual_cov, resid.T @ resid / (X.shape[0] - X.shape[1]),
+                                   rtol=1e-12, atol=0)
+
     def test_parameter_count(self):
         panel = random_panel(3, 40, seed=19)
         model = fit_var_ols(panel, 2, (0, 40))

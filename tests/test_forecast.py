@@ -16,8 +16,10 @@ from stardemand.forecast import (
     run_grid, run_scenario,
 )
 from stardemand.panel import ModelOrder, SplitSpec, make_panel
-from stardemand.synth import random_centroid_stack, random_sparse_star_spec, gen_star_process
-from stardemand.weights import WeightStack
+from stardemand.synth import (
+    gen_star_process, random_centroid_stack, random_sparse_star_spec, synthetic_zone_ids,
+)
+from stardemand.weights import WeightStack, adjacency_rings, make_adjacency
 
 from conftest import random_panel
 from synth_helpers import paired_adjacency_stack
@@ -296,9 +298,10 @@ class TestRunGrid:
         assert len(reports) == 1
 
     def test_one_design_per_stack(self, monkeypatch):
-        # every STAR and LASSO-STAR cell of a stack reads one shared design:
-        # one build_design per stack, and no lag_regressors call but the one
-        # inside it, so no cell builds rows of its own for its test span
+        # every STAR and LASSO-STAR cell of a stack reads the blocks of one
+        # shared design, built in three spans of targets, each at the stack's
+        # (P, E), and no lag_regressors call but those inside the builds, so
+        # no cell builds rows of its own for its test span
         builds, lags, inside = [], [], []
 
         def counting_build(panel, stack, order, fit_range):
@@ -321,9 +324,9 @@ class TestRunGrid:
         reports = run_grid(panel, self._grid(stacks, SplitSpec(20, 40, 60), p_values=(1, 2, 3),
                                              eta_values=(1, 2), include_var=False))
         assert len(reports) == 24 and not any(r.error for r in reports)
-        assert sorted(builds) == [("adjacency", ModelOrder(p=3, eta=2)),
-                                  ("centroid", ModelOrder(p=3, eta=2))]
-        assert lags == [True, True]
+        assert sorted(builds) == (3 * [("adjacency", ModelOrder(p=3, eta=2))]
+                                  + 3 * [("centroid", ModelOrder(p=3, eta=2))])
+        assert lags == 6 * [True]
 
     def test_cells_scored_from_gram_blocks(self, monkeypatch):
         # no STAR or LASSO-STAR cell multiplies or reads design rows: only
@@ -399,6 +402,114 @@ class TestGridMatchesCells:
                                        [alone.val_mspe, alone.test_mspe], rtol=1e-12, atol=0)
 
 
+def _cell_on_own_designs(panel, stack, kind, order, split, config):
+    """(lambda*, val MSPE, test MSPE, test coefficients) of one cell fit and
+    scored on designs that build_design makes for each of its ranges."""
+    p, (t1, t2, t_end) = order.p, (split.t1, split.t2, split.t_end)
+
+    def rows(a, b):         # the targets [a, b)
+        return build_design(panel, stack, order, (a - p, b))
+
+    def score(coefs, a, b):
+        return float(np.sum(estimators.sse(rows(a, b), coefs))) / (panel.k * (b - a))
+
+    if kind == MODEL_STAR:
+        lam, val = None, score(fit_star_ols(rows(p, t1)).coefficients, t1, t2)
+        model = fit_star_ols(rows(p, t2))
+    else:
+        head = rows(p, t1).gram()
+        grid = config.grid(estimators.lambda_max(head))
+        path = estimators.fit_lasso_path(head, grid)
+        lam, val = min(((g, score(path[..., n], t1, t2)) for n, g in enumerate(grid)),
+                       key=lambda c: c[1])
+        model = estimators.fit_lasso_star(rows(p, t2 if config.refit_after_tuning else t1), lam)
+    return lam, val, score(model.coefficients, t2, t_end), model.coefficients
+
+
+class TestRowsFormedOnDemand:
+    """A cell's rows are built from the panel only where a fit or a score
+    reads them: the lstsq zones of _solve_normal and the loose zones of sse.
+    Either way the cell's report matches the cell fit on its own designs."""
+
+    def _run(self, monkeypatch, panel, grid):
+        """run_grid's reports, and the branch that asked for each cell's rows
+        (StarBlocks forms rows through estimators.build_design, while the
+        stack's span builds go through forecast's)."""
+        formed, branch, lstsq_calls = [], [], []
+
+        def entered(name, fn):
+            def wrapped(*args, **kwargs):
+                branch.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    branch.pop()
+            return wrapped
+
+        def counting_build(panel, stack, order, fit_range):
+            formed.append((order.p, order.eta, branch[-1] if branch else None))
+            return build_design(panel, stack, order, fit_range)
+
+        def counting_lstsq(*args, **kwargs):
+            lstsq_calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(estimators, "build_design", counting_build)
+        monkeypatch.setattr(estimators, "_solve_normal",
+                            entered("lstsq", estimators._solve_normal))
+        for module in (estimators, forecast):
+            monkeypatch.setattr(module, "sse", entered("sse", estimators.sse))
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        return run_grid(panel, grid), formed, len(lstsq_calls)
+
+    def _assert_match_own_designs(self, panel, stack, grid, reports):
+        assert reports and not any(r.error for r in reports)
+        for r in reports:
+            lam, val, test, coefs = _cell_on_own_designs(
+                panel, stack, r.model, ModelOrder(p=r.p, eta=r.eta), grid.split, grid.config)
+            assert r.lambda_ == lam
+            np.testing.assert_allclose([r.val_mspe, r.test_mspe], [val, test],
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(r.fit.coefficients, coefs, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(coefs)))
+
+    def test_lstsq_zones(self, monkeypatch):
+        # z04 and z05 have no neighbours: their ring-1 columns are zero, so
+        # in the eta = 2 cells their Cholesky pivots fail and each fit solves
+        # them by lstsq from rows formed once for both; the eta = 1 cells
+        # form none
+        k = 6
+        ids = synthetic_zone_ids(k)
+        stack = adjacency_rings(make_adjacency(ids, zip(ids[:3], ids[1:4])), 2)
+        panel = random_panel(k, 90, seed=60)
+        grid = ScenarioGrid(p_values=(1, 2), eta_values=(1, 2), stacks=(stack,),
+                            split=SplitSpec(30, 60, 90), model_kinds=(MODEL_STAR,),
+                            include_var=False)
+        reports, formed, lstsq_calls = self._run(monkeypatch, panel, grid)
+        # two fits per eta = 2 cell, on [0, t1) and [0, t2)
+        assert sorted(formed) == sorted(2 * [(r.p, 2, "lstsq") for r in reports if r.eta == 2])
+        assert lstsq_calls == 2 * len(formed)
+        self._assert_match_own_designs(panel, stack, grid, reports)
+
+    def test_sse_row_zones(self, monkeypatch):
+        # with no rounding allowance every zone of every score is summed from its rows
+        monkeypatch.setattr(estimators, "SSE_GRAM_TOLERANCE", 0.0)
+        panel = random_panel(5, 90, seed=61)
+        stack = random_centroid_stack(5, 2, seed=61)
+        grid = ScenarioGrid(p_values=(1, 2), eta_values=(1, 2), stacks=(stack,),
+                            split=SplitSpec(30, 60, 90), include_var=False,
+                            config=LassoConfig(n_lambdas=10))
+        reports, formed, lstsq_calls = self._run(monkeypatch, panel, grid)
+        # once per design a residual sum of squares is read from: a STAR cell's
+        # two fits (sigma2) and two scores, a LASSO-STAR cell's validation
+        # curve, test fit and test score
+        per_cell = {MODEL_STAR: 4, MODEL_LASSO_STAR: 3}
+        want = [(r.p, r.eta, "sse") for r in reports for _ in range(per_cell[r.model])]
+        assert sorted(formed) == sorted(want) and lstsq_calls == 0
+        self._assert_match_own_designs(panel, stack, grid, reports)
+
+
 def _traced_peak(fn):
     """``fn()`` and the most memory it held at once, in bytes traced above
     what was held before the call."""
@@ -415,15 +526,18 @@ def _traced_peak(fn):
 
 
 class TestGridMemory:
-    """A grid holds one design at a time: built with no second copy and
-    released after its stack's cells, before the next stack's design is
-    built and before the VAR cells run."""
+    """A grid holds no whole design: a stack's design is built a span of
+    targets at a time, and its blocks are released after its stack's cells,
+    before the next stack's are built and before the VAR cells run."""
 
-    # run_grid's peak reads 1.9 times the bytes of one stack's design,
-    # k x (t_end + P - 2) x E floats, in both cases: the design, its y, its
-    # Gram blocks and a few k x T arrays. One more design-sized array alive
-    # at the peak adds 1.0.
+    # In units of one stack's design, k x (t_end + P - 2) x E floats,
+    # run_grid's peak reads 1.04 with one stack and VAR, and 1.46 with two
+    # stacks, whose paired adjacency stack forms rows for lstsq. One more
+    # design-sized array alive at the peak adds 1.0.
     RATIO = 2.2
+    # one stack: the padded panel, one span's rows and a W(l) Y product;
+    # holding the whole design read 1.90
+    ONE_STACK_RATIO = 1.2
 
     @pytest.mark.parametrize("n_stacks,include_var", [(1, True), (2, False)],
                              ids=["one_stack_with_var", "two_stacks"])
@@ -438,6 +552,24 @@ class TestGridMemory:
         assert len(reports) == 8 * n_stacks + 2 * include_var
         assert not any(r.error for r in reports)
         assert peak <= self.RATIO * k * (T + P - 2) * E * 8
+
+    def test_one_stack_holds_no_whole_design(self):
+        k, T, P, E = 40, 2000, 2, 3
+        panel = random_panel(k, T, seed=59)
+        grid = ScenarioGrid(p_values=(1, P), eta_values=(1, E),
+                            stacks=(random_centroid_stack(k, E, seed=59),),
+                            split=SplitSpec(700, 1400, T))
+        reports, peak = _traced_peak(lambda: run_grid(panel, grid))
+        assert len(reports) == 10 and not any(r.error for r in reports)
+        assert peak <= self.ONE_STACK_RATIO * k * (T + P - 2) * E * 8
+
+    def test_var_fit_holds_no_regressor_matrix(self):
+        # the T_used x (k * p + 1) regressors take 2.6 MB here; the fit's
+        # peak reads 0.64 of that, and 1.54 when it built them
+        k, T, p = 40, 2000, 4
+        panel = random_panel(k, T, seed=59)
+        _, peak = _traced_peak(lambda: fit_var_ols(panel, p, (0, T)))
+        assert peak <= 0.8 * (T - p) * (k * p + 1) * 8
 
     def test_blocks_released_after_their_stack(self, monkeypatch):
         # no stack's blocks are alive when the next stack's are built or a VAR cell fits

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import re
 from datetime import datetime, timedelta, timezone
@@ -333,6 +334,23 @@ class TestZoneLoaders:
         zones = load_zones_centroid_csv(path)
         assert [z.zone_id for z in zones] == ["A", "B"]
         assert zones[1].centroid == (3.0, 4.0)
+
+    def test_geojson_zone_error_names_the_file(self, tmp_path):
+        path = tmp_path / "zones.geojson"
+        path.write_text(json.dumps({"type": "FeatureCollection", "features": [{
+            "type": "Feature", "properties": {"zone_id": "A"},
+            "geometry": {"type": "Polygon",
+                         "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 1]]]}}]}))
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: zone A: polygon ring "
+                                            "is not closed$"):
+            load_zones_geojson(path)
+
+    def test_centroid_csv_zone_error_names_the_file(self, tmp_path):
+        path = tmp_path / "zones.csv"
+        path.write_text("zone_id,lon,lat\nA,1.0,2.0\nB,nan,4.0\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: bad centroid row .*"
+                                            r"zone B: centroid \(nan, 4.0\) is not finite$"):
+            load_zones_centroid_csv(path)
 
     def test_geojson_missing_zone_id(self, tmp_path):
         path = tmp_path / "bad.geojson"
