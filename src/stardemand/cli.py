@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from datetime import datetime
 from pathlib import Path
@@ -67,14 +68,16 @@ _REQUIRED = object()
 
 def _number(value, name: str, kind=int, minimum=None):
     """A numeric config value as ``kind`` (int or float). A boolean, a
-    string, a fraction where ``kind`` is int and a value below ``minimum``
-    are rejected; an integral float such as 2.0 reads as an int."""
+    string, a NaN or infinity, a fraction where ``kind`` is int and a value
+    below ``minimum`` are rejected; an integral float such as 2.0 reads as
+    an int."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not math.isfinite(value)) or (
             kind is int and not (isinstance(value, int) or value.is_integer())):
-        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a finite number'}, "
                           f"got {value!r}")
     number = kind(value)
-    if minimum is not None and not number >= minimum:
+    if minimum is not None and number < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
     return number
 
@@ -478,7 +481,7 @@ def cmd_synth(args) -> int:
     kind = scfg.choice("kind", (synth.KIND_STAR, synth.KIND_VAR))
     k = scfg.number("k", minimum=1)
     length = scfg.number("length", minimum=1)
-    sigma = scfg.number("sigma", 1.0, float)
+    sigma = scfg.number("sigma", 1.0, float, minimum=0)
     burn_in = scfg.number("burn_in", 50, minimum=0)
     require_stable = scfg.flag("require_stable", False)
 
@@ -498,8 +501,8 @@ def cmd_synth(args) -> int:
                 burn_in=burn_in, require_stable=require_stable,
             )
         else:
-            sparse = {"density": scfg.number("density", 0.5, float),
-                      "target_radius": scfg.number("target_radius", 0.7, float)}
+            sparse = {"density": scfg.number("density", 0.5, float, minimum=0),
+                      "target_radius": scfg.number("target_radius", 0.7, float, minimum=0)}
         # every value above is checked before a stack directory is read
         stack = (synth.random_centroid_stack(k, eta_max, seed) if stack_dir is None
                  else weights.read_stack(stack_dir))

@@ -175,16 +175,14 @@ class ScenarioGrid:
     p_values: tuple[int, ...]
     eta_values: tuple[int, ...]
     stacks: tuple[WeightStack, ...]
+    split: SplitSpec
     model_kinds: tuple[str, ...] = (MODEL_STAR, MODEL_LASSO_STAR)
     include_var: bool = True
-    split: SplitSpec = None
     config: LassoConfig = LassoConfig()
 
     def __post_init__(self):
         if not self.p_values or (not self.eta_values and self.model_kinds):
             raise DataError("grid axes must be non-empty")
-        if self.split is None:
-            raise DataError("grid needs a split")
         schemes = [s.scheme for s in self.stacks]
         if len(set(schemes)) != len(schemes):
             # reports name a stack by its scheme alone

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, loadtxt_csv, open_input
+from .errors import DataError, open_input
 from .panel import DemandPanel, make_panel, unique_zone_ids
 
 POLICY_STRICT = "strict"
@@ -334,36 +334,48 @@ def parse_trips(
                  lat=np.frombuffer(lats), lon=np.frombuffer(lons))
 
 
+# Characters on which numpy's reader parts ways with csv.reader and float:
+# numpy's ``U`` dtype drops a string's trailing NULs, and its float parser
+# strips \x1c-\x1f as whitespace, which ``float`` rejects.
+_NUMPY_UNSAFE = "\0\x1c\x1d\x1e\x1f"
+
+
 def _numpy_block(lines: list[str], cols) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The stamp, lat and lon columns (``cols``) of ``lines`` as numpy's
-    reader reads them, or None where ``csv.reader`` and ``float`` might read
-    them otherwise.
+    reader (``np.loadtxt``) reads them, or None where ``csv.reader`` and
+    ``float`` might read them otherwise. This is the one place that knows
+    where the two readers part ways. numpy's reader is declined:
 
-    Beyond :func:`loadtxt_csv`'s checks, numpy's reader is kept only when it
-    returns one row per line, so the block holds no blank line and no record
-    spanning lines, and when the last line does not end inside an open
-    quote, where ``csv.reader`` would read on into the next block.
+    - where a line is longer than ``csv.field_size_limit()``, as csv.reader
+      raises on a longer field;
+    - where a character of ``_NUMPY_UNSAFE`` occurs;
+    - where the last line ends inside an open quote, as csv.reader would
+      read on into the next block;
+    - where numpy's reader raises ValueError, or returns other than one row
+      per line (the block holds a blank line or a record spanning lines).
     """
     longest = max(map(len, lines))
     if longest < 3:  # blank lines, on which numpy warns, or one-character rows
         return None
+    text = "".join(lines)
+    if longest > csv.field_size_limit() or any(c in text for c in _NUMPY_UNSAFE):
+        return None
     try:
         list(csv.reader(lines[-1:], strict=True))
-    except csv.Error:
+        # comments=None: the default "#" would cut a field short
+        rec = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, usecols=cols,
+                         ndmin=1, dtype=[("t", f"U{longest}"), ("lat", "f8"), ("lon", "f8")])
+    except (csv.Error, ValueError):
         return None
-    rec = loadtxt_csv(lines, longest, usecols=cols, ndmin=1,
-                      dtype=[("t", f"U{longest}"), ("lat", "f8"), ("lon", "f8")])
-    if rec is None or len(rec) != len(lines):
+    if len(rec) != len(lines):
         return None
     return rec["t"], rec["lat"], rec["lon"]
 
 
 def _floats(text) -> np.ndarray:
-    """``float`` of each field, NaN (in no coordinate range) where it raises."""
-    try:
-        return np.fromiter(map(float, text), float, len(text))
-    except (ValueError, TypeError):
-        return np.array([_float_or_nan(x) for x in text])
+    """``float`` of each field of a block that ``csv.reader`` read, NaN (in
+    no coordinate range) where it raises, one field at a time."""
+    return np.array([_float_or_nan(x) for x in text])
 
 
 def _float_or_nan(x) -> float:

@@ -1,8 +1,7 @@
 """Zone-indexed demand panels, temporal splits and standardization.
 
 A panel is a k x T matrix of per-zone demand on a uniform time grid.
-All types here are immutable after construction and safe to share across
-workers.
+All types here are immutable after construction.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, loadtxt_csv, open_input
+from .errors import DataError, open_input
 
 # How the values of a panel are to be interpreted.
 KIND_RAW = "raw"                  # non-negative integer counts
@@ -208,45 +207,27 @@ def read_panel_csv(path) -> DemandPanel:
     differs from the header's, or a cell that is not a number is a DataError
     naming the file.
 
-    The header is read by ``csv.reader``, and the zone ids and values by
-    numpy's reader (:func:`loadtxt_csv`) where every line holds as many
-    commas as the header names bins. Any other file, and one numpy's reader
-    declines, is read row by row, which words the errors.
+    ``csv.reader`` reads the file row by row as it streams; blank rows are
+    skipped, and each row's values go through ``np.array(..., dtype=float)``.
     """
     with open_input(path, "panel", newline="", encoding="utf-8-sig") as fh:
-        header = next(csv.reader(fh), None)
+        rows = csv.reader(fh)
+        header = next(rows, None)
         if not header or header[0] != "zone_id":
             raise DataError(f"{path}: not a panel CSV (missing zone_id header)")
-        lines = fh.readlines()
-        n_bins = len(header) - 1
-        zone_ids = values = None
-        # a quoted comma or a blank or spanning line makes the count differ
-        if n_bins and lines and all(line.count(",") == n_bins for line in lines):
-            longest = max(map(len, lines))
-            zone_ids = loadtxt_csv(lines, longest, dtype=str, usecols=0, ndmin=1)
-            values = loadtxt_csv(lines, longest, usecols=range(1, n_bins + 1), ndmin=2)
-        if zone_ids is None or values is None:
-            zone_ids, values = _panel_rows(path, header, csv.reader(lines))
-        else:
-            zone_ids = zone_ids.tolist()
+        zone_ids = []
+        values = []
+        for r in rows:
+            if not r:
+                continue
+            if len(r) != len(header):
+                raise DataError(f"{path}: row of zone {r[0]} has {len(r) - 1} values, "
+                                f"the header names {len(header) - 1} bins")
+            zone_ids.append(r[0])
+            try:
+                values.append(np.array(r[1:], dtype=float))
+            except ValueError as e:
+                raise DataError(f"{path}: bad value in row {r[0]}: {e}") from None
     if not zone_ids:
         raise DataError(f"{path}: empty panel")
     return make_panel(zone_ids, values, kind=KIND_REAL)
-
-
-def _panel_rows(path, header, rows) -> tuple[list[str], list[np.ndarray]]:
-    """Zone ids and value rows of a panel CSV read row by row."""
-    zone_ids = []
-    data = []
-    for r in rows:
-        if not r:
-            continue
-        if len(r) != len(header):
-            raise DataError(f"{path}: row of zone {r[0]} has {len(r) - 1} values, "
-                            f"the header names {len(header) - 1} bins")
-        zone_ids.append(r[0])
-        try:
-            data.append(np.array(r[1:], dtype=float))
-        except ValueError as e:
-            raise DataError(f"{path}: bad value in row {r[0]}: {e}") from None
-    return zone_ids, data

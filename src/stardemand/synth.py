@@ -175,8 +175,11 @@ def random_sparse_star_spec(
     """Random sparse ground truth scaled to a stable spectral radius.
 
     Roughly ``density`` of the coefficients are nonzero; the implied VAR
-    companion matrix is rescaled to ``target_radius``.
+    companion matrix is rescaled to ``target_radius``, which must be finite
+    and >= 0.
     """
+    if not 0 <= target_radius < math.inf:
+        raise DataError(f"target_radius must be finite and >= 0, got {target_radius}")
     rng = np.random.Generator(np.random.PCG64(seed ^ 0x5A17))
     m = order.eta * order.p
     coef = rng.normal(0.0, 0.5, size=(k, m))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,3 +52,18 @@ def read_model(path):
                     lag_matrices=tuple(np.array(m, dtype=float) for m in doc["lag_matrices"]),
                     residual_cov=np.array(doc["residual_cov"], dtype=float),
                     fit_range=tuple(doc["fit_range"]))
+
+
+def traced_peak(fn):
+    """``fn()`` and the most memory it held at once, in bytes traced above
+    what was held before the call."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if started:
+            tracemalloc.stop()

@@ -99,6 +99,26 @@ class TestSynth:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("sigma", float("nan"), "must be a finite number, got nan"),
+        ("sigma", float("inf"), "must be a finite number, got inf"),
+        ("sigma", -1, "must be >= 0, got -1"),
+        ("density", float("nan"), "must be a finite number, got nan"),
+        ("target_radius", -1, "must be >= 0, got -1"),
+        ("target_radius", float("nan"), "must be a finite number, got nan"),
+        ("target_radius", float("inf"), "must be a finite number, got inf"),
+    ], ids=["sigma_nan", "sigma_inf", "sigma_negative", "density_nan", "target_radius_negative",
+            "target_radius_nan", "target_radius_inf"])
+    def test_bad_process_value_is_config_error(self, tmp_path, capsys, key, value, message):
+        # unchecked, these wrote an all-zero panel, hung, or ended in a traceback
+        cfg = write_yaml(tmp_path / "s.yaml", {
+            "output_dir": str(tmp_path / "out"),
+            "synth": {"kind": "star", "k": 4, "length": 30, "p": 1, "eta": 1, key: value},
+        })
+        assert main(["synth", "-c", str(cfg)]) == EXIT_CONFIG
+        assert f"config error: synth.{key} {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestWeights:
     def test_centroid_scheme(self, tmp_path):

@@ -1,4 +1,3 @@
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -21,7 +20,7 @@ from stardemand.synth import (
 )
 from stardemand.weights import WeightStack, adjacency_rings, make_adjacency
 
-from conftest import random_panel
+from conftest import random_panel, traced_peak
 from synth_helpers import paired_adjacency_stack
 
 
@@ -510,21 +509,6 @@ class TestRowsFormedOnDemand:
         self._assert_match_own_designs(panel, stack, grid, reports)
 
 
-def _traced_peak(fn):
-    """``fn()`` and the most memory it held at once, in bytes traced above
-    what was held before the call."""
-    started = not tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1] - held
-    finally:
-        if started:
-            tracemalloc.stop()
-
-
 class TestGridMemory:
     """A grid holds no whole design: a stack's design is built a span of
     targets at a time, and its blocks are released after its stack's cells,
@@ -548,7 +532,7 @@ class TestGridMemory:
         stacks = (random_centroid_stack(k, E, seed=59), paired_adjacency_stack(k, E))
         grid = ScenarioGrid(p_values=(1, P), eta_values=(1, E), stacks=stacks[:n_stacks],
                             split=SplitSpec(700, 1400, T), include_var=include_var)
-        reports, peak = _traced_peak(lambda: run_grid(panel, grid))
+        reports, peak = traced_peak(lambda: run_grid(panel, grid))
         assert len(reports) == 8 * n_stacks + 2 * include_var
         assert not any(r.error for r in reports)
         assert peak <= self.RATIO * k * (T + P - 2) * E * 8
@@ -559,7 +543,7 @@ class TestGridMemory:
         grid = ScenarioGrid(p_values=(1, P), eta_values=(1, E),
                             stacks=(random_centroid_stack(k, E, seed=59),),
                             split=SplitSpec(700, 1400, T))
-        reports, peak = _traced_peak(lambda: run_grid(panel, grid))
+        reports, peak = traced_peak(lambda: run_grid(panel, grid))
         assert len(reports) == 10 and not any(r.error for r in reports)
         assert peak <= self.ONE_STACK_RATIO * k * (T + P - 2) * E * 8
 
@@ -568,7 +552,7 @@ class TestGridMemory:
         # peak reads 0.64 of that, and 1.54 when it built them
         k, T, p = 40, 2000, 4
         panel = random_panel(k, T, seed=59)
-        _, peak = _traced_peak(lambda: fit_var_ols(panel, p, (0, T)))
+        _, peak = traced_peak(lambda: fit_var_ols(panel, p, (0, T)))
         assert peak <= 0.8 * (T - p) * (k * p + 1) * 8
 
     def test_blocks_released_after_their_stack(self, monkeypatch):

@@ -80,6 +80,14 @@ class TestGenStar:
             random_sparse_star_spec(3, ModelOrder(p=1, eta=eta), stack, sigma=0.5, length=50,
                                     seed=7)
 
+    @pytest.mark.parametrize("target_radius", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    def test_target_radius_must_be_finite_and_non_negative(self, target_radius):
+        # a negative target was never met, so the shrink loop did not return
+        stack = random_centroid_stack(3, 2, seed=7)
+        with pytest.raises(DataError, match="target_radius must be finite and >= 0"):
+            random_sparse_star_spec(3, ModelOrder(p=1, eta=2), stack, sigma=0.5, length=50,
+                                    seed=7, target_radius=target_radius)
+
 
 class TestGenVar:
     def _var_spec(self, v, mats, **kw):
