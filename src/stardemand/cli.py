@@ -68,15 +68,18 @@ _REQUIRED = object()
 
 def _number(value, name: str, kind=int, minimum=None):
     """A numeric config value as ``kind`` (int or float). A boolean, a
-    string, a NaN or infinity, a fraction where ``kind`` is int and a value
-    below ``minimum`` are rejected; an integral float such as 2.0 reads as
-    an int."""
+    string, a NaN or infinity, an int too large for a float where ``kind``
+    is float, a fraction where ``kind`` is int and a value below ``minimum``
+    are rejected; an integral float such as 2.0 reads as an int."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (
             isinstance(value, float) and not math.isfinite(value)) or (
             kind is int and not (isinstance(value, int) or value.is_integer())):
         raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a finite number'}, "
                           f"got {value!r}")
-    number = kind(value)
+    try:
+        number = kind(value)
+    except OverflowError:       # an int too large for a float
+        raise ConfigError(f"{name} must be a finite number, got {value!r}") from None
     if minimum is not None and number < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
     return number

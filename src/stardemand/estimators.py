@@ -1,7 +1,11 @@
 """Model fitting: VAR by OLS, STAR by OLS, and L1-penalized STAR along
-its exact piecewise-linear LASSO path, walked for all zones in lockstep
-(the scalar one-zone walk is the reference in ``tests/lasso_oracle.py``),
-plus penalty tuning on a validation window.
+its exact piecewise-linear LASSO path, plus penalty tuning on a validation
+window. The path is walked for all zones in lockstep, each zone on an
+inverse of its active Gram block that is updated as columns join and
+leave, so a step solves nothing. Every path returned is certified against
+the LASSO's optimality conditions; a zone that fails, or whose block turns
+singular, is walked again with a fresh solve at every step (the scalar
+one-zone walk is the reference in ``tests/lasso_oracle.py``).
 
 Conventions
 -----------
@@ -452,6 +456,27 @@ def lambda_max(gram: Gram) -> float:
     return float(np.max(np.abs(gram.c), initial=0.0))
 
 
+# A returned path must meet the LASSO's optimality (KKT) conditions at every
+# penalty to within this share of its zone's ||c||_inf. Paths solved to
+# rounding meet them within about 1e-14; the paths that rounding breaks on
+# duplicated columns miss by 1e-4 and more.
+KKT_TOLERANCE = 1e-9
+# A join whose Schur complement s = G_jj - g'A^-1 g is at most this share of
+# G_jj (a variance inflation factor G_jj / s of 10 or more) sends its zone to
+# the fresh walk: the updated inverse's rounding grows with the block's
+# condition, and a duplicated column gives about 1e-15.
+SCHUR_FLOOR = 0.1
+
+# The sign a joining (kind 0, 1) or leaving (kind 2) column takes
+_SIGNS = np.array([1.0, -1.0, 0.0])
+
+# Why a zone's path failed, by the code _walk returns; 0 is none
+_FAULTS = (None,
+           "singular active-set Gram matrix in zone {z} at lambda={lam}",
+           "LASSO path of zone {z} did not reach lambda={lam}",
+           "LASSO path of zone {z} fails its KKT certificate at lambda={lam}")
+
+
 def fit_lasso_path(gram: Gram, grid: Sequence[float]) -> np.ndarray:
     """Exact LASSO solutions of 0.5||y_i - Z_i phi||^2 + lam * ||phi||_1
     for every zone i at every penalty of ``grid``, as one contiguous
@@ -461,68 +486,157 @@ def fit_lasso_path(gram: Gram, grid: Sequence[float]) -> np.ndarray:
 
     Covariance-form homotopy (Osborne, Presnell & Turlach 2000; the LASSO
     variant of LARS, Efron et al. 2004) on each zone's G and c of ``gram``:
-    between kinks the active set A and signs s are fixed,
-    phi_A = u - lam * w with G_AA [u, w] = [c_A, s_A], and the correlations
+    between kinks the active set A and signs sigma are fixed,
+    phi_A = u - lam * w with G_AA [u, w] = [c_A, sigma_A], and the correlations
     c - G phi are b + lam * a. Going down from lambda_max, a column joins
     when its correlation reaches +-lam and leaves when its coefficient
     reaches 0. Zero-norm columns never join, nor does a column within
     1e-12 * lambda_max of lam = 0, where a design with fewer rows than
-    columns already interpolates. All zones walk in lockstep: a step is one
-    batched solve (the identity off each active block) that takes every
-    zone to its own next kink, and a zone past the last penalty is frozen.
+    columns already interpolates. All zones walk in lockstep (:func:`_walk`):
+    a step takes every zone to its own next kink, and a zone past the last
+    penalty is frozen. Each zone keeps the inverse of its G_AA: a join
+    borders it (with b = A^-1 g and s = G_jj - g'b) and a leave downdates
+    it, so a step reads every zone's (u, w) from one batched ``matmul`` and
+    solves nothing. The grid penalties are filled in once the walk ends.
+
+    Every path returned is certified from ``gram``: at every penalty each
+    active column's correlation is within ``KKT_TOLERANCE`` * ||c||_inf of
+    lam times its coefficient's sign, and each other column's of
+    [-lam, lam]. A zone whose walk meets a join with s / G_jj at or below
+    ``SCHUR_FLOOR``, does not reach the last penalty, or fails the
+    certificate is walked again, solving its padded G_AA (the identity off
+    the block) afresh at every step. If that fails too,
+    :class:`NumericalError` names the zone and the penalty.
     ``tests/lasso_oracle.py`` keeps the scalar walk of one zone.
     """
     lams = np.array(sorted(map(float, grid), reverse=True))
     if np.any(lams < 0):
         raise DataError("lambda must be >= 0")
     G, c = gram.G, gram.c
-    (k, m), L = c.shape, lams.size
-    zones, steps, out = np.arange(k), np.arange(L), np.zeros((k, m, L))
-    lam = np.max(np.abs(c), axis=1, initial=0.0)
-    floor, joinable = 1e-12 * lam, np.diagonal(G, axis1=1, axis2=2) > 0.0
-    i = np.count_nonzero(lams >= lam[:, None], axis=1)     # each zone's next grid index
-    live, signs = i < L, np.zeros((k, m))      # signs: +-1 on the active set, 0 off it
-    j = np.argmax(np.abs(c), axis=1)
-    signs[zones, j] = np.sign(c[zones, j])
-    events = np.empty((k, 3, m))
-    # a path has finitely many kinks; the bound only stops zero-length
-    # steps that rounding could make cycle
-    for _ in range(100 * m):
-        if not live.any():
-            break
-        act = signs != 0.0
-        M = np.where(act[:, :, None] & act[:, None, :], G, np.eye(m))
-        rhs = np.stack([c * act, signs], axis=-1)
-        uw = _each_zone(np.linalg.solve, M, rhs)
-        bad = np.flatnonzero(~np.isfinite(uw).all(axis=(1, 2)))
-        if bad.size:
-            raise NumericalError(f"singular active-set Gram matrix in zone {bad[0]} "
-                                 f"at lambda={lam[bad[0]]}")
-        (u, w), ba = uw.transpose(2, 0, 1), np.matmul(G, uw)
-        b, a, free = c - ba[..., 0], ba[..., 1], joinable & ~act
-        # events in argmax order: free columns reaching +lam, where
-        # lam * (1 - a) = b, then -lam, where lam * (1 + a) = -b, each only if
-        # the gap shrinks as lam falls; then active coefficients reaching 0
-        events.fill(-np.inf)
-        np.divide(b, 1.0 - a, out=events[:, 0], where=free & (a < 1.0))
-        np.divide(-b, 1.0 + a, out=events[:, 1], where=free & (a > -1.0))
-        events[:, :2][events[:, :2] < floor[:, None, None]] = -np.inf
-        np.divide(u, w, out=events[:, 2], where=signs * w < 0.0)
-        e = np.argmax(events.reshape(k, 3 * m), axis=1)
-        (kind, j), at = np.divmod(e, m), events.reshape(k, 3 * m)[zones, e]
-        lam = np.maximum(np.minimum(at, lam), 0.0)
-        n = np.count_nonzero(lams >= lam[:, None], axis=1)
-        # the grid penalties each zone's step crossed: none once its lam is past the last
-        zs, ls = np.nonzero((steps >= i[:, None]) & (steps < n[:, None]))
-        phi = u[zs] - lams[ls, None] * w[zs]
-        # a coefficient at its leaving kink may sit a rounding error past zero
-        out[zs, :, ls] = np.where(phi * signs[zs] > 0.0, phi, 0.0)
-        i, live = n, live & (n < L)
-        signs[zones[live], j[live]] = np.array([1.0, -1.0, 0.0])[kind[live]]
-    if live.any():
-        raise NumericalError(f"LASSO path of zone {np.flatnonzero(live)[0]} did not "
-                             f"reach lambda={lams[-1]}")
+    out, fault, at = _walk(G, c, lams, np.zeros(len(c), dtype=bool))
+    redo = np.flatnonzero(fault)
+    if redo.size:
+        out[redo], fault[redo], at[redo] = _walk(G[redo], c[redo], lams,
+                                                 np.ones(redo.size, dtype=bool))
+    if fault.any():
+        z = int(np.flatnonzero(fault)[0])
+        raise NumericalError(_FAULTS[fault[z]].format(z=z, lam=at[z]))
     return out
+
+
+def _walk(G: np.ndarray, c: np.ndarray, lams: np.ndarray,
+          fresh: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lockstep walk of :func:`fit_lasso_path` for k zones at the
+    descending penalties ``lams``, and its certificate. A ``fresh`` zone
+    solves its padded G_AA at every step; any other keeps the inverse of
+    G_AA, zero off the block, and so reads (u, w) as inv @ [c_A, sigma_A].
+
+    Returns the k x m x L path and, per zone, a fault code (an index of
+    ``_FAULTS``, 0 for a certified path) and the penalty it names. A zone
+    stops at a join with s / G_jj <= ``SCHUR_FLOOR`` (updated zones) or at a
+    singular solve (fresh zones), both code 1; its state runs on unread.
+    """
+    (k, m), L = c.shape, lams.size
+    zones, down, any_fresh = np.arange(k), -lams, fresh.any()
+    lam = top = np.max(np.abs(c), axis=1, initial=0.0)
+    floor, joinable = 1e-12 * top, np.diagonal(G, axis1=1, axis2=2) > 0.0
+    i = np.searchsorted(down, -lam, side="right")      # each zone's next grid index
+    live, inv = i < L, np.zeros((k, m, m))
+    rhs = np.zeros((k, m, 2))                  # [c_A, sigma_A], zero off the active set
+    signs, act = rhs[..., 1], np.zeros((k, m), dtype=bool)    # signs: +-1 on A, 0 off it
+    fault, at = np.zeros(k, dtype=np.intp), np.full(k, np.nan)
+    j = np.argmax(np.abs(c), axis=1)           # each zone's first event: its largest |c| joins
+    kind = np.where(c[zones, j] > 0.0, 0, 1)
+    events, kept = np.empty((k, 3, m)), []
+    # An update that overflows leaves non-finite values, which the
+    # certificate rejects, so they need no warning. A path has finitely many
+    # kinks; the bound only stops zero-length steps that rounding could make
+    # cycle.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(100 * m):
+            # the last event of each live zone: column j joins with sign +
+            # (kind 0) or - (kind 1), or leaves (kind 2). A join borders the
+            # inverse with [[A^-1 + b b'/s, -b/s], [-b'/s, 1/s]], the rank-one
+            # update by v v'/s with v = [b; -1], where b = A^-1 g, g = G_Aj
+            # and s = G_jj - g'b.
+            col = G[zones, :, j]
+            g, Gjj = col * act, col[zones, j]
+            b = np.matmul(inv, g[..., None])[..., 0]
+            s = Gjj - np.matmul(g[:, None, :], b[..., None])[:, 0, 0]
+            join = live & (kind < 2)
+            thin = join & ~(s > SCHUR_FLOOR * Gjj) & ~fresh
+            if thin.any():
+                fault[thin], at[thin], live, join = 1, lam[thin], live & ~thin, join & ~thin
+            b[zones, j] = -1.0
+            inv += (b * np.where(join, 1.0 / s, 0.0)[:, None])[:, :, None] * b[:, None, :]
+            # a leave drops row and column j: A^-1 - v v'/v_j with v = A^-1 e_j
+            if np.any(leave := live ^ join):
+                z, jz = zones[leave], j[leave]
+                v = inv[z, :, jz]
+                inv[z] -= (v / v[np.arange(z.size), jz, None])[:, :, None] * v[:, None, :]
+                inv[z, jz, :] = inv[z, :, jz] = 0.0
+            signs[zones, j] = _SIGNS[kind]     # a zone no longer live is not read again
+            if not live.any():
+                break
+            act = signs != 0.0
+            np.multiply(c, act, out=rhs[..., 0])
+            uw = np.matmul(inv, rhs)
+            if any_fresh:
+                M = np.where(act[fresh, :, None] & act[fresh, None, :], G[fresh], np.eye(m))
+                uw[fresh] = _each_zone(np.linalg.solve, M, rhs[fresh])
+                bad = fresh & live & ~np.isfinite(uw).all(axis=(1, 2))
+                fault[bad], at[bad], live = 1, lam[bad], live & ~bad
+            (u, w), ba = uw.transpose(2, 0, 1), np.matmul(G, uw)
+            # events in argmax order: free columns reaching +lam, where
+            # lam * (1 - a) = b, then -lam, where lam * (1 + a) = -b, each only if
+            # the gap shrinks as lam falls; then active coefficients reaching 0
+            b, a, free = c - ba[..., 0], ba[..., 1], joinable & ~act
+            events.fill(-np.inf)
+            np.divide(b, 1.0 - a, out=events[:, 0], where=free & (a < 1.0))
+            np.divide(-b, 1.0 + a, out=events[:, 1], where=free & (a > -1.0))
+            events[:, :2][events[:, :2] < floor[:, None, None]] = -np.inf
+            np.divide(u, w, out=events[:, 2], where=signs * w < 0.0)
+            e = np.argmax(events.reshape(k, 3 * m), axis=1)
+            (kind, j), nxt = np.divmod(e, m), events.reshape(k, 3 * m)[zones, e]
+            lam = np.maximum(np.minimum(nxt, lam), 0.0)
+            # the grid penalties each zone's step crossed, emitted once the walk ends
+            n = np.searchsorted(down, -lam, side="right")
+            if np.any(n > i):
+                kept.append((uw, signs.astype(np.int8), i, n))
+            i, live = n, live & (n < L)
+        if live.any():
+            fault[live], at[live] = 2, lams[-1]
+        out = np.zeros((k, m, L))
+        if kept:
+            # row r of the steps' zones covers grid indices i[r] .. n[r] - 1;
+            # each array is let go once read, for the memory peak
+            uw, signs, i, n = map(np.concatenate, zip(*kept))
+            kept.clear()
+            r = np.repeat(np.arange(i.size), n - i)
+            ls = i[r] + np.arange(r.size) - (np.cumsum(n - i) - (n - i))[r]
+            uw = uw[r]
+            phi = uw[..., 0] - lams[ls, None] * uw[..., 1]
+            del uw
+            # a coefficient at its leaving kink may sit a rounding error past
+            # zero; a product, unlike np.where, keeps a NaN for the certificate,
+            # and + 0.0 turns the -0.0 of a cleared negative into 0.0
+            phi *= phi * signs[r] > 0.0
+            out[r % k, :, ls] = phi + 0.0
+        # the certificate of every zone that finished: |c - G phi - lam sign(phi)|,
+        # less lam where phi = 0, within the tolerance (a NaN fails it)
+        slope = np.sign(out)
+        slope *= lams
+        excess = np.matmul(G, out)
+        excess -= c[..., None]
+        excess += slope
+        np.abs(excess, out=excess)
+        excess += np.abs(slope, out=slope)
+        fail = ~(excess.max(axis=1) - lams <= KKT_TOLERANCE * top[:, None]) & (fault == 0)[:, None]
+        if fail.any():
+            z, n = np.nonzero(fail)
+            z, first = np.unique(z, return_index=True)
+            fault[z], at[z] = 3, lams[n[first]]
+    return out, fault, at
 
 
 def solve_lasso_batch(gram: Gram, lam: float) -> np.ndarray:

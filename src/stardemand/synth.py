@@ -53,8 +53,8 @@ class ProcessSpec:
         return len(self.var_lag_matrices)
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise DataError("sigma must be >= 0")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise DataError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.length < 1:
             raise DataError("length must be >= 1")
         if self.kind == KIND_STAR:

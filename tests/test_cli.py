@@ -107,8 +107,9 @@ class TestSynth:
         ("target_radius", -1, "must be >= 0, got -1"),
         ("target_radius", float("nan"), "must be a finite number, got nan"),
         ("target_radius", float("inf"), "must be a finite number, got inf"),
+        ("sigma", 10**400, f"must be a finite number, got {10**400!r}"),
     ], ids=["sigma_nan", "sigma_inf", "sigma_negative", "density_nan", "target_radius_negative",
-            "target_radius_nan", "target_radius_inf"])
+            "target_radius_nan", "target_radius_inf", "sigma_int_too_large_for_a_float"])
     def test_bad_process_value_is_config_error(self, tmp_path, capsys, key, value, message):
         # unchecked, these wrote an all-zero panel, hung, or ended in a traceback
         cfg = write_yaml(tmp_path / "s.yaml", {

@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from stardemand import estimators
 from stardemand.errors import ConfigError, DataError, NumericalError, write_json
 from stardemand.estimators import (
-    MAX_N_LAMBDAS, DesignMatrix, LassoConfig,
+    KKT_TOLERANCE, MAX_N_LAMBDAS, DesignMatrix, LassoConfig,
     build_design, fit_lasso_path, fit_lasso_star, fit_star_ols, fit_var_ols,
     lag_regressors, lambda_max, model_to_dict, mspe, solve_lasso_batch, sse, tune_lambda,
 )
@@ -505,21 +508,62 @@ class TestLassoPathCertificate:
                               SplitSpec(32, 64, 96))
         assert report.error is None and report.test_mspe > 0
 
-    def test_singular_active_set_raises(self):
+    def test_singular_active_set_raises(self, monkeypatch):
         """Zone 1's columns 0 and 1 are identical. Every |Z'y| entry is 1, so
         once columns 0 and 2 are active (at lambda = 1), u = w and column 1's
         join event is exactly 1 whenever rounding leaves its correlation slope
         inside +-1; it then joins its twin and the active block is singular.
-        The other zones are regular."""
+        Walked on the updated inverse, rounding keeps it out, which is a LASSO
+        solution too, and the path is certified. Walked afresh, it joins.
+        Zones 0 and 2 have orthogonal columns, so each of their joins has
+        s / G_jj = 1, while zone 1's column 2 joins at 0.907: with SCHUR_FLOOR
+        at 0.95 zone 1 alone is walked afresh, and the error names it by its
+        own index."""
         rng = np.random.default_rng(65)
         Z, y = rng.normal(size=(3, 6, 3)), rng.normal(size=(3, 6))
+        Z[[0, 2]] = np.kron(np.eye(3), [[1.0], [2.0]])
         a = [-3.0, 1.0, 4.0, -2.0, 4.0, -4.0]
         Z[1] = np.array([a, a, [1.0, -4.0, -2.0, 0.0, -3.0, -3.0]]).T
         y[1] = [1.0, -4.0, 3.0, 3.0, 2.0, 2.0]
         design = DesignMatrix(Z=Z, y=y, order=ModelOrder(p=1, eta=3), fit_range=(0, 7))
+        path = fit_lasso_path(design.gram(), [0.5, 0.0])
+        assert _worst_kkt(design, path, [0.5, 0.0]) <= 1e-12
+        assert path[1, 1].tolist() == [0.0, 0.0]
+        monkeypatch.setattr(estimators, "SCHUR_FLOOR", 0.95)
         with pytest.raises(NumericalError,
-                           match=r"singular active-set Gram matrix in zone 1 at lambda=1\.0$"):
+                           match=r"^singular active-set Gram matrix in zone 1 at lambda=1\.0$"):
             fit_lasso_path(design.gram(), [0.5, 0.0])
+
+
+def _duplicated_designs():
+    """300 20 x 5 designs whose column 4 copies one of columns 0-3, with a
+    standard normal y: (Z, y) from ``np.random.default_rng(0)``."""
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        Z = rng.normal(size=(20, 5))
+        Z[:, 4] = Z[:, rng.integers(0, 4)]
+        yield Z, rng.normal(size=20)
+
+
+def test_duplicated_columns_raise_or_certify():
+    """Each duplicated-column design either raises NumericalError or returns a
+    path within KKT_TOLERANCE * ||Z'y||_inf of the KKT conditions at every
+    penalty, without a floating-point warning. Without the certificate some
+    paths broke KKT by up to 0.59 of lambda_max."""
+    raised = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for Z, y in _duplicated_designs():
+            design = _design(Z, y, eta=5)
+            grid = LassoConfig().grid(lambda_max(design.gram()))
+            try:
+                path = fit_lasso_path(design.gram(), grid)
+            except NumericalError:
+                raised += 1
+                continue
+            tolerance = KKT_TOLERANCE * np.max(np.abs(Z.T @ y))
+            assert _worst_kkt(design, path, grid) <= tolerance
+    assert 0 < raised < 300
 
 
 def _oracle_paths(design, lams):
@@ -587,6 +631,10 @@ class TestLockstepPath:
         _assert_matches_oracle(design, grid)
 
     def test_one_batched_solve_per_step_of_the_longest_zone(self, monkeypatch):
+        """A well-conditioned design walks on updated inverses alone: no solve.
+        With every join's s / G_jj below SCHUR_FLOOR (raised to inf), every
+        zone is walked again afresh: one batched solve per step of the longest
+        zone, each of all six zones, and the scalar walk's path."""
         panel = random_panel(6, 90, seed=63)
         stack = random_centroid_stack(6, 3, seed=63)
         design = build_design(panel, stack, ModelOrder(p=3, eta=3), (0, 90))
@@ -600,8 +648,12 @@ class TestLockstepPath:
 
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         fit_lasso_path(design.gram(), grid)
+        assert shapes == []
+        monkeypatch.setattr(estimators, "SCHUR_FLOOR", np.inf)
+        fit_lasso_path(design.gram(), grid)
         assert len(shapes) == max(steps) < sum(steps)
         assert set(shapes) == {(6, 9, 9)}
+        _assert_matches_oracle(design, grid)
 
 
 @pytest.mark.parametrize("p,eta,part", [(2, 3, "head"), (2, 3, "rows"), (5, 6, "head")],

@@ -401,6 +401,35 @@ class TestGridMatchesCells:
                                        [alone.val_mspe, alone.test_mspe], rtol=1e-12, atol=0)
 
 
+class TestZonePermutation:
+    """``bench/run.py --seed`` permutes the zones of the panel and stack files
+    together and takes every answer to be unchanged. The LASSO walk indexes
+    each zone's inverse by fancy indexing; a step that mixed zones, or a Gram
+    sub-block read from the wrong zone, would show here."""
+
+    @pytest.mark.parametrize("refit", [True, False], ids=["refit_on", "refit_off"])
+    def test_every_cell_unchanged(self, refit):
+        panel = random_panel(8, 90, seed=59)
+        stacks = (random_centroid_stack(8, 3, seed=59), paired_adjacency_stack(8, 2))
+        perm = np.random.default_rng(59).permutation(8)
+        ids = [panel.zone_ids[i] for i in perm]
+        moved = make_panel(ids, panel.values[perm], kind=panel.kind)
+        moved_stacks = tuple(
+            WeightStack(matrices=tuple(W[np.ix_(perm, perm)] for W in s.matrices),
+                        scheme=s.scheme, zone_ids=tuple(ids)) for s in stacks)
+        axes = dict(p_values=(1, 2, 3), eta_values=(1, 2), split=SplitSpec(36, 62, 90),
+                    config=LassoConfig(n_lambdas=20, refit_after_tuning=refit))
+        want = run_grid(panel, ScenarioGrid(stacks=stacks, **axes))
+        got = run_grid(moved, ScenarioGrid(stacks=moved_stacks, **axes))
+        assert len(got) == len(want) == 27 and all(r.error is None for r in want)
+        assert sum(r.lambda_ is not None for r in want) == 12
+        for g, w in zip(got, want):
+            assert (g.model, g.p, g.eta, g.scheme, g.lambda_) == (w.model, w.p, w.eta, w.scheme,
+                                                                  w.lambda_)
+            np.testing.assert_allclose([g.val_mspe, g.test_mspe], [w.val_mspe, w.test_mspe],
+                                       rtol=1e-12, atol=0)
+
+
 def _cell_on_own_designs(panel, stack, kind, order, split, config):
     """(lambda*, val MSPE, test MSPE, test coefficients) of one cell fit and
     scored on designs that build_design makes for each of its ranges."""

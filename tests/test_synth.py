@@ -88,6 +88,14 @@ class TestGenStar:
             random_sparse_star_spec(3, ModelOrder(p=1, eta=2), stack, sigma=0.5, length=50,
                                     seed=7, target_radius=target_radius)
 
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    def test_sigma_must_be_finite_and_non_negative(self, sigma):
+        # a NaN sigma passed a `sigma < 0` check and gave an all-zero panel
+        stack = random_centroid_stack(4, 1, seed=0)
+        with pytest.raises(DataError, match="sigma must be finite and >= 0"):
+            random_sparse_star_spec(4, ModelOrder(p=1, eta=1), stack, sigma=sigma, length=30,
+                                    seed=0)
+
 
 class TestGenVar:
     def _var_spec(self, v, mats, **kw):
