@@ -2,10 +2,10 @@
 its exact piecewise-linear LASSO path, plus penalty tuning on a validation
 window. The path is walked for all zones in lockstep, each zone on an
 inverse of its active Gram block that is updated as columns join and
-leave, so a step solves nothing. Every path returned is certified against
-the LASSO's optimality conditions; a zone that fails, or whose block turns
-singular, is walked again with a fresh solve at every step (the scalar
-one-zone walk is the reference in ``tests/lasso_oracle.py``).
+leave, so a step solves nothing until an ill-conditioned join turns a zone
+fresh: it solves its block at every later step. Every path returned is
+certified against the LASSO's optimality conditions, and a zone that fails
+is walked again afresh (the reference is ``tests/lasso_oracle.py``'s walk).
 
 Conventions
 -----------
@@ -462,9 +462,9 @@ def lambda_max(gram: Gram) -> float:
 # duplicated columns miss by 1e-4 and more.
 KKT_TOLERANCE = 1e-9
 # A join whose Schur complement s = G_jj - g'A^-1 g is at most this share of
-# G_jj (a variance inflation factor G_jj / s of 10 or more) sends its zone to
-# the fresh walk: the updated inverse's rounding grows with the block's
-# condition, and a duplicated column gives about 1e-15.
+# G_jj (a variance inflation factor G_jj / s of 10 or more) turns its zone
+# fresh for the rest of its walk: the updated inverse's rounding grows with
+# the block's condition, and a duplicated column gives about 1e-15.
 SCHUR_FLOOR = 0.1
 
 # The sign a joining (kind 0, 1) or leaving (kind 2) column takes
@@ -497,16 +497,16 @@ def fit_lasso_path(gram: Gram, grid: Sequence[float]) -> np.ndarray:
     penalty is frozen. Each zone keeps the inverse of its G_AA: a join
     borders it (with b = A^-1 g and s = G_jj - g'b) and a leave downdates
     it, so a step reads every zone's (u, w) from one batched ``matmul`` and
-    solves nothing. The grid penalties are filled in once the walk ends.
+    solves nothing, until a join with s / G_jj <= ``SCHUR_FLOOR`` turns its
+    zone fresh: it then solves its padded G_AA (the identity off the block)
+    at every step. The grid penalties are filled in once the walk ends.
 
     Every path returned is certified from ``gram``: at every penalty each
     active column's correlation is within ``KKT_TOLERANCE`` * ||c||_inf of
     lam times its coefficient's sign, and each other column's of
-    [-lam, lam]. A zone whose walk meets a join with s / G_jj at or below
-    ``SCHUR_FLOOR``, does not reach the last penalty, or fails the
-    certificate is walked again, solving its padded G_AA (the identity off
-    the block) afresh at every step. If that fails too,
-    :class:`NumericalError` names the zone and the penalty.
+    [-lam, lam]. A zone whose fresh solve is singular, that does not finish,
+    or that fails the certificate is walked again, fresh from lambda_max; if
+    that fails too, :class:`NumericalError` names the zone and the penalty.
     ``tests/lasso_oracle.py`` keeps the scalar walk of one zone.
     """
     lams = np.array(sorted(map(float, grid), reverse=True))
@@ -529,15 +529,15 @@ def _walk(G: np.ndarray, c: np.ndarray, lams: np.ndarray,
     """The lockstep walk of :func:`fit_lasso_path` for k zones at the
     descending penalties ``lams``, and its certificate. A ``fresh`` zone
     solves its padded G_AA at every step; any other keeps the inverse of
-    G_AA, zero off the block, and so reads (u, w) as inv @ [c_A, sigma_A].
+    G_AA, zero off the block, and reads (u, w) as inv @ [c_A, sigma_A] until
+    a join with s / G_jj <= ``SCHUR_FLOOR`` turns it fresh for good.
 
     Returns the k x m x L path and, per zone, a fault code (an index of
     ``_FAULTS``, 0 for a certified path) and the penalty it names. A zone
-    stops at a join with s / G_jj <= ``SCHUR_FLOOR`` (updated zones) or at a
-    singular solve (fresh zones), both code 1; its state runs on unread.
+    stops at a singular fresh solve (code 1); its state runs on unread.
     """
     (k, m), L = c.shape, lams.size
-    zones, down, any_fresh = np.arange(k), -lams, fresh.any()
+    zones, down = np.arange(k), -lams
     lam = top = np.max(np.abs(c), axis=1, initial=0.0)
     floor, joinable = 1e-12 * top, np.diagonal(G, axis1=1, axis2=2) > 0.0
     i = np.searchsorted(down, -lam, side="right")      # each zone's next grid index
@@ -558,19 +558,17 @@ def _walk(G: np.ndarray, c: np.ndarray, lams: np.ndarray,
             # (kind 0) or - (kind 1), or leaves (kind 2). A join borders the
             # inverse with [[A^-1 + b b'/s, -b/s], [-b'/s, 1/s]], the rank-one
             # update by v v'/s with v = [b; -1], where b = A^-1 g, g = G_Aj
-            # and s = G_jj - g'b.
+            # and s = G_jj - g'b. A fresh zone's inverse is left as it is.
             col = G[zones, :, j]
             g, Gjj = col * act, col[zones, j]
             b = np.matmul(inv, g[..., None])[..., 0]
             s = Gjj - np.matmul(g[:, None, :], b[..., None])[:, 0, 0]
             join = live & (kind < 2)
-            thin = join & ~(s > SCHUR_FLOOR * Gjj) & ~fresh
-            if thin.any():
-                fault[thin], at[thin], live, join = 1, lam[thin], live & ~thin, join & ~thin
+            fresh = fresh | (join & ~(s > SCHUR_FLOOR * Gjj))
             b[zones, j] = -1.0
-            inv += (b * np.where(join, 1.0 / s, 0.0)[:, None])[:, :, None] * b[:, None, :]
+            inv += (b * np.where(join & ~fresh, 1.0 / s, 0.0)[:, None])[:, :, None] * b[:, None, :]
             # a leave drops row and column j: A^-1 - v v'/v_j with v = A^-1 e_j
-            if np.any(leave := live ^ join):
+            if np.any(leave := live & ~join & ~fresh):
                 z, jz = zones[leave], j[leave]
                 v = inv[z, :, jz]
                 inv[z] -= (v / v[np.arange(z.size), jz, None])[:, :, None] * v[:, None, :]
@@ -581,7 +579,7 @@ def _walk(G: np.ndarray, c: np.ndarray, lams: np.ndarray,
             act = signs != 0.0
             np.multiply(c, act, out=rhs[..., 0])
             uw = np.matmul(inv, rhs)
-            if any_fresh:
+            if fresh.any():
                 M = np.where(act[fresh, :, None] & act[fresh, None, :], G[fresh], np.eye(m))
                 uw[fresh] = _each_zone(np.linalg.solve, M, rhs[fresh])
                 bad = fresh & live & ~np.isfinite(uw).all(axis=(1, 2))

@@ -195,7 +195,6 @@ def write_stack(stack: WeightStack, directory) -> None:
                 w.writerow([repr(float(v)) for v in row])
     manifest = {
         "scheme": stack.scheme,
-        "eta_max": stack.eta_max,
         "zone_ids": list(stack.zone_ids),
         "files": [f"w{l}.csv" for l in range(stack.eta_max)],
     }
@@ -204,8 +203,8 @@ def write_stack(stack: WeightStack, directory) -> None:
 
 def read_stack(directory) -> WeightStack:
     """Read a stack written by :func:`write_stack`; raises DataError when
-    the files are malformed or the stack fails :func:`validate_stack`. A
-    matrix file may start with a UTF-8 byte-order mark."""
+    the files are malformed, the scheme is unknown or the stack fails
+    :func:`validate_stack`. A matrix file may start with a UTF-8 BOM."""
     directory = Path(directory)
     with open_input(directory / "manifest.json", "stack manifest") as fh:
         manifest = json.load(fh)
@@ -224,6 +223,8 @@ def read_stack(directory) -> WeightStack:
         raise DataError(f"malformed weight stack in {directory}: {e!r}") from None
     if not mats:
         raise DataError(f"weight stack in {directory} lists no matrices")
+    if stack.scheme not in (SCHEME_CENTROID, SCHEME_ADJACENCY):
+        raise DataError(f"weight stack in {directory} has unknown scheme {stack.scheme!r}")
     failed = [c for c in validate_stack(stack) if not c["ok"]]
     if failed:
         raise DataError(f"invalid weight stack in {directory}: {failed}")

@@ -570,6 +570,18 @@ class TestGrid:
         assert "distinct schemes" in capsys.readouterr().err
         assert not (tmp_path / "grid").exists()
 
+    @pytest.mark.parametrize("scheme", [["a"], 1.5, "zzz"], ids=["list", "float", "unknown"])
+    def test_stack_of_unknown_scheme_is_data_error(self, tmp_path, synth_run, capsys, scheme):
+        # rejected where the stack is read, not in the grid's set-up or its sort
+        manifest = json.loads((synth_run / "stack" / "manifest.json").read_text())
+        manifest["scheme"] = scheme
+        (synth_run / "stack" / "manifest.json").write_text(json.dumps(manifest))
+        cfg = self._config(tmp_path, synth_run, tmp_path / "grid", timings=False)
+        assert main(["grid", "-c", str(cfg)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"has unknown scheme {scheme!r}" in err and "Traceback" not in err
+        assert not (tmp_path / "grid").exists()
+
 
 @pytest.mark.parametrize("command,section", [
     ("grid", {"models": ["star", "lasso_star"], "p": [1], "eta": [1, 2], "include_var": True}),

@@ -514,11 +514,11 @@ class TestLassoPathCertificate:
         join event is exactly 1 whenever rounding leaves its correlation slope
         inside +-1; it then joins its twin and the active block is singular.
         Walked on the updated inverse, rounding keeps it out, which is a LASSO
-        solution too, and the path is certified. Walked afresh, it joins.
+        solution too, and the path is certified. Solved afresh, it joins.
         Zones 0 and 2 have orthogonal columns, so each of their joins has
         s / G_jj = 1, while zone 1's column 2 joins at 0.907: with SCHUR_FLOOR
-        at 0.95 zone 1 alone is walked afresh, and the error names it by its
-        own index."""
+        at 0.95 zone 1 alone turns fresh at that join, and the error names it
+        by its own index."""
         rng = np.random.default_rng(65)
         Z, y = rng.normal(size=(3, 6, 3)), rng.normal(size=(3, 6))
         Z[[0, 2]] = np.kron(np.eye(3), [[1.0], [2.0]])
@@ -633,8 +633,9 @@ class TestLockstepPath:
     def test_one_batched_solve_per_step_of_the_longest_zone(self, monkeypatch):
         """A well-conditioned design walks on updated inverses alone: no solve.
         With every join's s / G_jj below SCHUR_FLOOR (raised to inf), every
-        zone is walked again afresh: one batched solve per step of the longest
-        zone, each of all six zones, and the scalar walk's path."""
+        zone turns fresh at its first join and is not walked again: one walk,
+        one batched solve per step of the longest zone, each of all six zones,
+        and the scalar walk's path."""
         panel = random_panel(6, 90, seed=63)
         stack = random_centroid_stack(6, 3, seed=63)
         design = build_design(panel, stack, ModelOrder(p=3, eta=3), (0, 90))
@@ -650,7 +651,15 @@ class TestLockstepPath:
         fit_lasso_path(design.gram(), grid)
         assert shapes == []
         monkeypatch.setattr(estimators, "SCHUR_FLOOR", np.inf)
+        walk, walks = estimators._walk, []
+
+        def counting_walk(*args):
+            walks.append(len(args[1]))
+            return walk(*args)
+
+        monkeypatch.setattr(estimators, "_walk", counting_walk)
         fit_lasso_path(design.gram(), grid)
+        assert walks == [6]
         assert len(shapes) == max(steps) < sum(steps)
         assert set(shapes) == {(6, 9, 9)}
         _assert_matches_oracle(design, grid)

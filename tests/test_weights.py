@@ -225,7 +225,9 @@ def test_read_stack_rejects_bad_cells(tmp_path, line_stack, cell):
 
 
 @pytest.mark.parametrize("manifest", ["{}", '{"files": ["w9.csv"], "scheme": "c", '
-                                            '"zone_ids": ["A", "B", "C"]}', "[1]"])
+                                            '"zone_ids": ["A", "B", "C"]}', "[1]"] + [
+    f'{{"files": ["w0.csv", "w1.csv", "w2.csv"], "scheme": {scheme}, '
+    f'"zone_ids": ["A", "B", "C"]}}' for scheme in ('["a"]', "1.5", "true", '""', '"zzz"')])
 def test_read_stack_rejects_bad_manifest(tmp_path, line_stack, manifest):
     write_stack(line_stack, tmp_path / "stack")
     (tmp_path / "stack" / "manifest.json").write_text(manifest)
