@@ -7,6 +7,7 @@ All types here are immutable after construction.
 from __future__ import annotations
 
 import csv
+import io
 from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime
@@ -184,18 +185,31 @@ def standardize(
 # -- CSV serialization --------------------------------------------------
 
 def write_panel_csv(panel: DemandPanel, path) -> None:
-    """Write `zone_id,bin_0,...,bin_{T-1}` rows, one per zone."""
+    """Write `zone_id,bin_0,...,bin_{T-1}` rows, one per zone, CRLF-ended.
+
+    A value is written as ``repr`` writes it, except that an integral value
+    below 1e15 in magnitude is written as an int (2.0 as ``2``, -0.0 as
+    ``0``). A number never needs CSV quoting, so each row's values are
+    joined with commas; only the zone id goes through ``csv.writer``.
+    """
+    values = panel.values
+    integral = (values == np.trunc(values)) & (np.abs(values) < 1e15)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["zone_id"] + [f"bin_{t}" for t in range(panel.T)])
-        for zid, row in zip(panel.zone_ids, panel.values):
-            w.writerow([zid] + [_fmt(v) for v in row.tolist()])
+        fh.write(",".join(["zone_id"] + [f"bin_{t}" for t in range(panel.T)]) + "\r\n")
+        for zid, row, whole in zip(panel.zone_ids, values, integral):
+            row = row.tolist()
+            cells = list(map(repr, row))
+            for t in np.flatnonzero(whole).tolist():
+                cells[t] = str(int(row[t]))
+            fh.write(_id_field(zid) + "," + ",".join(cells) + "\r\n")
 
 
-def _fmt(v: float) -> str:
-    if v.is_integer() and abs(v) < 1e15:
-        return str(int(v))
-    return repr(v)
+def _id_field(zone_id: str) -> str:
+    """The zone id as ``csv.writer`` writes it in a row of two or more
+    fields; the writer's line terminator decides which ids are quoted."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([zone_id, ""])
+    return buf.getvalue()[:-len(",\r\n")]
 
 
 def read_panel_csv(path) -> DemandPanel:

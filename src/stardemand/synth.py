@@ -2,9 +2,11 @@
 
 Noise is standard normal via Box-Muller applied to PCG64 uniforms, so a
 (spec, seed) pair reproduces the same panel everywhere. Both generators
-draw one k-vector of noise per time step in the same order, so a STAR
-spec with eta=1 and a diagonal-VAR spec with the same seed share their
-noise realizations.
+read one stream in one order: for each time step, the first uniforms of
+its Box-Muller pairs, then the second. They draw it a block of steps at a
+time, which reads the stream exactly as one draw per step would, so a
+STAR spec with eta=1 and a diagonal-VAR spec with the same seed share
+their noise realizations.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from .weights import WeightStack, centroid_rings
 
 KIND_VAR = "var"
 KIND_STAR = "star"
+
+# Time steps of noise drawn per call: drawing every step at once would hold
+# temporaries of about four times the panel's size.
+NOISE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -55,8 +61,10 @@ class ProcessSpec:
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise DataError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if self.length < 1:
-            raise DataError("length must be >= 1")
+        if not _is_count(self.length, 1):
+            raise DataError(f"length must be an int >= 1, got {self.length!r}")
+        if not _is_count(self.burn_in, 0):
+            raise DataError(f"burn_in must be an int >= 0, got {self.burn_in!r}")
         if self.kind == KIND_STAR:
             if self.order is None or self.star_coefficients is None:
                 raise DataError("star spec needs order and coefficients")
@@ -75,17 +83,28 @@ class ProcessSpec:
             raise DataError(f"initial values must be k x p = {(self.k, self.p)}")
 
 
-def _gaussian_vector(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Box-Muller pairs from PCG64 uniforms; odd n discards one value."""
+def _is_count(value, minimum: int) -> bool:
+    """True for an int (not a bool) of at least ``minimum``."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= minimum)
+
+
+def _gaussian_block(rng: np.random.Generator, steps: int, n: int) -> np.ndarray:
+    """steps x n standard normals, row t the noise of the t-th step.
+
+    Each step takes its Box-Muller pairs from ``ceil(n / 2)`` first
+    uniforms followed by as many second ones; odd n discards one value.
+    One ``rng.random((steps, 2, pairs))`` call reads the PCG64 stream in
+    that order, so the block equals ``steps`` successive per-step draws.
+    """
     pairs = (n + 1) // 2
-    u1 = rng.random(pairs)
-    u2 = rng.random(pairs)
-    radius = np.sqrt(-2.0 * np.log1p(-u1))   # 1-u1 avoids log(0)
-    angle = 2.0 * math.pi * u2
-    z = np.empty(pairs * 2)
-    z[0::2] = radius * np.cos(angle)
-    z[1::2] = radius * np.sin(angle)
-    return z[:n]
+    u = rng.random((steps, 2, pairs))
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))   # 1-u1 avoids log(0)
+    angle = 2.0 * math.pi * u[:, 1]
+    z = np.empty((steps, pairs * 2))
+    z[:, 0::2] = radius * np.cos(angle)
+    z[:, 1::2] = radius * np.sin(angle)
+    return z[:, :n]
 
 
 def implied_var_matrices(spec: ProcessSpec, stack: WeightStack | None) -> list[np.ndarray]:
@@ -135,12 +154,15 @@ def _iterate(spec: ProcessSpec, intercept: np.ndarray,
     Y = np.zeros((k, total))
     Y[:, :p] = np.asarray(spec.initial, dtype=float)
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    for t in range(p, total):
-        eps = spec.sigma * _gaussian_vector(rng, k) if spec.sigma > 0 else np.zeros(k)
-        y = intercept.copy()
-        for j, A in enumerate(lag_matrices, start=1):
-            y += A @ Y[:, t - j]
-        Y[:, t] = y + eps
+    for start in range(p, total, NOISE_BLOCK):
+        steps = min(NOISE_BLOCK, total - start)
+        noise = (spec.sigma * _gaussian_block(rng, steps, k) if spec.sigma > 0
+                 else np.zeros((steps, k)))
+        for t, eps in enumerate(noise, start=start):
+            y = intercept.copy()
+            for j, A in enumerate(lag_matrices, start=1):
+                y += A @ Y[:, t - j]
+            Y[:, t] = y + eps
     out = Y[:, total - spec.length:]
     return make_panel(zone_ids, out, kind=KIND_REAL)
 

@@ -1,9 +1,12 @@
-"""Synthetic ground truths for the coefficient-recovery tests.
+"""Synthetic ground truths for the coefficient-recovery tests, and the
+per-step reference for the generators' noise stream.
 
 A paired adjacency stack keeps the first neighborhood rings small, so the
 neighborhood regressor columns stay high variance and recovery is well
 conditioned; the sparse persistent spec is the truth recovered on it.
 """
+
+import math
 
 import numpy as np
 
@@ -67,3 +70,35 @@ def recovery_star_spec(
         while spectral_radius(implied_var_matrices(spec, stack)) > target_radius + 1e-9:
             coef *= 0.95
     return spec
+
+
+def per_step_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
+    """One step's n standard normals: Box-Muller pairs from ceil(n / 2)
+    first PCG64 uniforms, then as many second ones; odd n discards one."""
+    pairs = (n + 1) // 2
+    u1 = rng.random(pairs)
+    u2 = rng.random(pairs)
+    radius = np.sqrt(-2.0 * np.log1p(-u1))   # 1-u1 avoids log(0)
+    angle = 2.0 * math.pi * u2
+    z = np.empty(pairs * 2)
+    z[0::2] = radius * np.cos(angle)
+    z[1::2] = radius * np.sin(angle)
+    return z[:n]
+
+
+def per_step_values(spec: ProcessSpec, intercept: np.ndarray, lag_matrices) -> np.ndarray:
+    """Reference k x length values of y(t) = intercept + sum_j A_j y(t - j)
+    + noise, drawing each step's noise with its own :func:`per_step_gaussian`
+    call; the generators must equal it bit for bit."""
+    k, p = spec.k, spec.p
+    total = spec.burn_in + spec.length
+    Y = np.zeros((k, total))
+    Y[:, :p] = np.asarray(spec.initial, dtype=float)
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    for t in range(p, total):
+        eps = spec.sigma * per_step_gaussian(rng, k) if spec.sigma > 0 else np.zeros(k)
+        y = intercept.copy()
+        for j, A in enumerate(lag_matrices, start=1):
+            y += A @ Y[:, t - j]
+        Y[:, t] = y + eps
+    return Y[:, total - spec.length:]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -84,6 +85,19 @@ class TestSynth:
             assert main(["synth", "-c", str(cfg)]) == EXIT_OK
             texts.append((out / "panel.csv").read_bytes())
         assert texts[0] == texts[1]
+
+    def test_star_panel_bytes_pinned(self, tmp_path):
+        """The sha256 of a small STAR panel.csv, so any drift in the noise
+        stream, the recursion or the value format fails here; the noise
+        draw order and the writer's bytes are pinned in detail by
+        test_synth.py and test_panel.py."""
+        cfg = write_yaml(tmp_path / "s.yaml", {
+            "seed": 3, "output_dir": str(tmp_path / "out"),
+            "synth": {"kind": "star", "k": 5, "length": 300, "p": 2, "eta": 2},
+        })
+        assert main(["synth", "-c", str(cfg)]) == EXIT_OK
+        digest = hashlib.sha256((tmp_path / "out" / "panel.csv").read_bytes()).hexdigest()
+        assert digest == "802a64241e09ad523e1649a7aac2f55c3d10717115cf81c74d31b7a1abbc5d56"
 
     @pytest.mark.parametrize("synth,code,message", [
         ({"eta": 3, "eta_max": 2}, EXIT_CONFIG, "config error: synth.eta_max must be >= 3"),

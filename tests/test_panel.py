@@ -13,6 +13,7 @@ from stardemand.panel import (
 )
 
 from conftest import traced_peak
+from panel_oracle import write_panel_csv_per_value
 
 
 class TestMakePanel:
@@ -96,6 +97,35 @@ def test_csv_round_trip(tmp_path):
     q = read_panel_csv(path)
     assert q.zone_ids == p.zone_ids
     assert np.array_equal(q.values, p.values)
+
+
+AWKWARD_VALUES = [-0.0, 999999999999999.0, 1e15, -1e15, 1e16, 1e-310, 5e-324, 1e300,
+                  -1e300, 2.0, -3.0, 0.1, -2.5, 123456789.5]
+
+
+def _same_bytes_as_oracle(panel, tmp_path):
+    write_panel_csv(panel, tmp_path / "got.csv")
+    write_panel_csv_per_value(panel, tmp_path / "want.csv")
+    return (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("zone_id", ["", ",", '"', "cr\rx", "nl\nx", " sp", "z00"],
+                         ids=["empty", "comma", "quote", "cr", "lf", "leading_space", "plain"])
+def test_csv_bytes_match_per_value_writer(tmp_path, zone_id):
+    """Integral values below 1e15 are written as ints, the rest as repr;
+    the id is quoted exactly where csv.writer quotes it."""
+    p = make_panel([zone_id, "b"], [AWKWARD_VALUES, AWKWARD_VALUES[::-1]], kind=KIND_REAL)
+    assert _same_bytes_as_oracle(p, tmp_path)
+
+
+@pytest.mark.parametrize("kind", ["counts", "normal"])
+def test_csv_bytes_match_per_value_writer_on_whole_panels(tmp_path, kind):
+    """An all-integer panel of ingest's shape, and a real-valued one."""
+    rng = np.random.default_rng(4)
+    vals = (rng.poisson(3.0, size=(27, 146)).astype(float) if kind == "counts"
+            else rng.normal(size=(27, 300)))
+    p = make_panel([f"z{i:02d}" for i in range(27)], vals, kind=KIND_REAL)
+    assert _same_bytes_as_oracle(p, tmp_path)
 
 
 def test_csv_read_holds_no_copy_of_the_file(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from stardemand.synth import (
 )
 from stardemand.weights import WeightStack
 
-from synth_helpers import paired_adjacency_stack, recovery_star_spec
+from synth_helpers import paired_adjacency_stack, per_step_values, recovery_star_spec
 
 
 def _id_stack(k):
@@ -96,6 +98,23 @@ class TestGenStar:
             random_sparse_star_spec(4, ModelOrder(p=1, eta=1), stack, sigma=sigma, length=30,
                                     seed=0)
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("burn_in", -5, "burn_in must be an int >= 0, got -5"),
+        ("burn_in", 2.5, "burn_in must be an int >= 0, got 2.5"),
+        ("burn_in", True, "burn_in must be an int >= 0, got True"),
+        ("length", 0, "length must be an int >= 1, got 0"),
+        ("length", 2.5, "length must be an int >= 1, got 2.5"),
+        ("length", "10", "length must be an int >= 1, got '10'"),
+    ], ids=["burn_in_negative", "burn_in_fraction", "burn_in_bool", "length_zero",
+            "length_fraction", "length_string"])
+    def test_burn_in_and_length_must_be_counts(self, key, value, message):
+        # a burn_in of -5 returned a 5-bin panel for length 10; a fraction
+        # ended in a TypeError inside the generator
+        stack = random_centroid_stack(4, 1, seed=0)
+        args = {"length": 10, "burn_in": 0, key: value}
+        with pytest.raises(DataError, match=message):
+            random_sparse_star_spec(4, ModelOrder(p=1, eta=1), stack, sigma=1.0, seed=0, **args)
+
 
 class TestGenVar:
     def _var_spec(self, v, mats, **kw):
@@ -145,6 +164,29 @@ def test_star_eta1_equals_diagonal_var():
     a = gen_star_process(star, _id_stack(k))
     b = gen_var_process(var)
     assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("burn_in", [0, 50])
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("k", [3, 8, 27])
+def test_noise_stream_matches_per_step_oracle(k, p, sigma, burn_in):
+    """Both generators equal the one-draw-per-step reference bit for bit.
+    At least 2,097 steps follow the initial values, so each run spans three
+    of the generators' 1,024-step noise blocks and crosses two boundaries."""
+    rng = np.random.default_rng(100 * k + p)
+    stack = random_centroid_stack(k, 2, seed=k)
+    star = random_sparse_star_spec(k, ModelOrder(p=p, eta=2), stack, sigma=sigma,
+                                   length=2100, seed=p, burn_in=burn_in)
+    star = replace(star, initial=rng.normal(size=(k, p)))
+    mats = implied_var_matrices(star, stack)
+    got = gen_star_process(star, stack).values
+    assert np.array_equal(got, per_step_values(star, np.zeros(k), mats))
+
+    var = replace(star, kind=KIND_VAR, order=None, star_coefficients=None,
+                  var_intercept=rng.normal(size=k), var_lag_matrices=tuple(mats))
+    got = gen_var_process(var).values
+    assert np.array_equal(got, per_step_values(var, var.var_intercept, mats))
 
 
 def test_spectral_radius_companion():
