@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 
@@ -483,9 +484,10 @@ def cmd_synth(args) -> int:
     seed = cfg.number("seed", 0)
     kind = scfg.choice("kind", (synth.KIND_STAR, synth.KIND_VAR))
     k = scfg.number("k", minimum=1)
-    length = scfg.number("length", minimum=1)
-    sigma = scfg.number("sigma", 1.0, float, minimum=0)
-    burn_in = scfg.number("burn_in", 50, minimum=0)
+    # what every spec takes; require_stable is set on the spec once it is built
+    settings = dict(k=k, seed=seed, length=scfg.number("length", minimum=1),
+                    sigma=scfg.number("sigma", 1.0, float, minimum=0),
+                    burn_in=scfg.number("burn_in", 50, minimum=0))
     require_stable = scfg.flag("require_stable", False)
 
     if kind == synth.KIND_STAR:
@@ -497,12 +499,8 @@ def cmd_synth(args) -> int:
         else:
             stack_dir = scfg.path("stack")
         if "coefficients" in scfg.values:
-            spec = synth.ProcessSpec(
-                kind=synth.KIND_STAR, k=k, length=length, sigma=sigma, seed=seed,
-                initial=np.zeros((k, p)), order=order,
-                star_coefficients=scfg.array("coefficients", 2),
-                burn_in=burn_in, require_stable=require_stable,
-            )
+            spec = synth.ProcessSpec(kind=kind, **settings, initial=np.zeros((k, p)), order=order,
+                                     star_coefficients=scfg.array("coefficients", 2))
         else:
             sparse = {"density": scfg.number("density", 0.5, float, minimum=0),
                       "target_radius": scfg.number("target_radius", 0.7, float, minimum=0)}
@@ -510,24 +508,20 @@ def cmd_synth(args) -> int:
         stack = (synth.random_centroid_stack(k, eta_max, seed) if stack_dir is None
                  else weights.read_stack(stack_dir))
         if "coefficients" not in scfg.values:
-            spec = synth.random_sparse_star_spec(k, order, stack, sigma=sigma, length=length,
-                                                 seed=seed, burn_in=burn_in, **sparse)
-        out_panel = synth.gen_star_process(spec, stack)
-        truth = {"kind": "star", "p": p, "eta": eta, "sigma": sigma,
+            spec = synth.random_sparse_star_spec(order=order, stack=stack, **settings, **sparse)
+        truth = {"kind": "star", "p": p, "eta": eta, "sigma": spec.sigma,
                  "coefficients": spec.star_coefficients.tolist()}
     else:
         intercept = scfg.array("intercept", 1, [0.0] * k)
         mats = tuple(scfg.array("lag_matrices", 3))
-        spec = synth.ProcessSpec(
-            kind=synth.KIND_VAR, k=k, length=length, sigma=sigma, seed=seed,
-            initial=np.zeros((k, len(mats))),
-            var_intercept=intercept, var_lag_matrices=mats,
-            burn_in=burn_in, require_stable=require_stable,
-        )
-        out_panel = synth.gen_var_process(spec)
-        truth = {"kind": "var", "p": len(mats), "sigma": sigma,
+        spec = synth.ProcessSpec(kind=kind, **settings, initial=np.zeros((k, len(mats))),
+                                 var_intercept=intercept, var_lag_matrices=mats)
+        truth = {"kind": "var", "p": len(mats), "sigma": spec.sigma,
                  "intercept": intercept.tolist(),
                  "lag_matrices": [m.tolist() for m in mats]}
+    spec = replace(spec, require_stable=require_stable)
+    out_panel = (synth.gen_star_process(spec, stack) if kind == synth.KIND_STAR
+                 else synth.gen_var_process(spec))
 
     run = RunDir(out_dir, "synth", cfg.echo)
     if kind == synth.KIND_STAR:

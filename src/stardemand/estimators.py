@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, NumericalError
-from .panel import DemandPanel, ModelOrder, SplitSpec
+from .panel import DemandPanel, ModelOrder, SplitSpec, is_count
 from .weights import WeightStack
 
 
@@ -325,17 +325,17 @@ class LassoConfig:
     refit_after_tuning: bool = True
 
     def __post_init__(self):
-        if not 1 <= self.n_lambdas <= MAX_N_LAMBDAS:
-            raise ConfigError(f"n_lambdas must lie in [1, {MAX_N_LAMBDAS}], "
-                              f"got {self.n_lambdas}")
+        if not (is_count(self.n_lambdas, 1) and self.n_lambdas <= MAX_N_LAMBDAS):
+            raise ConfigError(f"n_lambdas must lie in [1, {MAX_N_LAMBDAS}] and be an int, "
+                              f"got {self.n_lambdas!r}")
         if not 0 < self.lambda_min_ratio < 1:
             raise ConfigError(
                 f"lambda_min_ratio must lie in (0, 1), got {self.lambda_min_ratio}")
         if self.explicit_grid is not None:
             if not self.explicit_grid:
                 raise ConfigError("grid must not be empty")
-            if not all(g >= 0 for g in self.explicit_grid):
-                raise ConfigError("grid values must be >= 0")
+            if not all(0 <= g < np.inf for g in self.explicit_grid):
+                raise ConfigError(f"grid values must be finite and >= 0, got {self.explicit_grid}")
 
     def grid(self, lam_max: float) -> list[float]:
         """Descending penalty grid, optionally ending in an explicit 0."""

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, open_input
-from .panel import DemandPanel, make_panel, unique_zone_ids
+from .panel import DemandPanel, is_count, make_panel, unique_zone_ids
 
 POLICY_STRICT = "strict"
 POLICY_SKIP = "skip"
@@ -515,7 +515,9 @@ def assign_zone(point: tuple[float, float], zones: Sequence[ZoneGeometry],
 
 def check_bin_minutes(bin_minutes: int) -> None:
     """Reject a bin width that does not split a day into whole bins."""
-    if bin_minutes < 1 or 1440 % bin_minutes != 0:
+    if not is_count(bin_minutes, 1):
+        raise DataError(f"bin_minutes must be an int >= 1, got {bin_minutes!r}")
+    if 1440 % bin_minutes != 0:
         raise DataError(f"bin_minutes={bin_minutes} must divide 1440")
 
 

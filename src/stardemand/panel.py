@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime
@@ -63,6 +64,11 @@ def unique_zone_ids(zone_ids: Iterable, where: str) -> tuple[str, ...]:
     return zone_ids
 
 
+def is_count(value, minimum: int) -> bool:
+    """True for an integer (a numpy one too, not a bool) of at least ``minimum``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum
+
+
 def make_panel(
     zone_ids: Sequence[str],
     values: Sequence[Sequence[float]] | np.ndarray,
@@ -80,8 +86,8 @@ def make_panel(
     zone_ids = unique_zone_ids(zone_ids, "panel")
     if len(zone_ids) == 0:
         raise DataError("panel needs at least one zone")
-    if bin_minutes <= 0:
-        raise DataError("bin_minutes must be positive")
+    if not is_count(bin_minutes, 1):
+        raise DataError(f"bin_minutes must be an int >= 1, got {bin_minutes!r}")
     if kind not in _KINDS:
         raise DataError(f"unknown panel kind {kind!r}")
 
@@ -125,7 +131,10 @@ class SplitSpec:
     t_end: int
 
     def __post_init__(self):
-        if not (0 < self.t1 < self.t2 < self.t_end):
+        for name, value in vars(self).items():
+            if not is_count(value, 1):
+                raise DataError(f"{name} must be an int >= 1, got {value!r}")
+        if not (self.t1 < self.t2 < self.t_end):
             raise DataError(
                 f"invalid split ({self.t1}, {self.t2}, {self.t_end}): "
                 "need 0 < t1 < t2 < t_end"
@@ -140,10 +149,9 @@ class ModelOrder:
     eta: int
 
     def __post_init__(self):
-        if self.p < 1:
-            raise DataError("p must be >= 1")
-        if self.eta < 1:
-            raise DataError("eta must be >= 1")
+        for name, value in vars(self).items():
+            if not is_count(value, 1):
+                raise DataError(f"{name} must be an int >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)

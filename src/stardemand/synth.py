@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DataError
 from .ingest import make_zone
-from .panel import DemandPanel, KIND_REAL, ModelOrder, make_panel
+from .panel import DemandPanel, KIND_REAL, ModelOrder, is_count, make_panel
 from .weights import WeightStack, centroid_rings
 
 KIND_VAR = "var"
@@ -61,9 +61,9 @@ class ProcessSpec:
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise DataError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if not _is_count(self.length, 1):
+        if not is_count(self.length, 1):
             raise DataError(f"length must be an int >= 1, got {self.length!r}")
-        if not _is_count(self.burn_in, 0):
+        if not is_count(self.burn_in, 0):
             raise DataError(f"burn_in must be an int >= 0, got {self.burn_in!r}")
         if self.kind == KIND_STAR:
             if self.order is None or self.star_coefficients is None:
@@ -81,12 +81,6 @@ class ProcessSpec:
         init = np.asarray(self.initial, dtype=float)
         if init.shape != (self.k, self.p):
             raise DataError(f"initial values must be k x p = {(self.k, self.p)}")
-
-
-def _is_count(value, minimum: int) -> bool:
-    """True for an int (not a bool) of at least ``minimum``."""
-    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            and value >= minimum)
 
 
 def _gaussian_block(rng: np.random.Generator, steps: int, n: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, open_input, write_json
-from .panel import _frozen, unique_zone_ids
+from .panel import _frozen, is_count, unique_zone_ids
 
 SCHEME_CENTROID = "centroid"
 SCHEME_ADJACENCY = "adjacency"
@@ -100,8 +100,8 @@ def centroid_rings(zones, eta_max: int) -> WeightStack:
     k = len(zone_ids)
     if k < 1:
         raise DataError("need at least one zone")
-    if eta_max < 1:
-        raise DataError("eta_max must be >= 1")
+    if not is_count(eta_max, 1):
+        raise DataError(f"eta_max must be an int >= 1, got {eta_max!r}")
     if eta_max - 1 > k - 1:
         raise DataError(f"eta_max={eta_max} needs at least {eta_max - 1} other zones, have {k - 1}")
 
@@ -126,8 +126,8 @@ def adjacency_rings(graph: AdjacencyGraph, eta_max: int) -> WeightStack:
     zones and hops >= eta_max get zero weight (empty rings stay all-zero).
     The breadth-first frontier of every origin advances at once.
     """
-    if eta_max < 1:
-        raise DataError("eta_max must be >= 1")
+    if not is_count(eta_max, 1):
+        raise DataError(f"eta_max must be an int >= 1, got {eta_max!r}")
     k = len(graph.zone_ids)
     index = {z: i for i, z in enumerate(graph.zone_ids)}
     adjacent = np.zeros((k, k), dtype=bool)

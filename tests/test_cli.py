@@ -99,6 +99,20 @@ class TestSynth:
         digest = hashlib.sha256((tmp_path / "out" / "panel.csv").read_bytes()).hexdigest()
         assert digest == "802a64241e09ad523e1649a7aac2f55c3d10717115cf81c74d31b7a1abbc5d56"
 
+    @pytest.mark.parametrize("require_stable,code", [(False, EXIT_OK), (True, EXIT_DATA)])
+    def test_require_stable_holds_for_a_random_sparse_spec(self, tmp_path, capsys,
+                                                           require_stable, code):
+        # the random sparse spec checked stability whatever the config said
+        cfg = write_yaml(tmp_path / "s.yaml", {
+            "output_dir": str(tmp_path / "out"),
+            "synth": {"kind": "star", "k": 4, "length": 40, "p": 1, "eta": 2,
+                      "target_radius": 1.2, "require_stable": require_stable},
+        })
+        assert main(["synth", "-c", str(cfg)]) == code
+        err = capsys.readouterr().err
+        assert ("unstable process: companion spectral radius 1.2000 >= 1" in err) == require_stable
+        assert (tmp_path / "out" / "panel.csv").exists() != require_stable
+
     @pytest.mark.parametrize("synth,code,message", [
         ({"eta": 3, "eta_max": 2}, EXIT_CONFIG, "config error: synth.eta_max must be >= 3"),
         ({"eta": 1, "stack": "two"}, EXIT_DATA, "data error: stack size does not match spec"),

@@ -703,6 +703,9 @@ class TestLassoConfig:
         {"explicit_grid": ()},
         {"explicit_grid": (1.0, -0.5)},
         {"explicit_grid": (float("nan"),)},
+        # an infinite penalty ended in a failed KKT certificate at lambda=inf
+        {"explicit_grid": (float("inf"),)},
+        {"explicit_grid": (1.0, float("inf"))},
     ])
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ConfigError):

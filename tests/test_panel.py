@@ -1,16 +1,22 @@
 import csv
 import io
+import re
+from datetime import datetime
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stardemand.errors import DataError
+from stardemand.errors import ConfigError, DataError
+from stardemand.estimators import LassoConfig
+from stardemand.ingest import Trips, bin_counts, check_bin_minutes, make_zone
 from stardemand.panel import (
-    KIND_REAL, SplitSpec, make_panel, read_panel_csv, standardize,
+    KIND_REAL, ModelOrder, SplitSpec, make_panel, read_panel_csv, standardize,
     write_panel_csv,
 )
+from stardemand.synth import KIND_STAR, ProcessSpec
+from stardemand.weights import adjacency_rings, centroid_rings, make_adjacency
 
 from conftest import traced_peak
 from panel_oracle import write_panel_csv_per_value
@@ -53,6 +59,56 @@ class TestSplit:
     def test_invariant(self):
         with pytest.raises(DataError):
             SplitSpec(t1=5, t2=5, t_end=10)
+
+
+def _star_spec(length=10, burn_in=0):
+    return ProcessSpec(kind=KIND_STAR, k=2, length=length, sigma=1.0, seed=0, burn_in=burn_in,
+                       initial=np.zeros((2, 1)), order=ModelOrder(1, 1),
+                       star_coefficients=np.zeros((2, 1)))
+
+
+_ZONES = [make_zone(z, centroid=(i, 0)) for i, z in enumerate("ABC")]
+_TRIPS = Trips(time=[datetime(2014, 4, 1, 0, 5)], lat=[0.0], lon=[0.0])
+
+# every count a value type takes: (field, error class, build from the value,
+# a valid value, the least valid value)
+COUNTS = {
+    "ModelOrder.p": ("p", DataError, lambda v: ModelOrder(v, 1), 2, 1),
+    "ModelOrder.eta": ("eta", DataError, lambda v: ModelOrder(1, v), 2, 1),
+    "SplitSpec.t1": ("t1", DataError, lambda v: SplitSpec(v, 80, 120), 40, 1),
+    "SplitSpec.t2": ("t2", DataError, lambda v: SplitSpec(1, v, 120), 80, 1),
+    "SplitSpec.t_end": ("t_end", DataError, lambda v: SplitSpec(1, 2, v), 120, 1),
+    "LassoConfig.n_lambdas": ("n_lambdas", ConfigError, lambda v: LassoConfig(n_lambdas=v), 3, 1),
+    "ProcessSpec.length": ("length", DataError, lambda v: _star_spec(length=v), 10, 1),
+    "ProcessSpec.burn_in": ("burn_in", DataError, lambda v: _star_spec(burn_in=v), 5, 0),
+    "centroid_rings.eta_max": ("eta_max", DataError, lambda v: centroid_rings(_ZONES, v), 2, 1),
+    "adjacency_rings.eta_max": ("eta_max", DataError, lambda v: adjacency_rings(
+        make_adjacency("ABC", [("A", "B")]), v), 2, 1),
+    "check_bin_minutes": ("bin_minutes", DataError, check_bin_minutes, 15, 1),
+    "bin_counts.bin_minutes": ("bin_minutes", DataError, lambda v: bin_counts(
+        _TRIPS, _ZONES, bin_minutes=v, assign_policy="nearest"), 15, 1),
+    "make_panel.bin_minutes": ("bin_minutes", DataError, lambda v: make_panel(
+        ["a"], [[1.0]], bin_minutes=v), 15, 1),
+}
+
+
+@pytest.mark.parametrize("site", COUNTS)
+@pytest.mark.parametrize("bad", ["fraction", "bool", "numpy_bool", "string", "below_minimum"])
+def test_counts_checked_by_one_rule(site, bad):
+    """Every count of the library's value types is an int (a numpy int too,
+    never a bool) of at least its minimum; anything else raises the type's
+    own error naming the field, not a numpy TypeError deep in a fit."""
+    field, error, build, valid, minimum = COUNTS[site]
+    value = {"fraction": 2.5, "bool": True, "numpy_bool": np.True_, "string": "3",
+             "below_minimum": minimum - 1}[bad]
+    with pytest.raises(error, match=rf"^{field} must .*\bint\b.*, got {re.escape(repr(value))}$"):
+        build(value)
+
+
+@pytest.mark.parametrize("site", COUNTS)
+def test_numpy_int_is_a_count(site):
+    _, _, build, valid, _ = COUNTS[site]
+    build(np.int64(valid))
 
 
 class TestStandardize:
