@@ -44,6 +44,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"invalid YAML in {path}: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a mapping")
+    _check_keys(cfg)
     return cfg
 
 
@@ -63,6 +64,22 @@ SECTION_KEYS = {
     "synth": ("kind", "k", "length", "sigma", "burn_in", "require_stable", "p", "eta", "stack",
               "eta_max", "coefficients", "density", "target_radius", "intercept", "lag_matrices"),
 }
+
+
+def _check_keys(values: dict, name: str = "") -> None:
+    """Every section of SECTION_KEYS in the document, read or not, is a
+    mapping of the keys it may hold, so a typo is never dropped silently."""
+    unknown = sorted(str(k) for k in values if k not in SECTION_KEYS[name])
+    if unknown:
+        where = f"key(s) in {name}" if name else "top-level key(s)"
+        raise ConfigError(f"unknown {where}: {', '.join(unknown)}")
+    for key, child in values.items():
+        child_name = f"{name}.{key}" if name else key
+        if child_name in SECTION_KEYS:
+            if not isinstance(child, dict):
+                raise ConfigError(f"{child_name} must be a mapping, got {child!r}")
+            _check_keys(child, child_name)
+
 
 _REQUIRED = object()
 
@@ -89,14 +106,9 @@ def _number(value, name: str, kind=int, minimum=None):
 class Section:
     """One config mapping, read through typed getters that check each value
     and record it, resolved, under its key in ``echo``: a run echoes exactly
-    what it read. A section named in SECTION_KEYS rejects any other key."""
+    what it read. Its keys were checked against SECTION_KEYS at load."""
 
     def __init__(self, values: dict, name: str, cfg_path):
-        if name in SECTION_KEYS:
-            unknown = sorted(str(k) for k in values if k not in SECTION_KEYS[name])
-            if unknown:
-                where = f"key(s) in {name}" if name else "top-level key(s)"
-                raise ConfigError(f"unknown {where}: {', '.join(unknown)}")
         self.values, self.name, self.cfg_path = values, name, cfg_path
         self.echo: dict = {}
 

@@ -169,32 +169,31 @@ def build_design(
 @dataclass(frozen=True)
 class StarBlocks:
     """The Gram blocks shared by the STAR cells of order (p, eta) <= (P, E)
-    on one split, from which a cell takes its Gram matrices as sub-blocks.
+    on one split of ``panel``, from which a cell takes its Gram matrices.
 
-    The blocks are those of the design of order (P, E) on ``zeros``, the
-    panel with P - 1 zero bins before bin 0, whose rows are the targets
-    1 .. t_end - 1; a cell of order p reads those at t >= p, which read no
-    zero bin. ``grams`` maps a target range to the Gram of its rows: the fit
-    ranges [p, t1) and [p, t2) of every p <= P, the latter as that of
-    [p, t1) plus that of [t1, t2), which is what a cell's own design would
-    give; and the validation and test spans [t1, t2) and [t2, t_end), which
-    no p changes.
+    The blocks are those of the design of order (P, E) whose rows are the
+    targets 1 .. t_end - 1, built by ``span`` (see :func:`star_blocks`); a
+    cell of order p reads those at t >= p. ``grams`` maps a target range to
+    the Gram of its rows: the fit ranges [p, t1) and [p, t2) of every p <= P,
+    the latter as that of [p, t1) plus that of [t1, t2), which is what a
+    cell's own design would give; and the validation and test spans
+    [t1, t2) and [t2, t_end), which no p changes.
 
     The design itself is not kept: it would be most of a grid's memory. A
-    cell's rows are built from ``zeros`` only where a fit or score asks for
+    cell's rows are built by ``span`` only where a fit or score asks for
     them (see :meth:`rows`).
     """
 
-    zeros: DemandPanel
-    stack: WeightStack
+    panel: DemandPanel
     order: ModelOrder
     split: SplitSpec
     grams: dict[tuple[int, int], Gram]
+    span: Callable[[ModelOrder, int, int], DesignMatrix]
 
     def rows(self, order: ModelOrder, t_range: tuple[int, int]) -> DesignMatrix:
         """Cell ``order``'s system for the targets [start, end): its Gram as
         ``normal`` where ``grams`` holds the range, ``y`` a view of the panel,
-        and Z formed by :func:`build_design` only if asked for."""
+        and Z formed by ``span`` only if asked for."""
         (start, end), (P, E) = t_range, (self.order.p, self.order.eta)
         if order.p > P or order.eta > E:
             raise DataError(f"cell order (p={order.p}, eta={order.eta}) exceeds the shared "
@@ -206,31 +205,29 @@ class StarBlocks:
         gram = self.grams.get((start, end))
         if gram is not None:
             gram = Gram(gram.G[:, cols[:, None], cols], gram.c[:, cols], gram.yy)
-        lead = P - 1
-        zero_range = (start - order.p + lead, end + lead)
         return DesignMatrix(
-            Z=None, y=self.zeros.values[:, start + lead:end + lead], order=order,
+            Z=None, y=self.panel.values[:, start:end], order=order,
             fit_range=(start - order.p, end), normal=gram,
-            form=lambda: build_design(self.zeros, self.stack, order, zero_range).Z)
+            form=lambda: self.span(order, start, end).Z)
 
 
-def star_blocks(zeros: DemandPanel, stack: WeightStack, order: ModelOrder, split: SplitSpec,
-                span: Callable[[int, int], DesignMatrix]) -> StarBlocks:
-    """The :class:`StarBlocks` of ``split`` on ``zeros`` for the cells up to
-    ``order``. ``span(a, b)`` builds the rows of the targets [a, b) of the
-    design of ``order``; it is called for [t1, t2), [t2, t_end), then
-    [1, t1), and each span goes once its Grams are formed, so at most one
-    span's rows are held."""
+def star_blocks(panel: DemandPanel, order: ModelOrder, split: SplitSpec,
+                span: Callable[[ModelOrder, int, int], DesignMatrix]) -> StarBlocks:
+    """The :class:`StarBlocks` of ``split`` on ``panel`` for the cells up to
+    ``order``. ``span(cell, a, b)`` builds the rows of the targets [a, b),
+    a >= 1, of the design of order ``cell`` <= ``order``. It is called with
+    ``order`` for [t1, t2), [t2, t_end), then [1, t1), and each span goes
+    once its Grams are formed, so at most one span's rows are held."""
     P, (t1, t2, t_end) = order.p, (split.t1, split.t2, split.t_end)
     _check_fit_range((0, t1), P, t_end)
     grams = {}
     for a, b, starts in [(t1, t2, [t1]), (t2, t_end, [t2]), (1, t1, range(1, P + 1))]:
-        rows = span(a, b)
+        rows = span(order, a, b)
         grams.update({(s, b): _gram(rows.Z[:, s - a:], rows.y[:, s - a:]) for s in starts})
         del rows        # before the next span is built
     for p in range(1, P + 1):
         grams[p, t2] = Gram(*map(np.add, grams[p, t1], grams[t1, t2]))
-    return StarBlocks(zeros, stack, order, split, grams)
+    return StarBlocks(panel, order, split, grams, span)
 
 
 # The share of y'y that sse's rounding bound may reach before a zone's

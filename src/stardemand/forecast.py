@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .panel import DemandPanel, ModelOrder, SplitSpec
+from .panel import DemandPanel, ModelOrder, SplitSpec, is_count
 from .weights import WeightStack
 from .estimators import (
     LassoConfig, StarBlocks, StarModel, VarModel, build_design, check_stack,
@@ -101,11 +101,13 @@ def _report(model_kind: str, order: ModelOrder, stack: WeightStack | None,
 def scenario_blocks(panel: DemandPanel, stack: WeightStack | None, order: ModelOrder,
                     split: SplitSpec) -> StarBlocks:
     """The blocks of ``split`` for the cells up to ``order``, from a design of
-    ``order`` built one span of targets at a time (see :func:`star_blocks`)."""
-    lead = order.p - 1      # zero bins before bin 0, see StarBlocks
+    ``order`` built one span of targets at a time (see :func:`star_blocks`).
+    Every span, a cell's rows too, is built on the panel with P - 1 zero bins
+    before bin 0: a cell of order p reads the targets t >= p, which read none."""
+    lead = order.p - 1
     zeros = DemandPanel(panel.zone_ids, np.pad(panel.values, ((0, 0), (lead, 0))))
-    return star_blocks(zeros, stack, order, split,
-                       lambda a, b: build_design(zeros, stack, order, (a - 1, b + lead)))
+    return star_blocks(panel, order, split, lambda cell, a, b: build_design(
+        zeros, stack, cell, (a - cell.p + lead, b + lead)))
 
 
 def _mspe(model: VarModel | StarModel, panel: DemandPanel, blocks: StarBlocks | None,
@@ -183,6 +185,10 @@ class ScenarioGrid:
     def __post_init__(self):
         if not self.p_values or (not self.eta_values and self.model_kinds):
             raise DataError("grid axes must be non-empty")
+        for axis in ("p_values", "eta_values"):
+            for v in getattr(self, axis):
+                if not is_count(v, 1):
+                    raise DataError(f"{axis} must each be an int >= 1, got {v!r}")
         schemes = [s.scheme for s in self.stacks]
         if len(set(schemes)) != len(schemes):
             # reports name a stack by its scheme alone

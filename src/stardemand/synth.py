@@ -30,6 +30,11 @@ KIND_STAR = "star"
 NOISE_BLOCK = 1024
 
 
+def _check_k(k) -> None:
+    if not is_count(k, 1):
+        raise DataError(f"k must be an int >= 1, got {k!r}")
+
+
 @dataclass(frozen=True)
 class ProcessSpec:
     """Ground-truth process for generating synthetic panels.
@@ -59,6 +64,7 @@ class ProcessSpec:
         return len(self.var_lag_matrices)
 
     def __post_init__(self):
+        _check_k(self.k)
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise DataError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not is_count(self.length, 1):
@@ -196,6 +202,7 @@ def random_sparse_star_spec(
     """
     if not 0 <= target_radius < math.inf:
         raise DataError(f"target_radius must be finite and >= 0, got {target_radius}")
+    _check_k(k)
     rng = np.random.Generator(np.random.PCG64(seed ^ 0x5A17))
     m = order.eta * order.p
     coef = rng.normal(0.0, 0.5, size=(k, m))
@@ -223,6 +230,7 @@ def random_sparse_star_spec(
 def synthetic_zone_ids(k: int) -> list[str]:
     """Zone ids z00, z01, ... of generated VAR panels and random stacks; a
     STAR panel takes the ids of the stack it was generated through."""
+    _check_k(k)
     return [f"z{i:02d}" for i in range(k)]
 
 

@@ -957,6 +957,38 @@ class TestConfigValidation:
         assert f"unknown {where}: {key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,section,value,message", [
+        ("synth", "lasso", {"n_lambdaz": 5}, "unknown key(s) in lasso: n_lambdaz"),
+        ("synth", "ingest", {"trips": "x.csv", "bogus_key": 1},
+         "unknown key(s) in ingest: bogus_key"),
+        ("synth", "grid", {"modelz": ["star"]}, "unknown key(s) in grid: modelz"),
+        ("grid", "ingest", {"trips": "x.csv", "columns": {"tyme": "t"}},
+         "unknown key(s) in ingest.columns: tyme"),
+        ("fit", "synth", {"kind": "star", "kk": 4}, "unknown key(s) in synth: kk"),
+        ("grid", "weights", {"scheme": "centroid", "eta": 2}, "unknown key(s) in weights: eta"),
+        ("synth", "lasso", 5, "lasso must be a mapping, got 5"),
+        ("fit", "ingest", {"columns": ["time"]}, "ingest.columns must be a mapping, got ['time']"),
+        ("grid", "synth", None, "synth must be a mapping, got None"),
+    ], ids=["lasso-synth", "ingest-synth", "grid-synth", "ingest_columns-grid", "synth-fit",
+            "weights-grid", "lasso_scalar-synth", "ingest_columns_list-fit", "synth_null-grid"])
+    def test_unread_section_is_checked(self, tmp_path, synth_run, capsys, command, section,
+                                       value, message):
+        # a section the command does not read is checked at load like one it
+        # does: without its typo the run exits 0
+        cfg = yaml.safe_load(self._config(tmp_path, synth_run).read_text())
+        cfg["synth"] = {"kind": "star", "k": 4, "length": 40, "p": 1, "eta": 1}
+        cfg[section] = value
+        assert main([command, "-c", str(write_yaml(tmp_path / "c.yaml", cfg))]) == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unread_section_is_not_echoed(self, tmp_path, synth_run):
+        cfg = self._config(tmp_path, synth_run)
+        assert main(["grid", "-c", str(cfg)]) == EXIT_OK
+        echoed = yaml.safe_load((tmp_path / "out" / "config.yaml").read_text())
+        assert set(echoed) == {"command", "panel", "stacks", "split", "standardize", "lasso",
+                               "timings", "grid"}
+
     def test_adjacency_under_centroid_scheme(self, tmp_path, capsys):
         # the centroid scheme builds its rings from distances and reads no adjacency
         (tmp_path / "zones.csv").write_text("zone_id,lon,lat\nA,0,0\nB,1,0\nC,3,0\n")

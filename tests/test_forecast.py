@@ -371,6 +371,36 @@ class TestRunGrid:
         assert all(np.isfinite(r.test_mspe) for r in good)
 
 
+class TestCellRows:
+    """A cell's rows handed out by the shared blocks: ``y`` is a view of the
+    panel itself, and the formed Z is, bit for bit, the cell's own design
+    over the same targets."""
+
+    TARGETS = {"fit": (None, 30), "validation": (30, 60), "test": (60, 90), "across": (50, 90)}
+
+    def _rows(self, p, eta, targets):
+        panel = random_panel(6, 90, seed=65)
+        stack = random_centroid_stack(6, 3, seed=65)
+        blocks = forecast.scenario_blocks(panel, stack, ModelOrder(p=3, eta=3),
+                                          SplitSpec(30, 60, 90))
+        start, end = self.TARGETS[targets]
+        start = p if start is None else start
+        order = ModelOrder(p=p, eta=eta)
+        return panel, blocks.rows(order, (start, end)), build_design(panel, stack, order,
+                                                                     (start - p, end))
+
+    @pytest.mark.parametrize("targets", TARGETS)
+    def test_y_is_a_view_of_the_panel(self, targets):
+        panel, rows, own = self._rows(2, 3, targets)
+        assert np.shares_memory(rows.y, panel.values) and np.array_equal(rows.y, own.y)
+
+    @pytest.mark.parametrize("p,eta", [(1, 1), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("targets", TARGETS)
+    def test_rows_are_the_cells_own_design(self, p, eta, targets):
+        _, rows, own = self._rows(p, eta, targets)
+        assert np.array_equal(rows.own(), own.Z)
+
+
 class TestGridMatchesCells:
     """run_grid shares one design per stack; each of its reports must equal
     that of the cell run alone through run_scenario, which builds its own."""
@@ -460,9 +490,9 @@ class TestRowsFormedOnDemand:
     Either way the cell's report matches the cell fit on its own designs."""
 
     def _run(self, monkeypatch, panel, grid):
-        """run_grid's reports, and the branch that asked for each cell's rows
-        (StarBlocks forms rows through estimators.build_design, while the
-        stack's span builds go through forecast's)."""
+        """run_grid's reports, and the branch that asked for each cell's rows.
+        The stack's spans and a cell's rows are both built by forecast's
+        build_design; only the builds inside a branch form a cell's rows."""
         formed, branch, lstsq_calls = [], [], []
 
         def entered(name, fn):
@@ -475,7 +505,8 @@ class TestRowsFormedOnDemand:
             return wrapped
 
         def counting_build(panel, stack, order, fit_range):
-            formed.append((order.p, order.eta, branch[-1] if branch else None))
+            if branch:
+                formed.append((order.p, order.eta, branch[-1]))
             return build_design(panel, stack, order, fit_range)
 
         def counting_lstsq(*args, **kwargs):
@@ -483,7 +514,7 @@ class TestRowsFormedOnDemand:
             return lstsq(*args, **kwargs)
 
         lstsq = np.linalg.lstsq
-        monkeypatch.setattr(estimators, "build_design", counting_build)
+        monkeypatch.setattr(forecast, "build_design", counting_build)
         monkeypatch.setattr(estimators, "_solve_normal",
                             entered("lstsq", estimators._solve_normal))
         for module in (estimators, forecast):

@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 
 from stardemand.errors import ConfigError, DataError
 from stardemand.estimators import LassoConfig
+from stardemand.forecast import ScenarioGrid
 from stardemand.ingest import Trips, bin_counts, check_bin_minutes, make_zone
 from stardemand.panel import (
     KIND_REAL, ModelOrder, SplitSpec, make_panel, read_panel_csv, standardize,
     write_panel_csv,
 )
-from stardemand.synth import KIND_STAR, ProcessSpec
+from stardemand.synth import (
+    KIND_STAR, ProcessSpec, random_centroid_stack, random_sparse_star_spec, synthetic_zone_ids,
+)
 from stardemand.weights import adjacency_rings, centroid_rings, make_adjacency
 
 from conftest import traced_peak
@@ -61,8 +64,8 @@ class TestSplit:
             SplitSpec(t1=5, t2=5, t_end=10)
 
 
-def _star_spec(length=10, burn_in=0):
-    return ProcessSpec(kind=KIND_STAR, k=2, length=length, sigma=1.0, seed=0, burn_in=burn_in,
+def _star_spec(length=10, burn_in=0, k=2):
+    return ProcessSpec(kind=KIND_STAR, k=k, length=length, sigma=1.0, seed=0, burn_in=burn_in,
                        initial=np.zeros((2, 1)), order=ModelOrder(1, 1),
                        star_coefficients=np.zeros((2, 1)))
 
@@ -89,6 +92,15 @@ COUNTS = {
         _TRIPS, _ZONES, bin_minutes=v, assign_policy="nearest"), 15, 1),
     "make_panel.bin_minutes": ("bin_minutes", DataError, lambda v: make_panel(
         ["a"], [[1.0]], bin_minutes=v), 15, 1),
+    "ScenarioGrid.p_values": ("p_values", DataError, lambda v: ScenarioGrid(
+        p_values=(1, v), eta_values=(1,), stacks=(), split=SplitSpec(40, 80, 120)), 2, 1),
+    "ScenarioGrid.eta_values": ("eta_values", DataError, lambda v: ScenarioGrid(
+        p_values=(1,), eta_values=(v,), stacks=(), split=SplitSpec(40, 80, 120)), 2, 1),
+    "ProcessSpec.k": ("k", DataError, lambda v: _star_spec(k=v), 2, 1),
+    "synthetic_zone_ids.k": ("k", DataError, synthetic_zone_ids, 3, 1),
+    "random_centroid_stack.k": ("k", DataError, lambda v: random_centroid_stack(v, 1), 3, 1),
+    "random_sparse_star_spec.k": ("k", DataError, lambda v: random_sparse_star_spec(
+        v, ModelOrder(1, 1), random_centroid_stack(3, 1), sigma=1.0, length=10, seed=0), 3, 1),
 }
 
 
