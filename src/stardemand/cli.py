@@ -275,14 +275,14 @@ def cmd_ingest(args) -> int:
     trips_path = icfg.path("trips")
     cols = icfg.section("columns")
     fmt = ingest.TripFormat(
-        time_column=cols.text("time", "Date/Time"),
-        lat_column=cols.text("lat", "Lat"),
-        lon_column=cols.text("lon", "Lon"),
+        time_column=cols.text("time", ingest.TripFormat.time_column),
+        lat_column=cols.text("lat", ingest.TripFormat.lat_column),
+        lon_column=cols.text("lon", ingest.TripFormat.lon_column),
         timestamp_format=icfg.text("timestamp_format", ingest.DEFAULT_TS_FORMAT),
     )
     parse_policy = icfg.choice("parse_policy", ingest.PARSE_POLICIES, ingest.POLICY_SKIP)
     assign_policy = icfg.choice("assign_policy", ingest.ASSIGN_POLICIES, ingest.POLICY_DROP)
-    bin_minutes = icfg.number("bin_minutes", 15)
+    bin_minutes = icfg.number("bin_minutes", panel_mod.BIN_MINUTES)
     day_range = None
     if "day_range" in icfg.values:
         bounds = icfg.raw("day_range")
@@ -408,16 +408,16 @@ def _lasso_from_config(cfg: Section) -> LassoConfig:
     lambda_min_ratio and include_zero, never both."""
     lcfg = cfg.section("lasso")
     explicit_grid = lcfg.numbers("grid", None, float)
-    refit_after_tuning = lcfg.flag("refit_after_tuning", True)
+    refit_after_tuning = lcfg.flag("refit_after_tuning", LassoConfig.refit_after_tuning)
     if explicit_grid is not None:
         mixed = sorted(set(lcfg.values) & {"n_lambdas", "lambda_min_ratio", "include_zero"})
         if mixed:
             raise ConfigError(f"lasso: {', '.join(mixed)} given with an explicit grid")
         return LassoConfig(explicit_grid=explicit_grid, refit_after_tuning=refit_after_tuning)
     return LassoConfig(
-        n_lambdas=lcfg.number("n_lambdas", 50),
-        lambda_min_ratio=lcfg.number("lambda_min_ratio", 1e-4, float),
-        include_zero=lcfg.flag("include_zero", True),
+        n_lambdas=lcfg.number("n_lambdas", LassoConfig.n_lambdas),
+        lambda_min_ratio=lcfg.number("lambda_min_ratio", LassoConfig.lambda_min_ratio, float),
+        include_zero=lcfg.flag("include_zero", LassoConfig.include_zero),
         refit_after_tuning=refit_after_tuning,
     )
 
@@ -452,7 +452,7 @@ def cmd_grid(args) -> int:
     models = gcfg.choices("models", (MODEL_STAR, MODEL_LASSO_STAR))
     p_values = gcfg.numbers("p", [1, 2, 3, 4], minimum=1)
     eta_values = gcfg.numbers("eta", [1, 2, 3, 4, 5, 6], minimum=1)
-    include_var = gcfg.flag("include_var", True)
+    include_var = gcfg.flag("include_var", ScenarioGrid.include_var)
     if not models and not include_var:
         raise ConfigError("grid: no scenarios to run, models is empty and include_var false")
     timings = cfg.flag("timings", True)

@@ -1,11 +1,10 @@
 """Model fitting: VAR by OLS, STAR by OLS, and L1-penalized STAR along
 its exact piecewise-linear LASSO path, plus penalty tuning on a validation
-window. The path is walked for all zones in lockstep, each zone on an
+window. The path is walked once for all zones in lockstep, each zone on an
 inverse of its active Gram block that is updated as columns join and
-leave, so a step solves nothing until an ill-conditioned join turns a zone
-fresh: it solves its block at every later step. Every path returned is
-certified against the LASSO's optimality conditions, and a zone that fails
-is walked again afresh (the reference is ``tests/lasso_oracle.py``'s walk).
+leave, until an ill-conditioned join turns a zone fresh: it then takes the
+minimum-norm solution of its block at every step. Every path returned is
+certified against the LASSO's optimality conditions.
 
 Conventions
 -----------
@@ -362,29 +361,27 @@ def _star_model(design: DesignMatrix, coefs: np.ndarray, n_free: int,
                      scheme=scheme, fit_range=design.fit_range, lambda_=lambda_)
 
 
-def _each_zone(solver, *arrays: np.ndarray) -> np.ndarray:
-    """``solver`` over every zone in one batched call. If it fails, zone by
-    zone instead, with NaN for the zones it fails on."""
-    try:
-        return solver(*arrays)
-    except np.linalg.LinAlgError:
-        out = np.full(arrays[-1].shape, np.nan)
-        for z in range(len(out)):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                out[z] = solver(*(a[z] for a in arrays))
-        return out
-
-
 def _solve_normal(G: np.ndarray, C: np.ndarray, n_rows: int, rows) -> np.ndarray:
     """Least squares of a batch of systems from their normal equations
     G[z] X[z] = C[z] (b x m x m and b x m x r), by one batched Cholesky
-    factorization. A system with fewer rows than columns, or whose factor
-    fails or has a pivot below 1e-7 of its largest (cond(G) > 1e14), gets
-    the minimum-norm solution of its rows ``rows(z)`` = (A, B) by ``lstsq``
-    instead."""
-    L = _each_zone(np.linalg.cholesky, G)
+    factorization (zone by zone if it fails), in which a zero-norm column
+    is a unit pivot and gets the minimum-norm coefficient 0. A system with
+    fewer rows than nonzero columns, or whose factor fails or has a nonzero
+    column's pivot below 1e-7 of their largest (cond(G) > 1e14), gets the
+    minimum-norm solution of its rows ``rows(z)`` = (A, B) by ``lstsq``."""
+    nz = np.diagonal(G, axis1=1, axis2=2) > 0.0
+    if not nz.all():
+        G = np.where(nz[:, :, None] & nz[:, None, :], G, np.eye(G.shape[-1]))
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        L = np.full(G.shape, np.nan)
+        for z in range(len(G)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                L[z] = np.linalg.cholesky(G[z])
     pivots = np.diagonal(L, axis1=1, axis2=2)
-    ok = (n_rows >= G.shape[-1]) & (pivots.min(axis=1) > 1e-7 * pivots.max(axis=1))
+    ok = (n_rows >= nz.sum(axis=1)) & (np.min(pivots, axis=1, where=nz, initial=np.inf)
+                                       > 1e-7 * np.max(pivots, axis=1, where=nz, initial=0.0))
     X = np.empty(C.shape)
     X[ok] = np.linalg.solve(L[ok].transpose(0, 2, 1), np.linalg.solve(L[ok], C[ok]))
     for z in np.flatnonzero(~ok):
@@ -463,15 +460,12 @@ KKT_TOLERANCE = 1e-9
 # fresh for the rest of its walk: the updated inverse's rounding grows with
 # the block's condition, and a duplicated column gives about 1e-15.
 SCHUR_FLOOR = 0.1
+# A fresh zone's minimum-norm solve cuts its G_AA's eigenvalues below this
+# share of the largest; 1e-10 would cut a full-rank block of cond 4e10.
+EIGEN_CUT = 1e-12
 
 # The sign a joining (kind 0, 1) or leaving (kind 2) column takes
 _SIGNS = np.array([1.0, -1.0, 0.0])
-
-# Why a zone's path failed, by the code _walk returns; 0 is none
-_FAULTS = (None,
-           "singular active-set Gram matrix in zone {z} at lambda={lam}",
-           "LASSO path of zone {z} did not reach lambda={lam}",
-           "LASSO path of zone {z} fails its KKT certificate at lambda={lam}")
 
 
 def fit_lasso_path(gram: Gram, grid: Sequence[float]) -> np.ndarray:
@@ -495,53 +489,42 @@ def fit_lasso_path(gram: Gram, grid: Sequence[float]) -> np.ndarray:
     borders it (with b = A^-1 g and s = G_jj - g'b) and a leave downdates
     it, so a step reads every zone's (u, w) from one batched ``matmul`` and
     solves nothing, until a join with s / G_jj <= ``SCHUR_FLOOR`` turns its
-    zone fresh: it then solves its padded G_AA (the identity off the block)
-    at every step. The grid penalties are filled in once the walk ends.
+    zone fresh: it then takes the minimum-norm (u, w) of its G_AA at every
+    step, which on dependent columns is the LARS-lasso of Tibshirani ("The
+    lasso problem and uniqueness", 2013). The grid penalties are filled in
+    once the walk ends.
 
     Every path returned is certified from ``gram``: at every penalty each
     active column's correlation is within ``KKT_TOLERANCE`` * ||c||_inf of
     lam times its coefficient's sign, and each other column's of
-    [-lam, lam]. A zone whose fresh solve is singular, that does not finish,
-    or that fails the certificate is walked again, fresh from lambda_max; if
-    that fails too, :class:`NumericalError` names the zone and the penalty.
+    [-lam, lam]; a zone that fails it, does not finish or has a non-finite
+    fresh block raises :class:`NumericalError` naming the zone and penalty.
     ``tests/lasso_oracle.py`` keeps the scalar walk of one zone.
     """
     lams = np.array(sorted(map(float, grid), reverse=True))
     if np.any(lams < 0):
         raise DataError("lambda must be >= 0")
-    G, c = gram.G, gram.c
-    out, fault, at = _walk(G, c, lams, np.zeros(len(c), dtype=bool))
-    redo = np.flatnonzero(fault)
-    if redo.size:
-        out[redo], fault[redo], at[redo] = _walk(G[redo], c[redo], lams,
-                                                 np.ones(redo.size, dtype=bool))
-    if fault.any():
-        z = int(np.flatnonzero(fault)[0])
-        raise NumericalError(_FAULTS[fault[z]].format(z=z, lam=at[z]))
-    return out
+    return _walk(gram.G, gram.c, lams)
 
 
-def _walk(G: np.ndarray, c: np.ndarray, lams: np.ndarray,
-          fresh: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _walk(G: np.ndarray, c: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """The lockstep walk of :func:`fit_lasso_path` for k zones at the
-    descending penalties ``lams``, and its certificate. A ``fresh`` zone
-    solves its padded G_AA at every step; any other keeps the inverse of
-    G_AA, zero off the block, and reads (u, w) as inv @ [c_A, sigma_A] until
-    a join with s / G_jj <= ``SCHUR_FLOOR`` turns it fresh for good.
-
-    Returns the k x m x L path and, per zone, a fault code (an index of
-    ``_FAULTS``, 0 for a certified path) and the penalty it names. A zone
-    stops at a singular fresh solve (code 1); its state runs on unread.
-    """
+    descending penalties ``lams``, and its certificate; the first fault
+    found raises. A zone keeps the inverse of G_AA, zero off the block, and
+    reads (u, w) as inv @ [c_A, sigma_A] until a join with
+    s / G_jj <= ``SCHUR_FLOOR`` turns it fresh for good: it then solves
+    G_AA, padded with its largest active G_jj times the identity, by
+    eigendecomposition, cutting eigenvalues below ``EIGEN_CUT`` of the
+    largest."""
     (k, m), L = c.shape, lams.size
     zones, down = np.arange(k), -lams
     lam = top = np.max(np.abs(c), axis=1, initial=0.0)
-    floor, joinable = 1e-12 * top, np.diagonal(G, axis1=1, axis2=2) > 0.0
+    diag = np.diagonal(G, axis1=1, axis2=2)
+    floor, joinable = 1e-12 * top, diag > 0.0
     i = np.searchsorted(down, -lam, side="right")      # each zone's next grid index
-    live, inv = i < L, np.zeros((k, m, m))
+    live, inv, fresh = i < L, np.zeros((k, m, m)), np.zeros(k, dtype=bool)
     rhs = np.zeros((k, m, 2))                  # [c_A, sigma_A], zero off the active set
     signs, act = rhs[..., 1], np.zeros((k, m), dtype=bool)    # signs: +-1 on A, 0 off it
-    fault, at = np.zeros(k, dtype=np.intp), np.full(k, np.nan)
     j = np.argmax(np.abs(c), axis=1)           # each zone's first event: its largest |c| joins
     kind = np.where(c[zones, j] > 0.0, 0, 1)
     events, kept = np.empty((k, 3, m)), []
@@ -577,10 +560,18 @@ def _walk(G: np.ndarray, c: np.ndarray, lams: np.ndarray,
             np.multiply(c, act, out=rhs[..., 0])
             uw = np.matmul(inv, rhs)
             if fresh.any():
-                M = np.where(act[fresh, :, None] & act[fresh, None, :], G[fresh], np.eye(m))
-                uw[fresh] = _each_zone(np.linalg.solve, M, rhs[fresh])
-                bad = fresh & live & ~np.isfinite(uw).all(axis=(1, 2))
-                fault[bad], at[bad], live = 1, lam[bad], live & ~bad
+                # the minimum-norm V diag(1/ev) V' [c_A, sigma_A], zero off the block
+                A = act[fresh]
+                pad = np.max(np.where(A, diag[fresh], 0.0), axis=1)[:, None, None] * np.eye(m)
+                M = np.where(A[:, :, None] & A[:, None, :], G[fresh], pad)
+                if not np.isfinite(M).all():
+                    z = np.flatnonzero(fresh)[np.argmin(np.isfinite(M).all(axis=(1, 2)))]
+                    raise NumericalError(f"LASSO path of zone {z} has a non-finite active-set "
+                                         f"Gram block at lambda={lam[z]}")
+                ev, V = np.linalg.eigh(M)
+                recip = np.divide(1.0, ev, out=np.zeros_like(ev), where=ev > EIGEN_CUT * ev[:, -1:])
+                sol = V @ (recip[..., None] * (V.transpose(0, 2, 1) @ rhs[fresh]))
+                uw[fresh] = sol * A[..., None]
             (u, w), ba = uw.transpose(2, 0, 1), np.matmul(G, uw)
             # events in argmax order: free columns reaching +lam, where
             # lam * (1 - a) = b, then -lam, where lam * (1 + a) = -b, each only if
@@ -600,7 +591,8 @@ def _walk(G: np.ndarray, c: np.ndarray, lams: np.ndarray,
                 kept.append((uw, signs.astype(np.int8), i, n))
             i, live = n, live & (n < L)
         if live.any():
-            fault[live], at[live] = 2, lams[-1]
+            raise NumericalError(f"LASSO path of zone {np.flatnonzero(live)[0]} did not reach "
+                                 f"lambda={lams[-1]}")
         out = np.zeros((k, m, L))
         if kept:
             # row r of the steps' zones covers grid indices i[r] .. n[r] - 1;
@@ -626,12 +618,12 @@ def _walk(G: np.ndarray, c: np.ndarray, lams: np.ndarray,
         excess += slope
         np.abs(excess, out=excess)
         excess += np.abs(slope, out=slope)
-        fail = ~(excess.max(axis=1) - lams <= KKT_TOLERANCE * top[:, None]) & (fault == 0)[:, None]
+        fail = ~(excess.max(axis=1) - lams <= KKT_TOLERANCE * top[:, None])
         if fail.any():
-            z, n = np.nonzero(fail)
-            z, first = np.unique(z, return_index=True)
-            fault[z], at[z] = 3, lams[n[first]]
-    return out, fault, at
+            z, n = np.argwhere(fail)[0]
+            raise NumericalError(f"LASSO path of zone {z} fails its KKT certificate at "
+                                 f"lambda={lams[n]}")
+    return out
 
 
 def solve_lasso_batch(gram: Gram, lam: float) -> np.ndarray:

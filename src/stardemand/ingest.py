@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, open_input
-from .panel import DemandPanel, is_count, make_panel, unique_zone_ids
+from .panel import BIN_MINUTES, DemandPanel, is_count, make_panel, unique_zone_ids
 
 POLICY_STRICT = "strict"
 POLICY_SKIP = "skip"
@@ -535,7 +535,7 @@ def count_bins(start: datetime, end: datetime, bin_minutes: int) -> int:
 def bin_counts(
     trips: Trips,
     zones: Sequence[ZoneGeometry],
-    bin_minutes: int = 15,
+    bin_minutes: int = BIN_MINUTES,
     day_range: tuple[datetime, datetime] | None = None,
     assign_policy: str = POLICY_DROP,
     report: IngestReport | None = None,

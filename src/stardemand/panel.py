@@ -25,6 +25,9 @@ KIND_STANDARDIZED = "standardized"
 
 _KINDS = (KIND_RAW, KIND_REAL, KIND_STANDARDIZED)
 
+# The width of a panel's bins, in minutes, where none is given
+BIN_MINUTES = 15
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
@@ -42,7 +45,7 @@ class DemandPanel:
 
     zone_ids: tuple[str, ...]
     values: np.ndarray
-    bin_minutes: int = 15
+    bin_minutes: int = BIN_MINUTES
     origin: datetime | None = None
     kind: str = KIND_RAW
 
@@ -72,7 +75,7 @@ def is_count(value, minimum: int) -> bool:
 def make_panel(
     zone_ids: Sequence[str],
     values: Sequence[Sequence[float]] | np.ndarray,
-    bin_minutes: int = 15,
+    bin_minutes: int = BIN_MINUTES,
     origin: datetime | None = None,
     kind: str = KIND_RAW,
 ) -> DemandPanel:

@@ -534,14 +534,17 @@ class TestRowsFormedOnDemand:
                                        atol=1e-12 * np.max(np.abs(coefs)))
 
     def test_lstsq_zones(self, monkeypatch):
-        # z04 and z05 have no neighbours: their ring-1 columns are zero, so
-        # in the eta = 2 cells their Cholesky pivots fail and each fit solves
-        # them by lstsq from rows formed once for both; the eta = 1 cells
-        # form none
+        # z04 and z05 are each other's only neighbour and carry one series,
+        # so their own and ring-1 columns coincide: in the eta = 2 cells their
+        # Cholesky pivots fail and each fit solves them by lstsq from rows
+        # formed once for both; the eta = 1 cells form none
         k = 6
         ids = synthetic_zone_ids(k)
-        stack = adjacency_rings(make_adjacency(ids, zip(ids[:3], ids[1:4])), 2)
-        panel = random_panel(k, 90, seed=60)
+        edges = [*zip(ids[:3], ids[1:4]), (ids[4], ids[5])]
+        stack = adjacency_rings(make_adjacency(ids, edges), 2)
+        values = random_panel(k, 90, seed=60).values.copy()
+        values[5] = values[4]
+        panel = make_panel(ids, values, kind="real")
         grid = ScenarioGrid(p_values=(1, 2), eta_values=(1, 2), stacks=(stack,),
                             split=SplitSpec(30, 60, 90), model_kinds=(MODEL_STAR,),
                             include_var=False)
@@ -575,10 +578,11 @@ class TestGridMemory:
     before the next stack's are built and before the VAR cells run."""
 
     # In units of one stack's design, k x (t_end + P - 2) x E floats,
-    # run_grid's peak reads 1.04 with one stack and VAR, and 1.46 with two
-    # stacks, whose paired adjacency stack forms rows for lstsq. One more
-    # design-sized array alive at the peak adds 1.0.
-    RATIO = 2.2
+    # run_grid's peak reads 1.04 with one stack and VAR, and 1.05 with two
+    # stacks: the paired adjacency stack's empty rings give zero columns,
+    # which the Cholesky factor takes as unit pivots, so no cell forms rows
+    # for lstsq. One more design-sized array alive at the peak adds 1.0.
+    RATIO = 1.2
     # one stack: the padded panel, one span's rows and a W(l) Y product;
     # holding the whole design read 1.90
     ONE_STACK_RATIO = 1.2
